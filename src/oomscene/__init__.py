@@ -82,6 +82,11 @@ from .occurrence import (
     posterior_columns,
     select_objects,
 )
+from .pipeline import (
+    encode_with_bundle,
+    evaluate_bundle,
+    fit_pipeline,
+)
 from .synth import (
     DomainShift,
     ScoreModel,

@@ -67,9 +67,6 @@ class PipelineConfig:
     sgd_epochs: int = 30
     folds: int = DEFAULT_FOLDS
     seed: int = 0
-    global_cv: bool = False
-    vlad_ssr: bool = True
-    vlad_l2: bool = True
 
     def __post_init__(self):
         if self.mode not in (HARD, SOFT):
@@ -114,12 +111,6 @@ def _parse_config_value(name: str, text: str, target_type):
         return tuple(levels)
     if name in _TUPLE_FLOAT_FIELDS:
         return tuple(float(p) for p in text.split(","))
-    if target_type is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key {name}: expected a boolean, got {text!r}")
     if target_type is int:
         return int(text)
     if target_type is float:
@@ -178,21 +169,12 @@ class ModelBundle:
         if self.selection is not None:
             if any(o >= n_obj for o in self.selection.selected):
                 raise CompatibilityError("selection references objects outside the vocabulary")
-            if self.ensemble is not None and self.config.mode == HARD:
-                want = descriptor_length(len(self.selection.selected), n_cls, self.layout)
-                if self.ensemble.dim != want:
-                    raise CompatibilityError(
-                        f"ensemble dimension {self.ensemble.dim} does not match the "
-                        f"descriptor length {want}"
-                    )
-        if self.config.mode == SOFT and self.ensemble is not None:
-            if self.pca is None or self.codebook is None:
-                raise CompatibilityError("soft-mode bundle is missing PCA or codebook")
-            want = self.codebook.size * self.pca.out_dim
+        if self.ensemble is not None:
+            want = self.descriptor_dim()
             if self.ensemble.dim != want:
                 raise CompatibilityError(
                     f"ensemble dimension {self.ensemble.dim} does not match the "
-                    f"soft descriptor length {want}"
+                    f"descriptor length {want}"
                 )
         if self.topics is not None and self.ensemble is not None:
             if self.topics.dim != self.ensemble.dim:
@@ -217,14 +199,28 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         fh.write(payload)
 
 
+def _unpack(fmt: str, data: bytes, off: int, path, field: str):
+    """One big-endian header field at data[off:]; returns (value, next offset)."""
+    size = struct.calcsize(fmt)
+    if len(data) < off + size:
+        raise FormatError(f"{path}: file ends inside the {field} field")
+    return struct.unpack_from(fmt, data, off)[0], off + size
+
+
+def _check_preamble(data: bytes, path, magic: bytes, version: int, kind: str) -> int:
+    """Validate magic and version; returns the offset just past them."""
+    if data[: len(magic)] != magic:
+        raise FormatError(f"{path}: not a {kind} (bad magic)")
+    found, off = _unpack(">H", data, len(magic), path, "version")
+    if found != version:
+        raise FormatError(f"{path}: unsupported {kind} version {found}")
+    return off
+
+
 def load_bundle(path) -> ModelBundle:
     data = Path(path).read_bytes()
-    if data[: len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
-        raise FormatError(f"{path}: not a model bundle (bad magic)")
-    (version,) = struct.unpack(">H", data[len(BUNDLE_MAGIC) : len(BUNDLE_MAGIC) + 2])
-    if version != BUNDLE_VERSION:
-        raise FormatError(f"{path}: unsupported bundle version {version}")
-    bundle = pickle.loads(data[len(BUNDLE_MAGIC) + 2 :])
+    off = _check_preamble(data, path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle")
+    bundle = pickle.loads(data[off:])
     bundle.validate()
     return bundle
 
@@ -259,17 +255,24 @@ def write_descriptor_file(path, matrix: np.ndarray, image_ids, layout: PyramidLa
 def read_descriptor_file(path):
     """Returns (matrix, header dict)."""
     data = Path(path).read_bytes()
-    if data[: len(DESC_MAGIC)] != DESC_MAGIC:
-        raise FormatError(f"{path}: not a descriptor file (bad magic)")
-    off = len(DESC_MAGIC)
-    (version,) = struct.unpack(">H", data[off : off + 2])
-    if version != DESC_VERSION:
-        raise FormatError(f"{path}: unsupported descriptor version {version}")
-    off += 2
-    (hlen,) = struct.unpack(">I", data[off : off + 4])
-    off += 4
-    header = json.loads(data[off : off + hlen].decode("utf-8"))
+    off = _check_preamble(data, path, DESC_MAGIC, DESC_VERSION, "descriptor file")
+    hlen, off = _unpack(">I", data, off, path, "header length")
+    if len(data) < off + hlen:
+        raise FormatError(f"{path}: file ends inside the header field")
+    try:
+        header = json.loads(data[off : off + hlen].decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: header field is not JSON ({exc})") from None
     off += hlen
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header field is not a JSON object")
+    for key in ("rows", "cols"):
+        if not isinstance(header.get(key), int) or header[key] < 0:
+            raise FormatError(f"{path}: header field {key!r} is not a count")
+    want = header["rows"] * header["cols"] * 8
+    if len(data) - off != want:
+        raise FormatError(f"{path}: payload field has {len(data) - off} bytes, "
+                          f"rows x cols needs {want}")
     matrix = np.frombuffer(data[off:], dtype=np.float64).reshape(
         header["rows"], header["cols"]
     )

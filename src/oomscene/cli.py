@@ -1,5 +1,8 @@
-"""Batch pipeline driver: synthesize, build, select, encode, cluster, train,
+"""Command-line interface: synthesize, build, select, encode, cluster, train,
 predict, evaluate, and ablate — all on manifest files and model bundles.
+
+The pipeline itself lives in :mod:`oomscene.pipeline`; this module only parses
+arguments, assembles configs and writes files.
 
 Every subcommand is deterministic for fixed seeds and inputs; output files
 contain no timestamps, so repeat runs are byte-identical.
@@ -10,7 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,21 +28,18 @@ from .bundle import (
     selection_hash,
     write_descriptor_file,
 )
-from .descriptor_hard import encode_hard_manifest
-from .descriptor_soft import (
-    encode_soft_manifest,
-    fit_codebook,
-    fit_pca,
-    training_patch_samples,
-)
-from .ensemble import predict_batch, train_ensemble
-from .errors import CompatibilityError, PipelineError
-from .ingest import HARD, DatasetManifest, parse_manifest, write_manifest
-from .occurrence import (
-    ClassPrior,
-    build_occurrence_model,
-    build_posterior_model,
-    select_objects,
+from .ensemble import predict_batch
+from .errors import PipelineError
+from .ingest import parse_manifest, write_manifest
+from .occurrence import build_occurrence_model, build_posterior_model, select_objects
+from .pipeline import (
+    _build_prior,
+    class_mean_accuracy,
+    confusion_matrix,
+    encode_with_bundle,
+    evaluate_bundle,
+    fit_pipeline,
+    per_class_accuracy,
 )
 from .synth import (
     DomainShift,
@@ -48,141 +48,6 @@ from .synth import (
     planted_spec,
 )
 from .topics import assign_topics_batch, fit_topics
-
-
-# ---------------------------------------------------------------- metrics
-
-def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(np.asarray(y_true, int), np.asarray(y_pred, int)):
-        if t >= 0:
-            cm[t, p] += 1
-    return cm
-
-
-def per_class_accuracy(y_true, y_pred, n_classes: int) -> np.ndarray:
-    """Recall per class; NaN where a class has no labeled samples."""
-    cm = confusion_matrix(y_true, y_pred, n_classes)
-    support = cm.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        return np.where(support > 0, np.diag(cm) / np.maximum(support, 1), np.nan)
-
-
-def class_mean_accuracy(y_true, y_pred, n_classes: int) -> float:
-    """Average classification accuracy over the classes that have samples."""
-    acc = per_class_accuracy(y_true, y_pred, n_classes)
-    valid = ~np.isnan(acc)
-    if not valid.any():
-        return float("nan")
-    return float(acc[valid].mean())
-
-
-# ------------------------------------------------------------- pipeline
-
-def _build_prior(manifest: DatasetManifest, config: PipelineConfig) -> ClassPrior:
-    if config.prior == "uniform":
-        return ClassPrior.uniform(len(manifest.classes))
-    if config.prior == "empirical":
-        return ClassPrior.empirical(manifest)
-    raise ValueError(f"unknown prior {config.prior!r}")
-
-
-def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.ndarray:
-    """Encode a manifest with the bundle's frozen components."""
-    if bundle.selection is None:
-        raise CompatibilityError("bundle has no object selection; run select-objects")
-    if manifest.mode != bundle.config.mode:
-        raise CompatibilityError(
-            f"manifest is {manifest.mode}-mode, bundle expects {bundle.config.mode}"
-        )
-    if bundle.config.mode == HARD:
-        return encode_hard_manifest(manifest, bundle.posterior, bundle.selection,
-                                    bundle.layout)
-    if bundle.pca is None or bundle.codebook is None:
-        raise CompatibilityError("soft-mode bundle is missing PCA or codebook; run train")
-    return encode_soft_manifest(
-        manifest, bundle.posterior, bundle.selection, bundle.pca, bundle.codebook,
-        ssr=bundle.config.vlad_ssr, l2_normalize=bundle.config.vlad_l2,
-    )
-
-
-def _check_compatible(bundle: ModelBundle, manifest: DatasetManifest) -> None:
-    if manifest.vocabulary.names != bundle.vocabulary.names:
-        raise CompatibilityError("manifest vocabulary differs from the bundle's")
-    if manifest.classes.names != bundle.classes.names:
-        raise CompatibilityError("manifest classes differ from the bundle's")
-
-
-def _train_labels(manifest: DatasetManifest) -> np.ndarray:
-    labels = manifest.labels()
-    if np.any(labels < 0):
-        bad = [r.image_id for r in manifest.records if r.scene_class is None]
-        raise PipelineError(f"training manifest has unlabeled records: {bad[:3]}...")
-    return labels
-
-
-def fit_pipeline(train: DatasetManifest, config: PipelineConfig,
-                 log=lambda msg: None) -> ModelBundle:
-    """Run the full training pipeline and return a complete bundle."""
-    t0 = time.perf_counter()
-
-    def stage(name, detail=""):
-        nonlocal t0
-        now = time.perf_counter()
-        log(f"[train] {name}: {now - t0:.3f}s{(' (' + detail + ')') if detail else ''}")
-        t0 = now
-
-    labels = _train_labels(train)
-    occurrence = build_occurrence_model(train, config.threshold_grid())
-    stage("occurrence model", f"{occurrence.n_objects} objects x {occurrence.n_classes} classes")
-    prior = _build_prior(train, config)
-    posterior = build_posterior_model(occurrence, prior, config.fallback)
-    stage("posterior model")
-    selection = select_objects(posterior, config.object_count, config.phi_aggregation)
-    stage("object selection", f"kept {len(selection.selected)}")
-    layout = config.pyramid_layout()
-
-    pca = codebook = None
-    if config.mode == HARD:
-        X = encode_hard_manifest(train, posterior, selection, layout)
-    else:
-        samples = training_patch_samples(train, posterior, selection)
-        pca = fit_pca(samples, config.pca_dim)
-        codebook = fit_codebook(pca.project(samples), config.codebook_size, config.seed)
-        stage("pca + codebook", f"{samples.shape[0]} patches")
-        X = encode_soft_manifest(train, posterior, selection, pca, codebook,
-                                 ssr=config.vlad_ssr, l2_normalize=config.vlad_l2)
-    stage("encoding", f"{X.shape[0]} descriptors of dim {X.shape[1]}")
-
-    topics = fit_topics(X, config.topic_count, config.seed)
-    stage("topic clustering", f"{config.topic_count} topics")
-    ens = train_ensemble(X, labels, len(train.classes), topics, config.sgd_grid(),
-                         config.folds, config.global_cv)
-    stage("ensemble training", f"{ens.n_classes} classes x {ens.n_topics} topics")
-
-    return ModelBundle(
-        config=config,
-        vocabulary=train.vocabulary,
-        classes=train.classes,
-        occurrence=occurrence,
-        posterior=posterior,
-        layout=layout,
-        selection=selection,
-        pca=pca,
-        codebook=codebook,
-        topics=topics,
-        ensemble=ens,
-    )
-
-
-def evaluate_bundle(bundle: ModelBundle, test: DatasetManifest, pooling="average"):
-    """Returns (labels_pred, scores, labels_true)."""
-    _check_compatible(bundle, test)
-    if bundle.ensemble is None:
-        raise CompatibilityError("bundle has no trained ensemble")
-    X = encode_with_bundle(bundle, test)
-    pred, scores = predict_batch(bundle.ensemble, X, pooling=pooling)
-    return pred, scores, test.labels()
 
 
 # ------------------------------------------------------------ csv output
@@ -321,7 +186,6 @@ def cmd_select_objects(args) -> int:
 def cmd_encode(args) -> int:
     bundle = load_bundle(args.bundle)
     manifest = parse_manifest(args.manifest, mode=bundle.config.mode)
-    _check_compatible(bundle, manifest)
     X = encode_with_bundle(bundle, manifest)
     ids = [r.image_id for r in manifest.records]
     if args.format == "csv":
@@ -337,7 +201,6 @@ def cmd_encode(args) -> int:
 def cmd_cluster(args) -> int:
     bundle = load_bundle(args.bundle)
     manifest = parse_manifest(args.manifest, mode=bundle.config.mode)
-    _check_compatible(bundle, manifest)
     X = encode_with_bundle(bundle, manifest)
     topics = fit_topics(X, args.topics, bundle.config.seed)
     bundle.topics = topics
@@ -391,36 +254,17 @@ def cmd_ablate(args) -> int:
     config = _config_from_args(args)
     train = parse_manifest(args.train, mode=config.mode)
     test = parse_manifest(args.test, mode=config.mode)
-    labels = _train_labels(train)
-    occurrence = build_occurrence_model(train, config.threshold_grid())
-    posterior = build_posterior_model(occurrence, _build_prior(train, config),
-                                      config.fallback)
-    layout = config.pyramid_layout()
     object_counts = args.objects_list or [config.object_count]
     topic_counts = args.topics_list or sorted({1, config.topic_count})
     y_true = test.labels()
 
     rows = []
     for r in object_counts:
-        selection = select_objects(posterior, r, config.phi_aggregation)
-        if config.mode == HARD:
-            X_tr = encode_hard_manifest(train, posterior, selection, layout)
-            X_te = encode_hard_manifest(test, posterior, selection, layout)
-        else:
-            samples = training_patch_samples(train, posterior, selection)
-            pca = fit_pca(samples, config.pca_dim)
-            codebook = fit_codebook(pca.project(samples), config.codebook_size,
-                                    config.seed)
-            X_tr = encode_soft_manifest(train, posterior, selection, pca, codebook,
-                                        config.vlad_ssr, config.vlad_l2)
-            X_te = encode_soft_manifest(test, posterior, selection, pca, codebook,
-                                        config.vlad_ssr, config.vlad_l2)
         for d in topic_counts:
-            topics = fit_topics(X_tr, d, config.seed)
-            ens = train_ensemble(X_tr, labels, len(train.classes), topics,
-                                 config.sgd_grid(), config.folds, config.global_cv)
+            bundle = fit_pipeline(train, replace(config, object_count=r, topic_count=d))
+            X_te = encode_with_bundle(bundle, test)
             for pooling in ("average", "max"):
-                pred, _ = predict_batch(ens, X_te, pooling=pooling)
+                pred, _ = predict_batch(bundle.ensemble, X_te, pooling=pooling)
                 acc = class_mean_accuracy(y_true, pred, len(test.classes))
                 rows.append([r, d, pooling, _fmt(acc)])
                 print(f"[ablate] objects={r} topics={d} pooling={pooling}: {_fmt(acc)}")

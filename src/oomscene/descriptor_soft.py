@@ -163,11 +163,8 @@ def encode_soft(record: ImageRecord, post: PosteriorModel,
 
 def encode_soft_manifest(manifest: DatasetManifest, post: PosteriorModel,
                          sel: DiscriminantSelection, pca: PcaTransform,
-                         cb: VladCodebook, ssr: bool = True,
-                         l2_normalize: bool = True) -> np.ndarray:
-    return np.stack(
-        [encode_soft(r, post, sel, pca, cb, ssr, l2_normalize) for r in manifest.records]
-    )
+                         cb: VladCodebook) -> np.ndarray:
+    return np.stack([encode_soft(r, post, sel, pca, cb) for r in manifest.records])
 
 
 def training_patch_samples(manifest: DatasetManifest, post: PosteriorModel,

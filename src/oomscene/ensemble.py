@@ -188,12 +188,11 @@ class TopicEnsemble:
 
 
 def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
-                   grid, folds: int, global_cv: bool = False) -> TopicEnsemble:
+                   grid, folds: int) -> TopicEnsemble:
     """Partition training samples by topic and train one-vs-rest per topic.
 
-    Hyperparameters come from cross-validation on each topic's samples
-    (or once on all samples with global_cv).  Topics too small to validate
-    fall back to the first grid entry.
+    Hyperparameters come from cross-validation on each topic's samples.
+    Topics too small to validate fall back to the first grid entry.
     """
     X = np.asarray(descriptors, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -203,38 +202,22 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
     if X.ndim != 2 or X.shape[1] != topics.dim:
         raise DimensionError("descriptors do not match the topic model dimension")
     topic_of, _ = assign_topics_batch(topics, X)
-    n_topics = topics.n_topics
-    shared_cfg = cross_validate(X, y, n_classes, grid, folds) if global_cv else None
 
-    slots: list[list[LinearClassifier]] = [[None] * n_topics for _ in range(n_classes)]
-    topic_sizes, chosen = [], []
-    for d in range(n_topics):
+    per_topic, topic_sizes, chosen = [], [], []
+    for d in range(topics.n_topics):
         mask = topic_of == d
         Xd, yd = X[mask], y[mask]
         topic_sizes.append(int(mask.sum()))
-        if shared_cfg is not None:
-            cfg = shared_cfg
-        elif len(grid) == 1 or len(Xd) < 2:
+        if len(grid) == 1 or len(Xd) < 2:
             cfg = grid[0]
         else:
             cfg = cross_validate(Xd, yd, n_classes, grid, folds)
         chosen.append(cfg)
-        for c in range(n_classes):
-            pos, neg = Xd[yd == c], Xd[yd != c]
-            if len(pos) == 0:
-                clf = constant_classifier(X.shape[1], -1.0)
-            elif len(neg) == 0:
-                clf = constant_classifier(X.shape[1], +1.0)
-            else:
-                clf = train_binary(
-                    pos, neg, replace(cfg, seed=_derive_seed(cfg.seed, d, c))
-                )
-            slots[c][d] = clf
-    meta = {"topic_sizes": topic_sizes, "configs": chosen, "global_cv": global_cv}
+        per_topic.append(train_one_vs_rest(Xd, yd, n_classes, cfg, salt=d))
     return TopicEnsemble(
         topics=topics,
-        classifiers=tuple(tuple(row) for row in slots),
-        training_meta=meta,
+        classifiers=tuple(zip(*per_topic)),
+        training_meta={"topic_sizes": topic_sizes, "configs": chosen},
     )
 
 

@@ -122,11 +122,6 @@ class HardDetection:
         if not math.isfinite(self.score):
             raise FormatError("detection score must be finite")
 
-    @property
-    def center(self) -> tuple[float, float]:
-        x0, y0, x1, y1 = self.box
-        return (0.5 * (x0 + x1), 0.5 * (y0 + y1))
-
 
 @dataclass(frozen=True, eq=False)
 class SoftPatch:
@@ -164,10 +159,6 @@ class ImageRecord:
                 raise FormatError(
                     f"record {self.image_id!r} mixes hard and soft detections"
                 )
-
-    @property
-    def is_hard(self) -> bool:
-        return self.mode == HARD
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,7 +45,8 @@ from oomscene import (
     train_binary,
     train_ensemble,
 )
-from oomscene.cli import class_mean_accuracy, main
+from oomscene.cli import main
+from oomscene.pipeline import class_mean_accuracy
 from oomscene.bundle import load_bundle
 from oomscene.ingest import parse_manifest, write_manifest
 from helpers import (
@@ -363,7 +364,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     assert artifacts[0] == artifacts[1]
 
     # save -> load -> predict is bit-identical
-    from oomscene.cli import encode_with_bundle
+    from oomscene.pipeline import encode_with_bundle
     bundle = load_bundle(tmp_path / "run1.bundle")
     test = parse_manifest(tmp_path / "test.txt")
     X1 = encode_with_bundle(bundle, test)

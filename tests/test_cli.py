@@ -20,7 +20,13 @@ from oomscene.bundle import (
     read_descriptor_file,
 )
 from oomscene.cli import main
-from oomscene.ingest import SOFT, DatasetManifest, ImageRecord, SoftPatch
+from oomscene.ingest import (
+    SOFT,
+    DatasetManifest,
+    ImageRecord,
+    SoftPatch,
+    parse_manifest,
+)
 
 
 SMALL = ["--set", "object_count=8", "--set", "topic_count=2",
@@ -47,6 +53,40 @@ def trained_bundle(synth_files, tmp_path_factory):
     return out
 
 
+def to_soft(manifest, tag):
+    """Soft twin of a hard manifest: each detection becomes a noisy patch."""
+    n_obj = len(manifest.vocabulary)
+    records = []
+    for ri, rec in enumerate(manifest.records):
+        rng_r = np.random.default_rng([7, ri])
+        patches = [
+            SoftPatch(k, np.clip(
+                rng_r.normal(0.2, 0.05, n_obj)
+                + np.bincount([d.object_index], weights=[d.score],
+                              minlength=n_obj),
+                0.0, 1.5))
+            for k, d in enumerate(rec.detections[:6])
+        ]
+        if not patches:
+            patches = [SoftPatch(0, rng_r.uniform(0, 0.3, n_obj))]
+        records.append(ImageRecord(rec.image_id, rec.scene_class,
+                                   tuple(patches), SOFT))
+    return DatasetManifest(manifest.vocabulary, manifest.classes,
+                           tuple(records), tag, SOFT)
+
+
+@pytest.fixture(scope="module", params=["hard", "soft"])
+def mode_files(request, synth_files):
+    """(source path, target path, mode config args) in each detection mode."""
+    if request.param == "hard":
+        return synth_files / "source.txt", synth_files / "target.txt", []
+    src, tgt = synth_files / "soft_source.txt", synth_files / "soft_target.txt"
+    write_manifest(to_soft(parse_manifest(synth_files / "source.txt"), "train"), src)
+    write_manifest(to_soft(parse_manifest(synth_files / "target.txt"), "test"), tgt)
+    return src, tgt, ["--set", "mode=soft", "--set", "pca_dim=10",
+                      "--set", "codebook_size=4"]
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -71,10 +111,9 @@ class TestConfig:
 
     def test_pairs_and_file(self, tmp_path):
         cfg = config_from_pairs(["delta_theta=0.1", "pyramid=1x1,2x2",
-                                 "global_cv=true", "sgd_lambdas=0.1,0.2"])
+                                 "sgd_lambdas=0.1,0.2"])
         assert cfg.delta_theta == 0.1
         assert cfg.pyramid == ((1, 1), (2, 2))
-        assert cfg.global_cv is True
         assert cfg.sgd_lambdas == (0.1, 0.2)
         path = tmp_path / "cfg.txt"
         path.write_text("# comment\nobject_count=9\nmode=soft\n")
@@ -277,27 +316,25 @@ class TestAblate:
         assert ("12", "1", "average") in combos
         assert ("6", "2", "max") in combos
 
-    def test_full_object_row_equals_no_selection_run(self, synth_files,
-                                                     tmp_path):
+    def test_full_object_row_equals_no_selection_run(self, mode_files, tmp_path):
         # keeping all 12 objects is the identity selection: the ablate row
         # must match a plain train+eval at the same settings
+        source, target, mode_args = mode_files
         out = tmp_path / "ablate_full.csv"
         args = ["--set", "topic_count=2", "--set", "sgd_lambdas=1e-4",
                 "--set", "sgd_eta0s=0.5", "--set", "sgd_epochs=8",
-                "--set", "seed=3"]
-        rc = main(["ablate", "--train", str(synth_files / "source.txt"),
-                   "--test", str(synth_files / "target.txt"),
+                "--set", "seed=3"] + mode_args
+        rc = main(["ablate", "--train", str(source), "--test", str(target),
                    "--objects-list", "12", "--topics-list", "2",
                    "--out", str(out)] + args)
         assert rc == 0
         row = [r for r in read_csv(out)[1:] if r[2] == "average"][0]
         bundle = tmp_path / "full.bundle"
-        rc = main(["train", "--train", str(synth_files / "source.txt"),
+        rc = main(["train", "--train", str(source),
                    "--out", str(bundle), "--set", "object_count=12"] + args)
         assert rc == 0
         prefix = tmp_path / "full_eval"
-        rc = main(["eval", "--bundle", str(bundle),
-                   "--test", str(synth_files / "target.txt"),
+        rc = main(["eval", "--bundle", str(bundle), "--test", str(target),
                    "--out-prefix", str(prefix)])
         assert rc == 0
         metrics = read_csv(f"{prefix}_metrics.csv")
@@ -309,27 +346,6 @@ class TestSoftPipeline:
         # soft manifest derived from a hard one: detections become patches
         spec = planted_spec(3, 10, 2, 10, seed=6)
         source, target = generate(spec)
-        rng = np.random.default_rng(0)
-
-        def to_soft(manifest, tag):
-            records = []
-            for ri, rec in enumerate(manifest.records):
-                rng_r = np.random.default_rng([7, ri])
-                patches = [
-                    SoftPatch(k, np.clip(
-                        rng_r.normal(0.2, 0.05, 10)
-                        + np.bincount([d.object_index], weights=[d.score],
-                                      minlength=10),
-                        0.0, 1.5))
-                    for k, d in enumerate(rec.detections[:6])
-                ]
-                if not patches:
-                    patches = [SoftPatch(0, rng_r.uniform(0, 0.3, 10))]
-                records.append(ImageRecord(rec.image_id, rec.scene_class,
-                                           tuple(patches), SOFT))
-            return DatasetManifest(manifest.vocabulary, manifest.classes,
-                                   tuple(records), tag, SOFT)
-
         src_path, tgt_path = tmp_path / "soft_src.txt", tmp_path / "soft_tgt.txt"
         write_manifest(to_soft(source, "train"), src_path)
         write_manifest(to_soft(target, "test"), tgt_path)
@@ -369,7 +385,7 @@ class TestDeterminismAndPersistence:
 
     def test_bundle_round_trip_predictions_bit_identical(self, trained_bundle,
                                                          synth_files, tmp_path):
-        from oomscene.cli import encode_with_bundle
+        from oomscene.pipeline import encode_with_bundle
         from oomscene.ensemble import predict_batch
         from oomscene.ingest import parse_manifest
         bundle = load_bundle(trained_bundle)
@@ -383,9 +399,23 @@ class TestDeterminismAndPersistence:
         np.testing.assert_array_equal(pred1, pred2)
         np.testing.assert_array_equal(scores1, scores2)
 
-    def test_bad_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize("read, data, field", [
+        (load_bundle, b"NOTABUNDLE", "magic"),
+        (load_bundle, b"OOMSCENE", "version"),
+        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00", "header length"),
+        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00\x00\x10{}", "header"),
+        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00\x00\x05{rows", "header"),
+        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00\x00\x02[]", "header"),
+        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00\x00\x0b{\"rows\": 1}",
+         "cols"),
+        (read_descriptor_file,
+         b'OOMSDESC\x00\x01\x00\x00\x00\x16{"cols": 2, "rows": 1}' + bytes(8),
+         "payload"),
+    ], ids=["bundle-magic", "bundle-version", "desc-header-length", "desc-header",
+            "desc-header-json", "desc-header-object", "desc-cols", "desc-payload"])
+    def test_bad_magic_rejected(self, tmp_path, read, data, field):
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOTABUNDLE")
+        bad.write_bytes(data)
         from oomscene.errors import FormatError
-        with pytest.raises(FormatError):
-            load_bundle(bad)
+        with pytest.raises(FormatError, match=field):
+            read(bad)
