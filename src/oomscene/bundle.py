@@ -103,18 +103,21 @@ _TUPLE_FLOAT_FIELDS = {"sgd_lambdas", "sgd_eta0s"}
 
 def _parse_config_value(name: str, text: str, target_type):
     text = text.strip()
-    if name in _TUPLE_INT_PAIR_FIELDS:
-        levels = []
-        for part in text.split(","):
-            r, _, c = part.strip().partition("x")
-            levels.append((int(r), int(c)))
-        return tuple(levels)
-    if name in _TUPLE_FLOAT_FIELDS:
-        return tuple(float(p) for p in text.split(","))
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return float(text)
+    try:
+        if name in _TUPLE_INT_PAIR_FIELDS:
+            levels = []
+            for part in text.split(","):
+                r, _, c = part.strip().partition("x")
+                levels.append((int(r), int(c)))
+            return tuple(levels)
+        if name in _TUPLE_FLOAT_FIELDS:
+            return tuple(float(p) for p in text.split(","))
+        if target_type is int:
+            return int(text)
+        if target_type is float:
+            return float(text)
+    except ValueError as exc:
+        raise ValueError(f"config key {name!r}: bad value {text!r} ({exc})") from None
     return text
 
 
@@ -220,7 +223,14 @@ def _check_preamble(data: bytes, path, magic: bytes, version: int, kind: str) ->
 def load_bundle(path) -> ModelBundle:
     data = Path(path).read_bytes()
     off = _check_preamble(data, path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle")
-    bundle = pickle.loads(data[off:])
+    try:
+        bundle = pickle.loads(data[off:])
+    except Exception as exc:  # truncated or foreign bytes can raise anything
+        raise FormatError(f"{path}: payload field does not unpickle "
+                          f"({type(exc).__name__}: {exc})") from None
+    if not isinstance(bundle, ModelBundle):
+        raise FormatError(f"{path}: payload field holds a {type(bundle).__name__}, "
+                          f"not a model bundle")
     bundle.validate()
     return bundle
 

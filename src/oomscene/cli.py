@@ -38,6 +38,8 @@ from .pipeline import (
     confusion_matrix,
     encode_with_bundle,
     evaluate_bundle,
+    fit_classifier,
+    fit_encoder,
     fit_pipeline,
     per_class_accuracy,
 )
@@ -260,9 +262,12 @@ def cmd_ablate(args) -> int:
 
     rows = []
     for r in object_counts:
+        encoder, X_tr, y_tr = fit_encoder(train, replace(config, object_count=r))
+        X_te = encode_with_bundle(encoder, test)
         for d in topic_counts:
-            bundle = fit_pipeline(train, replace(config, object_count=r, topic_count=d))
-            X_te = encode_with_bundle(bundle, test)
+            bundle = fit_classifier(
+                replace(encoder, config=replace(encoder.config, topic_count=d)),
+                X_tr, y_tr)
             for pooling in ("average", "max"):
                 pred, _ = predict_batch(bundle.ensemble, X_te, pooling=pooling)
                 acc = class_mean_accuracy(y_true, pred, len(test.classes))

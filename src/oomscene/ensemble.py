@@ -2,14 +2,23 @@
 
 Training minimizes (lam/2)||w||^2 + mean hinge loss by stochastic subgradient
 descent with the step schedule eta0 / (1 + eta0 * lam * t), shuffling samples
-each epoch.  At prediction time a descriptor is scored by every topic's
-classifiers; the per-class decisions are pooled (sum by default, max for the
-ablation) and the argmax wins, ties toward the lower class index.
+each epoch.  Every binary problem on one set of samples trains in lockstep:
+one pass over the samples updates all of them, with each weight vector kept
+as a scale times a vector (Bottou 2010; Pegasos, Shalev-Shwartz et al. 2007)
+so the decay costs one multiply per problem and a sparse sample touches only
+its nonzero columns.  On topic d, every cross-validation pass (grid entries,
+folds and classes sharing a seed and epoch count, split so that a pass's
+weights stay small) and the final one-vs-rest pass each draw one permutation
+per epoch from a generator seeded with ``_derive_seed(seed, d)``.
+
+At prediction time a descriptor is scored by every topic's classifiers; the
+per-class decisions are pooled (sum by default, max for the ablation) and the
+argmax wins, ties toward the lower class index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,31 +72,91 @@ def _as_sample_matrix(samples) -> np.ndarray:
     return X
 
 
+# A scale below this is folded into its weight row before the next update.
+_TINY_SCALE = 1e-9
+
+
+def _sgd_lockstep(X, Y, active, lam, eta0, epochs: int, rng):
+    """Train P binary problems on the rows of X in one pass per epoch.
+
+    Problem p sees the samples where ``active[p]`` holds, with labels
+    ``Y[p]`` in {-1, +1}, step size ``eta0[p] / (1 + eta0[p] * lam[p] * t_p)``
+    and ``t_p`` counting only its own samples.  Each epoch draws one
+    ``rng.permutation(n)`` that every problem follows.  Per sample a problem
+    does what the scalar loop does: margin test, decay by
+    ``1 - eta * lam``, then the hinge update if the margin was below 1.
+
+    Weights are held as ``w_p = s_p * V[p]`` so the decay is one multiply of
+    the scale vector.  A row with fewer than half its entries nonzero reads
+    and updates only those columns of V; any other row uses all of them.
+    Returns the weight matrix [P, d] and the biases [P].
+    """
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    YT = np.ascontiguousarray(np.asarray(Y, dtype=float).T)   # [n, P]
+    AT = np.ascontiguousarray(np.asarray(active, dtype=bool).T)
+    lam = np.asarray(lam, dtype=float)
+    eta0 = np.asarray(eta0, dtype=float)
+    eta0_lam = eta0 * lam
+    P = lam.size
+    rows = []
+    for x in X:
+        cols = np.flatnonzero(x)
+        rows.append((cols, x[cols]) if 2 * cols.size < d else (None, x))
+    # Sparse rows read a few columns of V for every problem, dense rows update
+    # whole rows of V: store V contiguous along what most rows need.
+    n_sparse = sum(cols is not None for cols, _ in rows)
+    V = np.zeros((P, d), order="F" if 2 * n_sparse > n else "C")
+    s = np.ones(P)
+    b = np.zeros(P)
+    t = np.zeros(P)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        # every problem's step count, step size and decay at each visit
+        seen = AT[order]
+        t_at = t + (np.cumsum(seen, axis=0) - seen)
+        eta = eta0 / (1.0 + eta0_lam * t_at)
+        decay = np.where(seen, 1.0 - eta * lam, 1.0)
+        t += seen.sum(axis=0)
+        for k, i in enumerate(order):
+            cols, x = rows[i]
+            dots = V @ x if cols is None else V[:, cols] @ x
+            y = YT[i]
+            violated = seen[k] & (y * (s * dots + b) < 1.0)
+            s *= decay[k]
+            if s.min(initial=1.0) < _TINY_SCALE:
+                low = s < _TINY_SCALE
+                V[low] *= s[low, None]
+                s[low] = 1.0
+            upd = np.flatnonzero(violated)
+            if upd.size:
+                step = eta[k, upd] * y[upd]
+                b[upd] += step
+                coef = (step / s[upd])[:, None] * x
+                if cols is None:
+                    V[upd] += coef
+                else:
+                    V[np.ix_(upd, cols)] += coef
+    V *= s[:, None]
+    return np.ascontiguousarray(V), b
+
+
 def train_binary(positives, negatives, cfg: SgdConfig) -> LinearClassifier:
     """Stochastic subgradient descent on the regularized hinge loss.
 
-    Deterministic for a fixed config: the epoch shuffles come from a
-    generator seeded with cfg.seed.  Returns the final iterate.
+    Deterministic for a fixed config: the epoch shuffles of the stacked
+    positives-then-negatives come from a generator seeded with cfg.seed.
+    Returns the final iterate.
     """
     P, N = _as_sample_matrix(positives), _as_sample_matrix(negatives)
     if P.size == 0 or N.size == 0:
         raise ValueError("training needs at least one positive and one negative sample")
     X = np.vstack([P, N])
     y = np.concatenate([np.ones(len(P)), -np.ones(len(N))])
-    rng = np.random.default_rng(cfg.seed)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    t = 0
-    for _ in range(cfg.epochs):
-        for i in rng.permutation(len(X)):
-            eta = cfg.eta0 / (1.0 + cfg.eta0 * cfg.lam * t)
-            violated = y[i] * (X[i] @ w + b) < 1.0
-            w *= 1.0 - eta * cfg.lam
-            if violated:
-                w += (eta * y[i]) * X[i]
-                b += eta * y[i]
-            t += 1
-    return LinearClassifier(weights=w, bias=b)
+    W, b = _sgd_lockstep(X, y[None, :], np.ones((1, len(X)), dtype=bool),
+                         [cfg.lam], [cfg.eta0], cfg.epochs,
+                         np.random.default_rng(cfg.seed))
+    return LinearClassifier(weights=W[0], bias=float(b[0]))
 
 
 def _derive_seed(base_seed: int, *parts: int) -> int:
@@ -95,33 +164,59 @@ def _derive_seed(base_seed: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+# Cross-validation trains its (grid entry, fold) one-vs-rest sets in passes
+# whose weight matrices stay within this many bytes, and validates a pass's
+# weights before it trains the next: with dense descriptors (soft VLAD,
+# d = 50000) all grid x fold x class problems at once would hold hundreds of MB.
+_CV_PASS_BYTES = 8 << 20
+
+
+def _one_vs_rest_lockstep(X, y, n_classes: int, units, salt: int):
+    """One-vs-rest problems for every (config, training mask) unit, in one pass.
+
+    All configs must share seed and epochs.  The pass draws its permutations
+    from a generator seeded with ``_derive_seed(seed, salt)``, so units split
+    over several passes see the same sample order.  Within a mask, a class
+    with no positives decides -1 everywhere and one with no negatives +1.
+    Returns weights [U, C, d] and biases [U, C].
+    """
+    cfgs = [cfg for cfg, _ in units]
+    U, n, d = len(units), len(y), X.shape[1]
+    train_masks = np.array([mask for _, mask in units], dtype=bool).reshape(U, n)
+    onehot = y[None, :] == np.arange(n_classes)[:, None]               # [C, n]
+    has_pos = (train_masks[:, None, :] & onehot).any(axis=2)            # [U, C]
+    has_neg = (train_masks[:, None, :] & ~onehot).any(axis=2)
+    trained = has_pos & has_neg
+    active = train_masks[:, None, :] & trained[:, :, None]              # [U, C, n]
+    Y = np.where(onehot, 1.0, -1.0)
+    P = U * n_classes
+    W, b = _sgd_lockstep(
+        X,
+        np.broadcast_to(Y, (U, n_classes, n)).reshape(P, n),
+        active.reshape(P, n),
+        np.repeat([c.lam for c in cfgs], n_classes),
+        np.repeat([c.eta0 for c in cfgs], n_classes),
+        cfgs[0].epochs,
+        np.random.default_rng(_derive_seed(cfgs[0].seed, salt)),
+    )
+    b = np.where(trained, b.reshape(U, n_classes), np.where(has_pos, 1.0, -1.0))
+    return W.reshape(U, n_classes, d), b
+
+
 def train_one_vs_rest(X, labels, n_classes: int, cfg: SgdConfig,
                       salt: int = 0) -> list[LinearClassifier]:
     """One binary classifier per class; degenerate classes get constants.
 
     A class with no positives decides -1 everywhere; one with no negatives
-    decides +1.  That keeps pooled sums well-defined on any partition.
+    decides +1.  That keeps pooled sums well-defined on any partition.  All
+    classes train in one lockstep pass seeded with ``_derive_seed(seed, salt)``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels, dtype=int)
-    out = []
-    for c in range(n_classes):
-        pos, neg = X[y == c], X[y != c]
-        if len(pos) == 0:
-            out.append(constant_classifier(X.shape[1], -1.0))
-        elif len(neg) == 0:
-            out.append(constant_classifier(X.shape[1], +1.0))
-        else:
-            out.append(
-                train_binary(pos, neg, replace(cfg, seed=_derive_seed(cfg.seed, salt, c)))
-            )
-    return out
-
-
-def _decision_matrix(classifiers: list[LinearClassifier], X: np.ndarray) -> np.ndarray:
-    W = np.stack([c.weights for c in classifiers])
-    b = np.array([c.bias for c in classifiers])
-    return X @ W.T + b
+    W, b = _one_vs_rest_lockstep(X, y, n_classes, [(cfg, np.ones(len(y), dtype=bool))],
+                                 salt)
+    return [LinearClassifier(weights=W[0, c], bias=float(b[0, c]))
+            for c in range(n_classes)]
 
 
 def _fold_assignments(labels: np.ndarray, folds: int) -> np.ndarray:
@@ -133,11 +228,15 @@ def _fold_assignments(labels: np.ndarray, folds: int) -> np.ndarray:
     return fold_of
 
 
-def cross_validate(descriptors, labels, n_classes: int, grid, folds: int) -> SgdConfig:
+def cross_validate(descriptors, labels, n_classes: int, grid, folds: int,
+                   salt: int = 0) -> SgdConfig:
     """Pick the grid entry with the best mean validation accuracy.
 
     Samples are stratified into round-robin folds per class; ties keep the
-    earlier grid entry.  A single-entry grid short-circuits.
+    earlier grid entry.  A single-entry grid short-circuits.  The (grid
+    entry, fold, class) problems of each distinct (seed, epochs) train in
+    lockstep passes seeded with ``_derive_seed(seed, salt)``, as many
+    (grid entry, fold) sets per pass as fit in ``_CV_PASS_BYTES`` of weights.
     """
     grid = list(grid)
     if not grid:
@@ -149,21 +248,22 @@ def cross_validate(descriptors, labels, n_classes: int, grid, folds: int) -> Sgd
     X = np.asarray(descriptors, dtype=float)
     y = np.asarray(labels, dtype=int)
     fold_of = _fold_assignments(y, folds)
-    best, best_acc = None, -1.0
-    for cfg in grid:
-        accs = []
-        for f in range(folds):
-            val = fold_of == f
-            tr = ~val
-            if not val.any() or not tr.any():
-                continue
-            clfs = train_one_vs_rest(X[tr], y[tr], n_classes, cfg, salt=f + 1)
-            pred = _decision_matrix(clfs, X[val]).argmax(axis=1)
-            accs.append(float((pred == y[val]).mean()))
-        acc = float(np.mean(accs)) if accs else 0.0
-        if acc > best_acc:
-            best, best_acc = cfg, acc
-    return best
+    val_masks = [fold_of == f for f in range(folds)]
+    val_masks = [v for v in val_masks if v.any() and not v.all()]
+    per_pass = max(1, _CV_PASS_BYTES // (8 * n_classes * X.shape[1]))
+    accs = np.zeros((len(grid), len(val_masks)))
+    for key in dict.fromkeys((cfg.seed, cfg.epochs) for cfg in grid):
+        units = [(g, m) for g, cfg in enumerate(grid) if (cfg.seed, cfg.epochs) == key
+                 for m in range(len(val_masks))]
+        for start in range(0, len(units), per_pass):
+            batch = units[start:start + per_pass]
+            W, b = _one_vs_rest_lockstep(
+                X, y, n_classes, [(grid[g], ~val_masks[m]) for g, m in batch], salt)
+            for (g, m), Wu, bu in zip(batch, W, b):
+                val = val_masks[m]
+                accs[g, m] = ((X[val] @ Wu.T + bu).argmax(axis=1) == y[val]).mean()
+    acc = accs.mean(axis=1) if val_masks else np.zeros(len(grid))
+    return grid[int(np.argmax(acc))]  # the first of tied entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +311,7 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
         if len(grid) == 1 or len(Xd) < 2:
             cfg = grid[0]
         else:
-            cfg = cross_validate(Xd, yd, n_classes, grid, folds)
+            cfg = cross_validate(Xd, yd, n_classes, grid, folds, salt=d)
         chosen.append(cfg)
         per_topic.append(train_one_vs_rest(Xd, yd, n_classes, cfg, salt=d))
     return TopicEnsemble(

@@ -1,7 +1,9 @@
 """The training and evaluation pipeline as library calls.
 
-``fit_pipeline`` runs the whole chain on a labeled manifest: occurrence and
-posterior models, object selection, descriptors, topics and the ensemble.
+``fit_pipeline`` runs the whole chain on a labeled manifest in two stages:
+``fit_encoder`` (occurrence and posterior models, object selection, soft PCA
+and codebook, training descriptors) and ``fit_classifier`` (topics and the
+ensemble).
 ``encode_with_bundle`` turns a manifest into descriptors with a bundle's
 frozen components; it is the only place that chooses between the hard and
 soft encoders.  ``evaluate_bundle`` encodes and predicts.
@@ -10,6 +12,7 @@ soft encoders.  ``evaluate_bundle`` encodes and predicts.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -99,9 +102,8 @@ def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.nda
                                 bundle.pca, bundle.codebook)
 
 
-def fit_pipeline(train: DatasetManifest, config: PipelineConfig,
-                 log=lambda msg: None) -> ModelBundle:
-    """Run the full training pipeline and return a complete bundle."""
+def _stage_logger(log):
+    """A callable that logs one stage line with the time since the last one."""
     t0 = time.perf_counter()
 
     def stage(name, detail=""):
@@ -110,7 +112,19 @@ def fit_pipeline(train: DatasetManifest, config: PipelineConfig,
         log(f"[train] {name}: {now - t0:.3f}s{(' (' + detail + ')') if detail else ''}")
         t0 = now
 
-    labels = _train_labels(train)
+    return stage
+
+
+def fit_encoder(train: DatasetManifest, config: PipelineConfig,
+                log=lambda msg: None) -> tuple[ModelBundle, np.ndarray, np.ndarray]:
+    """Fit the stages before clustering and encode the training set.
+
+    Returns a bundle without topics or ensemble, the training descriptors
+    and their labels.  Nothing here depends on the topic count or the SGD
+    grid.
+    """
+    stage = _stage_logger(log)
+    labels = _train_labels(train)  # rejects unlabeled records before any fitting
     occurrence = build_occurrence_model(train, config.threshold_grid())
     stage("occurrence model", f"{occurrence.n_objects} objects x {occurrence.n_classes} classes")
     posterior = build_posterior_model(occurrence, _build_prior(train, config),
@@ -136,14 +150,31 @@ def fit_pipeline(train: DatasetManifest, config: PipelineConfig,
         stage("pca + codebook", f"{samples.shape[0]} patches")
     X = encode_with_bundle(bundle, train)
     stage("encoding", f"{X.shape[0]} descriptors of dim {X.shape[1]}")
+    return bundle, X, labels
 
-    bundle.topics = fit_topics(X, config.topic_count, config.seed)
+
+def fit_classifier(bundle: ModelBundle, X, labels,
+                   log=lambda msg: None) -> ModelBundle:
+    """Cluster the training descriptors into topics and train the ensemble.
+
+    Reads the topic count, seed, SGD grid and folds from ``bundle.config``;
+    returns a copy of the bundle with topics and ensemble set.
+    """
+    stage = _stage_logger(log)
+    config = bundle.config
+    topics = fit_topics(X, config.topic_count, config.seed)
     stage("topic clustering", f"{config.topic_count} topics")
-    bundle.ensemble = train_ensemble(X, labels, len(train.classes), bundle.topics,
-                                     config.sgd_grid(), config.folds)
-    stage("ensemble training",
-          f"{bundle.ensemble.n_classes} classes x {bundle.ensemble.n_topics} topics")
-    return bundle
+    ensemble = train_ensemble(X, labels, len(bundle.classes), topics,
+                              config.sgd_grid(), config.folds)
+    stage("ensemble training", f"{ensemble.n_classes} classes x {ensemble.n_topics} topics")
+    return replace(bundle, topics=topics, ensemble=ensemble)
+
+
+def fit_pipeline(train: DatasetManifest, config: PipelineConfig,
+                 log=lambda msg: None) -> ModelBundle:
+    """Run the full training pipeline and return a complete bundle."""
+    bundle, X, labels = fit_encoder(train, config, log)
+    return fit_classifier(bundle, X, labels, log)
 
 
 def evaluate_bundle(bundle: ModelBundle, test: DatasetManifest, pooling="average"):

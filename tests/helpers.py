@@ -143,3 +143,22 @@ def oracle_batch_subgradient(X, y, lam, iters=20000):
         if best is None or obj < best[0]:
             best = (obj, w.copy(), b)
     return best
+
+
+def oracle_sgd(X, y, lam, eta0, order):
+    """Scalar hinge-loss SGD visiting the rows of X in the given order.
+
+    Per visit: margin test, decay by 1 - eta * lam, then the update if the
+    margin was below 1, with eta = eta0 / (1 + eta0 * lam * t).
+    """
+    X = np.asarray(X, float)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for t, i in enumerate(order):
+        eta = eta0 / (1.0 + eta0 * lam * t)
+        violated = y[i] * (X[i] @ w + b) < 1.0
+        w *= 1.0 - eta * lam
+        if violated:
+            w += (eta * y[i]) * X[i]
+            b += eta * y[i]
+    return w, b

@@ -1,4 +1,5 @@
 import csv
+import pickle
 
 import numpy as np
 import pytest
@@ -124,6 +125,17 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             config_from_pairs(["nonsense=1"])
+
+    @pytest.mark.parametrize("pair, key", [("object_count=abc", "object_count"),
+                                           ("pyramid=1x1,2y2", "pyramid"),
+                                           ("sgd_lambdas=0.1,x", "sgd_lambdas")])
+    def test_bad_value_names_key(self, pair, key, synth_files, tmp_path, capsys):
+        with pytest.raises(ValueError, match=key):
+            config_from_pairs([pair])
+        rc = main(["train", "--train", str(synth_files / "source.txt"),
+                   "--out", str(tmp_path / "m.bundle"), "--set", pair])
+        assert rc == 1
+        assert key in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -411,8 +423,13 @@ class TestDeterminismAndPersistence:
         (read_descriptor_file,
          b'OOMSDESC\x00\x01\x00\x00\x00\x16{"cols": 2, "rows": 1}' + bytes(8),
          "payload"),
+        (load_bundle, b"OOMSCENE\x00\x01", "payload"),
+        (load_bundle, b"OOMSCENE\x00\x01" + pickle.dumps([1, 2]), "payload"),
+        # the payload calls divmod(1, 0) while it unpickles
+        (load_bundle, b"OOMSCENE\x00\x01cbuiltins\ndivmod\n(I1\nI0\ntR.", "payload"),
     ], ids=["bundle-magic", "bundle-version", "desc-header-length", "desc-header",
-            "desc-header-json", "desc-header-object", "desc-cols", "desc-payload"])
+            "desc-header-json", "desc-header-object", "desc-cols", "desc-payload",
+            "bundle-payload-empty", "bundle-payload-type", "bundle-payload-raises"])
     def test_bad_magic_rejected(self, tmp_path, read, data, field):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(data)

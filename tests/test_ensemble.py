@@ -13,12 +13,23 @@ from oomscene import (
     train_binary,
     train_ensemble,
 )
+from oomscene import ensemble as ensemble_module
 from oomscene.ensemble import (
     TopicEnsemble,
     _derive_seed,
+    _sgd_lockstep,
     constant_classifier,
 )
-from helpers import oracle_batch_subgradient
+from hypothesis import given, settings, strategies as st
+
+from helpers import oracle_batch_subgradient, oracle_sgd
+
+
+def assert_close_to_oracle(w, b, w_oracle, b_oracle, rtol=1e-12):
+    """Weights and bias within rtol of the oracle's largest magnitude."""
+    scale = max(np.abs(w_oracle).max(initial=0.0), abs(b_oracle))
+    err = max(np.abs(w - w_oracle).max(initial=0.0), abs(b - b_oracle))
+    assert err <= rtol * scale, (err, scale)
 
 
 def separable_2d(rng, n=30, margin=2.0):
@@ -105,6 +116,44 @@ class TestTrainBinary:
             SgdConfig(lam=1.0, eta0=1.0, epochs=0, seed=0)
 
 
+# (lam, eta0) per problem; eta0 * lam >= 1 makes the first decay factor <= 0
+STEP_PARAMS = st.one_of(
+    st.tuples(st.floats(1e-5, 10.0), st.floats(1e-2, 10.0)),
+    st.sampled_from([(2.0, 0.5), (1e6, 0.5), (10.0, 0.5)]),
+)
+
+
+class TestSgdLockstep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        perm_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 20),
+        d=st.integers(1, 16),
+        epochs=st.integers(1, 4),
+        problems=st.lists(
+            st.tuples(STEP_PARAMS, st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+            min_size=1, max_size=5),
+    )
+    def test_matches_independent_scalar_runs(self, data_seed, perm_seed, n, d,
+                                             epochs, problems):
+        rng = np.random.default_rng(data_seed)
+        # each row is dense or about 15% nonzero
+        keep = rng.random((n, d)) < np.where(rng.random((n, 1)) < 0.5, 0.15, 1.0)
+        X = rng.standard_normal((n, d)) * keep
+        Y = rng.choice([-1.0, 1.0], size=(len(problems), n))
+        active = rng.random((len(problems), n)) < [[q] for _, q in problems]
+        lam = [lam for (lam, _), _ in problems]
+        eta0 = [eta0 for (_, eta0), _ in problems]
+        W, b = _sgd_lockstep(X, Y, active, lam, eta0, epochs,
+                             np.random.default_rng(perm_seed))
+        perm_rng = np.random.default_rng(perm_seed)
+        order = np.concatenate([perm_rng.permutation(n) for _ in range(epochs)])
+        for p in range(len(problems)):
+            w, bias = oracle_sgd(X, Y[p], lam[p], eta0[p], order[active[p, order]])
+            assert_close_to_oracle(W[p], b[p], w, bias)
+
+
 class TestCrossValidate:
     def _labeled_blobs(self, rng, n_per=20):
         X = np.vstack([
@@ -143,6 +192,50 @@ class TestCrossValidate:
         chosen = cross_validate(X, y, 2, grid, 5)
         assert chosen.lam == 1e-4
 
+    def test_groups_by_seed_and_epochs(self):
+        # seeds and epoch counts differ, so the entries train in two passes
+        # (indices 0 and 2, then 1 and 3); the winner sits in the second pass
+        rng = np.random.default_rng(66)
+        X, y = self._labeled_blobs(rng)
+        bad = SgdConfig(lam=1e6, eta0=0.5, epochs=20, seed=0)
+        good = SgdConfig(lam=1e-4, eta0=0.5, epochs=25, seed=1)
+        worse = SgdConfig(lam=1e7, eta0=0.5, epochs=20, seed=0)
+        assert cross_validate(X, y, 2, [bad, good, worse], 5) is good
+        # both good entries separate the blobs: the earlier grid entry wins,
+        # although its pass runs after the later entry's
+        tied = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
+        assert cross_validate(X, y, 2, [bad, good, tied], 5) is good
+
+    def test_split_passes_train_the_same_weights(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        X, y = make_blob_problem(rng)
+        grid = [SgdConfig(lam=lam, eta0=0.5, epochs=5, seed=2) for lam in (1e-4, 1e-2, 1.0)]
+        real = ensemble_module._one_vs_rest_lockstep
+
+        def recorded(passes):
+            def wrapped(*args):
+                W, b = real(*args)
+                passes.append(list(zip(W, b)))
+                return W, b
+            return wrapped
+
+        whole, split = [], []
+        monkeypatch.setattr(ensemble_module, "_one_vs_rest_lockstep", recorded(whole))
+        chosen = cross_validate(X, y, 3, grid, 4)
+        monkeypatch.setattr(ensemble_module, "_CV_PASS_BYTES", 1)
+        monkeypatch.setattr(ensemble_module, "_one_vs_rest_lockstep", recorded(split))
+        assert cross_validate(X, y, 3, grid, 4) is chosen
+        assert len(whole) == 1 and len(split) == 12  # 3 grid entries x 4 folds
+        for (W1, b1), [(W2, b2)] in zip(whole[0], split):
+            for c in range(3):
+                assert_close_to_oracle(W2[c], b2[c], W1[c], b1[c])
+
+    def test_no_usable_fold_keeps_first(self):
+        # one sample per class: the only nonempty fold holds every sample
+        a = SgdConfig(lam=1e-4, eta0=0.5, epochs=5, seed=0)
+        b = SgdConfig(lam=1e-3, eta0=0.5, epochs=5, seed=0)
+        assert cross_validate(np.eye(2), [0, 1], 2, [a, b], 5) is a
+
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             cross_validate(np.zeros((2, 1)), [0, 1], 2, [], 5)
@@ -164,13 +257,15 @@ class TestTrainEnsemble:
         X, y = make_blob_problem(rng)
         topics = fit_topics(X, 1, seed=0)
         ens = train_ensemble(X, y, 3, topics, [CFG], folds=5)
-        from dataclasses import replace
+        # topic 0's one-vs-rest pass: one shared permutation per epoch
+        perm_rng = np.random.default_rng(_derive_seed(CFG.seed, 0))
+        order = np.concatenate([perm_rng.permutation(len(X))
+                                for _ in range(CFG.epochs)])
         for c in range(3):
-            manual = train_binary(X[y == c], X[y != c],
-                                  replace(CFG, seed=_derive_seed(CFG.seed, 0, c)))
-            np.testing.assert_array_equal(ens.classifiers[c][0].weights,
-                                          manual.weights)
-            assert ens.classifiers[c][0].bias == manual.bias
+            w, b = oracle_sgd(X, np.where(y == c, 1.0, -1.0), CFG.lam, CFG.eta0,
+                              order)
+            clf = ens.classifiers[c][0]
+            assert_close_to_oracle(clf.weights, clf.bias, w, b)
 
     def test_degenerate_topic_slots(self):
         # each topic holds a single class: its own-class slot has no
