@@ -20,7 +20,6 @@ from .descriptor_hard import (
     descriptor_length,
     encode_hard,
     encode_hard_manifest,
-    posterior_matrix,
 )
 from .descriptor_soft import (
     PcaTransform,
@@ -38,9 +37,7 @@ from .ensemble import (
     TopicEnsemble,
     cross_validate,
     hinge_objective,
-    predict,
     predict_batch,
-    predict_max_pool,
     train_binary,
     train_ensemble,
 )
@@ -101,8 +98,6 @@ from .synth import (
 )
 from .topics import (
     KMeansModel,
-    TopicAssignment,
-    assign_topic,
     assign_topics_batch,
     fit_topics,
 )

@@ -3,18 +3,20 @@
 A bundle keeps every artifact frozen at training time (occurrence/posterior
 tensors, object selection, optional PCA/codebook, topic model, ensemble, and
 the config snapshot) so evaluation on a new domain never re-fits anything.
-Bundle and descriptor files are versioned binaries with a magic header.
+Bundle and descriptor files share one container (README, "Bundle format"):
+magic, version, header length, a JSON header listing the arrays' dtypes and
+shapes, then the raw arrays, each 8-byte aligned.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pickle
+import math
 import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .ensemble import SgdConfig, TopicEnsemble
 from .errors import CompatibilityError, FormatError
 from .ingest import HARD, SOFT, ObjectVocabulary, SceneClassSet
 from .occurrence import (
+    ClassPrior,
     DiscriminantSelection,
     OccurrenceModel,
     PosteriorModel,
@@ -32,9 +35,11 @@ from .occurrence import (
 from .topics import KMeansModel
 
 BUNDLE_MAGIC = b"OOMSCENE"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 DESC_MAGIC = b"OOMSDESC"
-DESC_VERSION = 1
+DESC_VERSION = 2
+# the array dtypes a container holds, as numpy spells them
+_DTYPES = {"<f8": np.dtype("<f8"), "|b1": np.dtype("|b1")}
 
 # published operating points: discriminant object counts per detection mode
 PROFILES = {
@@ -164,23 +169,44 @@ class ModelBundle:
     ensemble: Optional[TopicEnsemble] = None
 
     def validate(self) -> None:
+        """Check that the components' shapes agree with each other."""
         n_obj, n_cls = len(self.vocabulary), len(self.classes)
+        post = self.posterior
         if self.occurrence.probs.shape[:2] != (n_obj, n_cls):
             raise CompatibilityError("occurrence tensor does not match the vocabulary")
-        if self.posterior.posteriors.shape != self.occurrence.probs.shape:
+        if post.posteriors.shape != self.occurrence.probs.shape:
             raise CompatibilityError("posterior tensor does not match the occurrence model")
+        if post.posteriors.shape[2:] != (len(post.grid),):
+            raise CompatibilityError("posterior tensor does not match its threshold grid")
+        if post.fallback_mask.shape != (n_obj, len(post.grid)):
+            raise CompatibilityError("fallback mask does not match the posterior tensor")
+        if post.prior.weights.size != n_cls:
+            raise CompatibilityError("class prior does not match the classes")
         if self.selection is not None:
-            if any(o >= n_obj for o in self.selection.selected):
+            if any(not 0 <= o < n_obj for o in self.selection.selected):
                 raise CompatibilityError("selection references objects outside the vocabulary")
+        if self.pca is not None:
+            if self.pca.basis.ndim != 2 or self.pca.mean.shape != self.pca.basis.shape[:1]:
+                raise CompatibilityError("PCA mean does not match its basis")
+            if self.selection is not None and \
+                    self.pca.basis.shape[0] != len(self.selection) * n_cls:
+                raise CompatibilityError("PCA input dimension does not match the selection")
+        if self.codebook is not None:
+            if self.pca is None or self.codebook.centers.shape[1] != self.pca.out_dim:
+                raise CompatibilityError("codebook dimension does not match the PCA output")
         if self.ensemble is not None:
+            ens = self.ensemble
+            if ens.weights.ndim != 3 or ens.biases.shape != ens.weights.shape[:2]:
+                raise CompatibilityError("ensemble biases do not match its weights")
+            if ens.n_classes != n_cls:
+                raise CompatibilityError("ensemble classes do not match the classes")
             want = self.descriptor_dim()
-            if self.ensemble.dim != want:
+            if ens.dim != want:
                 raise CompatibilityError(
-                    f"ensemble dimension {self.ensemble.dim} does not match the "
+                    f"ensemble dimension {ens.dim} does not match the "
                     f"descriptor length {want}"
                 )
-        if self.topics is not None and self.ensemble is not None:
-            if self.topics.dim != self.ensemble.dim:
+            if self.topics is not None and self.topics.centroids.shape[1:] != (ens.dim,):
                 raise CompatibilityError("topic model and ensemble dimensions differ")
 
     def descriptor_dim(self) -> int:
@@ -193,16 +219,21 @@ class ModelBundle:
         return descriptor_length(len(self.selection.selected), len(self.classes), self.layout)
 
 
-def save_bundle(bundle: ModelBundle, path) -> None:
-    bundle.validate()
-    payload = pickle.dumps(bundle, protocol=4)
+# ------------------------------------------------------------- container
+
+def _write_container(path, magic: bytes, version: int, header: dict, arrays) -> None:
+    """Write header and arrays in the container layout (module docstring)."""
+    specs = [{"dtype": a.dtype.str, "shape": list(a.shape)} for a in arrays]
+    text = json.dumps({**header, "arrays": specs}, separators=(",", ":")).encode("utf-8")
+    text += b" " * (-(len(magic) + 6 + len(text)) % 8)
     with open(path, "wb") as fh:
-        fh.write(BUNDLE_MAGIC)
-        fh.write(struct.pack(">H", BUNDLE_VERSION))
-        fh.write(payload)
+        fh.write(magic + struct.pack(">HI", version, len(text)) + text)
+        for a in arrays:
+            fh.write(a.tobytes())
+            fh.write(bytes(-a.nbytes % 8))
 
 
-def _unpack(fmt: str, data: bytes, off: int, path, field: str):
+def _unpack(fmt: str, data, off: int, path, field: str):
     """One big-endian header field at data[off:]; returns (value, next offset)."""
     size = struct.calcsize(fmt)
     if len(data) < off + size:
@@ -210,26 +241,152 @@ def _unpack(fmt: str, data: bytes, off: int, path, field: str):
     return struct.unpack_from(fmt, data, off)[0], off + size
 
 
-def _check_preamble(data: bytes, path, magic: bytes, version: int, kind: str) -> int:
-    """Validate magic and version; returns the offset just past them."""
-    if data[: len(magic)] != magic:
+def _read_container(path, magic: bytes, version: int, kind: str):
+    """Returns (header without "arrays", arrays).
+
+    The file is read once; the arrays are views of that buffer.  Every size
+    is checked against the file length before any view is made.
+    """
+    buf = np.fromfile(path, dtype=np.uint8)
+    if buf[: len(magic)].tobytes() != magic:
         raise FormatError(f"{path}: not a {kind} (bad magic)")
-    found, off = _unpack(">H", data, len(magic), path, "version")
+    found, off = _unpack(">H", buf, len(magic), path, "version")
     if found != version:
-        raise FormatError(f"{path}: unsupported {kind} version {found}")
-    return off
+        raise FormatError(f"{path}: version field holds {found}, this reader reads "
+                          f"{kind} version {version}")
+    hlen, off = _unpack(">I", buf, off, path, "header length")
+    if len(buf) < off + hlen:
+        raise FormatError(f"{path}: file ends inside the header field")
+    try:
+        header = json.loads(buf[off : off + hlen].tobytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise FormatError(f"{path}: header field is not JSON ({exc})") from None
+    off += hlen
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header field is not a JSON object")
+    specs = header.pop("arrays", None)
+    if not isinstance(specs, list):
+        raise FormatError(f"{path}: header field 'arrays' is not a list")
+    spans, end = [], off
+    for i, spec in enumerate(specs):
+        dtype = spec.get("dtype") if isinstance(spec, dict) else None
+        shape = spec.get("shape") if isinstance(spec, dict) else None
+        if (not isinstance(dtype, str) or dtype not in _DTYPES
+                or not isinstance(shape, list)
+                or not all(type(n) is int and n >= 0 for n in shape)):
+            raise FormatError(f"{path}: header field 'arrays[{i}]' is not a "
+                              f"{' or '.join(_DTYPES)} dtype with a shape")
+        nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
+        spans.append((end, nbytes, _DTYPES[dtype], shape))
+        end += nbytes + (-nbytes % 8)
+    if end != len(buf):
+        raise FormatError(f"{path}: payload field has {len(buf) - off} bytes, "
+                          f"the header's arrays need {end - off}")
+    arrays = [buf[start : start + n].view(dt).reshape(shape) for start, n, dt, shape in spans]
+    if any(a.dtype.kind == "b" and a.view(np.uint8).max(initial=0) > 1 for a in arrays):
+        raise FormatError(f"{path}: payload field holds a bool other than 0 or 1")
+    return header, arrays
+
+
+# ------------------------------------------------------------ bundle tree
+
+def _to_tree(value, arrays: list):
+    """JSON tree of a bundle value; appends its arrays to ``arrays``.
+
+    A node is a JSON scalar, a JSON list (a tuple), or a one-key object:
+    {"array": index}, {"dict": {...}} or {"<class>": {field: node}} for a
+    class in ``_BUNDLE_TYPES``.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, np.ndarray):
+        arrays.append(value)
+        return {"array": len(arrays) - 1}
+    if isinstance(value, tuple):
+        return [_to_tree(v, arrays) for v in value]
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        return {"dict": {k: _to_tree(v, arrays) for k, v in value.items()}}
+    name = type(value).__name__
+    if name in _BUNDLE_TYPES and _BUNDLE_TYPES[name][0] is type(value):
+        return {name: {f.name: _to_tree(getattr(value, f.name), arrays)
+                       for f in fields(value)}}
+    raise TypeError(f"a bundle cannot hold a {name}")
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a decoded value has the type a dataclass field declares."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_conforms(value, a) for a in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[1:] == (Ellipsis,):
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, origin or hint)
+
+
+def _from_tree(node, arrays, where: str):
+    """Rebuild a value from its tree; ``where`` names the field in errors."""
+    if isinstance(node, list):
+        return tuple(_from_tree(v, arrays, f"{where}[{i}]") for i, v in enumerate(node))
+    if not isinstance(node, dict):
+        return node
+    if len(node) != 1:
+        raise FormatError(f"{where} is an object with {len(node)} keys, not one tag")
+    (tag, body), = node.items()
+    if tag == "array":
+        if type(body) is not int or not 0 <= body < len(arrays):
+            raise FormatError(f"{where}: array index {body!r} is out of range")
+        return arrays[body]
+    if tag == "dict" and isinstance(body, dict):
+        return {k: _from_tree(v, arrays, f"{where}.{k}") for k, v in body.items()}
+    if tag not in _BUNDLE_TYPES or not isinstance(body, dict):
+        raise FormatError(f"{where}: {tag!r} is not a bundle node")
+    cls, hints = _BUNDLE_TYPES[tag]
+    if set(body) != set(hints):
+        raise FormatError(f"{where}: a {tag} has the fields {', '.join(hints)}")
+    values = {}
+    for name, sub in body.items():
+        values[name] = _from_tree(sub, arrays, f"{where}.{name}")
+        if not _conforms(values[name], hints[name]):
+            raise FormatError(f"{where}.{name} does not hold a {hints[name]}")
+    try:
+        return cls(**values)
+    except Exception as exc:  # the constructor's own checks reject forged values
+        raise FormatError(f"{where}: {tag} rejects its fields ({exc})") from None
+
+
+# the classes a bundle is built from, with their fields' declared types
+_BUNDLE_TYPES = {
+    cls.__name__: (cls, {f.name: get_type_hints(cls)[f.name] for f in fields(cls)})
+    for cls in (ModelBundle, PipelineConfig, ObjectVocabulary, SceneClassSet,
+                OccurrenceModel, PosteriorModel, ThresholdGrid, ClassPrior,
+                PyramidLayout, DiscriminantSelection, PcaTransform, VladCodebook,
+                KMeansModel, TopicEnsemble, SgdConfig)
+}
+
+
+def save_bundle(bundle: ModelBundle, path) -> None:
+    bundle.validate()
+    arrays = []
+    tree = _to_tree(bundle, arrays)
+    _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
 
 
 def load_bundle(path) -> ModelBundle:
-    data = Path(path).read_bytes()
-    off = _check_preamble(data, path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle")
+    header, arrays = _read_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle")
     try:
-        bundle = pickle.loads(data[off:])
-    except Exception as exc:  # truncated or foreign bytes can raise anything
-        raise FormatError(f"{path}: payload field does not unpickle "
-                          f"({type(exc).__name__}: {exc})") from None
+        bundle = _from_tree(header.get("bundle"), arrays, f"{path}: bundle")
+    except RecursionError:
+        raise FormatError(f"{path}: bundle field nests too deeply") from None
     if not isinstance(bundle, ModelBundle):
-        raise FormatError(f"{path}: payload field holds a {type(bundle).__name__}, "
+        raise FormatError(f"{path}: bundle field holds a {type(bundle).__name__}, "
                           f"not a model bundle")
     bundle.validate()
     return bundle
@@ -242,48 +399,24 @@ def selection_hash(vocabulary: ObjectVocabulary, selection: DiscriminantSelectio
 
 def write_descriptor_file(path, matrix: np.ndarray, image_ids, layout: PyramidLayout,
                           sel_hash: str) -> None:
-    """Binary descriptor matrix: magic, version, JSON header, float64 rows."""
-    matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
-    header = json.dumps(
-        {
-            "rows": int(matrix.shape[0]),
-            "cols": int(matrix.shape[1]),
-            "layout": [list(level) for level in layout.levels],
-            "selection_sha256": sel_hash,
-            "image_ids": list(image_ids),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(DESC_MAGIC)
-        fh.write(struct.pack(">H", DESC_VERSION))
-        fh.write(struct.pack(">I", len(header)))
-        fh.write(header)
-        fh.write(matrix.tobytes())
+    """Descriptor matrix as the container's one float64 array; the header
+    carries rows, cols, pyramid layout, selection hash and image ids."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    header = {
+        "rows": int(matrix.shape[0]),
+        "cols": int(matrix.shape[1]),
+        "layout": [list(level) for level in layout.levels],
+        "selection_sha256": sel_hash,
+        "image_ids": list(image_ids),
+    }
+    _write_container(path, DESC_MAGIC, DESC_VERSION, header, [matrix])
 
 
 def read_descriptor_file(path):
     """Returns (matrix, header dict)."""
-    data = Path(path).read_bytes()
-    off = _check_preamble(data, path, DESC_MAGIC, DESC_VERSION, "descriptor file")
-    hlen, off = _unpack(">I", data, off, path, "header length")
-    if len(data) < off + hlen:
-        raise FormatError(f"{path}: file ends inside the header field")
-    try:
-        header = json.loads(data[off : off + hlen].decode("utf-8"))
-    except ValueError as exc:
-        raise FormatError(f"{path}: header field is not JSON ({exc})") from None
-    off += hlen
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header field is not a JSON object")
-    for key in ("rows", "cols"):
-        if not isinstance(header.get(key), int) or header[key] < 0:
-            raise FormatError(f"{path}: header field {key!r} is not a count")
-    want = header["rows"] * header["cols"] * 8
-    if len(data) - off != want:
-        raise FormatError(f"{path}: payload field has {len(data) - off} bytes, "
-                          f"rows x cols needs {want}")
-    matrix = np.frombuffer(data[off:], dtype=np.float64).reshape(
-        header["rows"], header["cols"]
-    )
-    return matrix, header
+    header, arrays = _read_container(path, DESC_MAGIC, DESC_VERSION, "descriptor file")
+    shape = (header.get("rows"), header.get("cols"))
+    if len(arrays) != 1 or arrays[0].dtype.kind != "f" or arrays[0].shape != shape:
+        raise FormatError(f"{path}: arrays field does not hold one float64 matrix "
+                          f"of rows x cols")
+    return arrays[0], header

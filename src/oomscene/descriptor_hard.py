@@ -96,15 +96,6 @@ def encode_hard(record: ImageRecord, post: PosteriorModel,
     return out.reshape(-1)
 
 
-def posterior_matrix(record: ImageRecord, post: PosteriorModel,
-                     sel: DiscriminantSelection) -> np.ndarray:
-    """Whole-image [selected objects x classes] matrix (the 1x1-level block)."""
-    if record.mode != HARD:
-        raise VariantError("posterior_matrix needs a hard-detection record")
-    single = PyramidLayout(((1, 1),))
-    return encode_hard(record, post, sel, single).reshape(len(sel.selected), post.n_classes)
-
-
 def descriptor_length(n_selected: int, n_classes: int,
                       layout: PyramidLayout = PyramidLayout()) -> int:
     return layout.region_count * n_selected * n_classes

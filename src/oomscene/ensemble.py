@@ -44,16 +44,10 @@ class SgdConfig:
 
 @dataclass(frozen=True, eq=False)
 class LinearClassifier:
+    """One binary classifier, as ``train_binary`` returns it."""
+
     weights: np.ndarray
     bias: float
-
-    def decision(self, x) -> float:
-        return float(self.weights @ np.asarray(x, dtype=float) + self.bias)
-
-
-def constant_classifier(dim: int, decision: float) -> LinearClassifier:
-    """Degenerate classifier emitting a fixed decision value."""
-    return LinearClassifier(weights=np.zeros(dim), bias=float(decision))
 
 
 def hinge_objective(clf: LinearClassifier, X, y, lam: float) -> float:
@@ -203,22 +197,6 @@ def _one_vs_rest_lockstep(X, y, n_classes: int, units, salt: int):
     return W.reshape(U, n_classes, d), b
 
 
-def train_one_vs_rest(X, labels, n_classes: int, cfg: SgdConfig,
-                      salt: int = 0) -> list[LinearClassifier]:
-    """One binary classifier per class; degenerate classes get constants.
-
-    A class with no positives decides -1 everywhere; one with no negatives
-    decides +1.  That keeps pooled sums well-defined on any partition.  All
-    classes train in one lockstep pass seeded with ``_derive_seed(seed, salt)``.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    W, b = _one_vs_rest_lockstep(X, y, n_classes, [(cfg, np.ones(len(y), dtype=bool))],
-                                 salt)
-    return [LinearClassifier(weights=W[0, c], bias=float(b[0, c]))
-            for c in range(n_classes)]
-
-
 def _fold_assignments(labels: np.ndarray, folds: int) -> np.ndarray:
     """Stratified round-robin folds, deterministic in sample order."""
     fold_of = np.zeros(len(labels), dtype=int)
@@ -268,23 +246,23 @@ def cross_validate(descriptors, labels, n_classes: int, grid, folds: int,
 
 @dataclass(frozen=True, eq=False)
 class TopicEnsemble:
-    """classifiers[c][d] scores class c from topic d's training samples."""
+    """weights[c, d] and biases[c, d] score class c from topic d's training samples."""
 
-    topics: KMeansModel
-    classifiers: tuple[tuple[LinearClassifier, ...], ...]
+    weights: np.ndarray  # [C, D, dim]
+    biases: np.ndarray   # [C, D]
     training_meta: dict
 
     @property
     def n_classes(self) -> int:
-        return len(self.classifiers)
+        return self.weights.shape[0]
 
     @property
     def n_topics(self) -> int:
-        return len(self.classifiers[0])
+        return self.weights.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.classifiers[0][0].weights.size
+        return self.weights.shape[2]
 
 
 def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
@@ -292,7 +270,9 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
     """Partition training samples by topic and train one-vs-rest per topic.
 
     Hyperparameters come from cross-validation on each topic's samples.
-    Topics too small to validate fall back to the first grid entry.
+    Topics too small to validate fall back to the first grid entry.  A class
+    with no positives in a topic decides -1 everywhere there, one with no
+    negatives +1, which keeps pooled sums well-defined on any partition.
     """
     X = np.asarray(descriptors, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -303,7 +283,9 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
         raise DimensionError("descriptors do not match the topic model dimension")
     topic_of, _ = assign_topics_batch(topics, X)
 
-    per_topic, topic_sizes, chosen = [], [], []
+    weights = np.empty((n_classes, topics.n_topics, X.shape[1]))
+    biases = np.empty((n_classes, topics.n_topics))
+    topic_sizes, chosen = [], []
     for d in range(topics.n_topics):
         mask = topic_of == d
         Xd, yd = X[mask], y[mask]
@@ -313,30 +295,31 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
         else:
             cfg = cross_validate(Xd, yd, n_classes, grid, folds, salt=d)
         chosen.append(cfg)
-        per_topic.append(train_one_vs_rest(Xd, yd, n_classes, cfg, salt=d))
+        W, b = _one_vs_rest_lockstep(Xd, yd, n_classes,
+                                     [(cfg, np.ones(len(yd), dtype=bool))], salt=d)
+        weights[:, d], biases[:, d] = W[0], b[0]
     return TopicEnsemble(
-        topics=topics,
-        classifiers=tuple(zip(*per_topic)),
-        training_meta={"topic_sizes": topic_sizes, "configs": chosen},
+        weights=weights,
+        biases=biases,
+        training_meta={"topic_sizes": tuple(topic_sizes), "configs": tuple(chosen)},
     )
 
 
-def decision_values(ens: TopicEnsemble, X) -> np.ndarray:
-    """Raw decisions for every (sample, class, topic): [n, C, D]."""
+def predict_batch(ens: TopicEnsemble, X, pooling: str = "average"):
+    """Pooled class scores and argmax labels for a batch of descriptors.
+
+    Every topic's classifiers score every descriptor; "average" sums each
+    class's decisions over the topics, "max" (the ablation) takes their
+    maximum.  The argmax wins, ties toward the lower class index.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != ens.dim:
         raise DimensionError(
             f"descriptors have dimension {X.shape[1]}, ensemble expects {ens.dim}"
         )
-    C, D = ens.n_classes, ens.n_topics
-    W = np.stack([ens.classifiers[c][d].weights for c in range(C) for d in range(D)])
-    b = np.array([ens.classifiers[c][d].bias for c in range(C) for d in range(D)])
-    return (X @ W.T + b).reshape(len(X), C, D)
-
-
-def predict_batch(ens: TopicEnsemble, X, pooling: str = "average"):
-    """Pooled class scores and argmax labels for a batch of descriptors."""
-    dec = decision_values(ens, X)
+    C, D, dim = ens.weights.shape
+    W = ens.weights.reshape(C * D, dim)
+    dec = (X @ W.T + ens.biases.reshape(C * D)).reshape(len(X), C, D)  # [n, C, D]
     if pooling == "average":
         scores = dec.sum(axis=2)
     elif pooling == "max":
@@ -344,25 +327,3 @@ def predict_batch(ens: TopicEnsemble, X, pooling: str = "average"):
     else:
         raise ValueError(f"unknown pooling {pooling!r}")
     return scores.argmax(axis=1), scores
-
-
-def predict(ens: TopicEnsemble, descriptor):
-    """Sum each class's decisions over all topics; argmax wins (low index on ties).
-
-    Test descriptors are never routed to a single topic: every topic's
-    classifiers contribute.
-    """
-    x = np.asarray(descriptor, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError("predict takes a single descriptor vector")
-    labels, scores = predict_batch(ens, x[None, :], pooling="average")
-    return int(labels[0]), scores[0]
-
-
-def predict_max_pool(ens: TopicEnsemble, descriptor):
-    """predict with max pooling over topics instead of the sum (ablation)."""
-    x = np.asarray(descriptor, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError("predict takes a single descriptor vector")
-    labels, scores = predict_batch(ens, x[None, :], pooling="max")
-    return int(labels[0]), scores[0]

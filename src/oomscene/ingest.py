@@ -7,7 +7,8 @@ A manifest file is UTF-8 and line-oriented.  It starts with header lines
     #mode hard|soft
     #split <tag>            (optional; defaults to the file stem)
 
-followed by blank-line-separated records.  Each record is one
+each at most once and before the first record, followed by
+blank-line-separated records.  Each record is one
 
     img <image_id> <class_name|?> [domain=<tag>]
 
@@ -41,6 +42,7 @@ from .errors import (
 HARD = "hard"
 SOFT = "soft"
 UNLABELED_MARK = "?"
+_HEADERS = ("#vocab", "#classes", "#mode", "#split")
 
 
 def _check_names(names, what):
@@ -276,6 +278,7 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
     split: Optional[str] = None
     records: list[ImageRecord] = []
     cur: Optional[dict] = None
+    headers_seen = set()
 
     def flush():
         nonlocal cur
@@ -298,10 +301,20 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
             continue
         parts = line.split()
         head = parts[0]
-        if head == "#vocab":
-            vocab = ObjectVocabulary(tuple(parts[1:]))
-        elif head == "#classes":
-            classes = SceneClassSet(tuple(parts[1:]))
+        if head in _HEADERS:
+            if records or cur is not None:
+                raise ParseError(f"{head} header after the first record", line_no)
+            if head in headers_seen:
+                raise ParseError(f"repeated {head} header", line_no)
+            headers_seen.add(head)
+        if head in ("#vocab", "#classes"):
+            try:
+                if head == "#vocab":
+                    vocab = ObjectVocabulary(tuple(parts[1:]))
+                else:
+                    classes = SceneClassSet(tuple(parts[1:]))
+            except FormatError as exc:
+                raise ParseError(f"{head} header: {exc}", line_no) from None
         elif head == "#mode":
             if len(parts) != 2 or parts[1] not in (HARD, SOFT):
                 raise ParseError("expected '#mode hard' or '#mode soft'", line_no)

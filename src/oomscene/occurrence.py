@@ -22,6 +22,9 @@ FALLBACK_PRIOR = "prior"
 FALLBACK_LAST_VALID = "last-valid"
 AGG_MAX = "max"
 AGG_MEAN = "mean"
+# every (object, class) pair keeps one cell per grid point, and a bundle's
+# grid comes from its file: bound the grid before allocating it
+_MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,8 @@ class ThresholdGrid:
         if not self.theta_min < self.theta_max:
             raise ValueError("theta_min must be below theta_max")
         span = (self.theta_max - self.theta_min) / self.delta_theta
+        if not span < _MAX_GRID_POINTS:
+            raise ValueError(f"threshold grid would have more than {_MAX_GRID_POINTS} points")
         n = int(math.floor(span * (1.0 + 1e-12) + 1e-12)) + 1
         if n < 2:
             raise ValueError("threshold grid needs at least 2 points")

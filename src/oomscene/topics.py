@@ -30,12 +30,6 @@ class KMeansModel:
         return self.centroids.shape[1]
 
 
-@dataclass(frozen=True)
-class TopicAssignment:
-    topic_index: int
-    distance: float
-
-
 def _squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     d2 = (
         (X * X).sum(axis=1)[:, None]
@@ -124,19 +118,8 @@ def fit_topics(descriptors, d: int, seed: int, max_iter: int = 300,
     )
 
 
-def assign_topic(model: KMeansModel, descriptor) -> TopicAssignment:
-    """Nearest centroid by Euclidean distance; lowest index wins ties."""
-    x = np.asarray(descriptor, dtype=float)
-    if x.ndim != 1 or x.size != model.dim:
-        raise DimensionError(
-            f"descriptor has dimension {x.size}, topic model expects {model.dim}"
-        )
-    labels, dists = nearest_centroids(model.centroids, x[None, :])
-    return TopicAssignment(topic_index=int(labels[0]), distance=float(dists[0]))
-
-
 def assign_topics_batch(model: KMeansModel, descriptors):
-    """Vectorized assign_topic: (labels, distances) arrays."""
+    """Nearest centroid per descriptor (lowest index on ties): (labels, distances)."""
     X = np.asarray(descriptors, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise DimensionError(

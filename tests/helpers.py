@@ -1,5 +1,8 @@
 """Shared builders and independent oracles for the test suite."""
 
+import json
+import struct
+
 import numpy as np
 
 from oomscene import (
@@ -10,6 +13,14 @@ from oomscene import (
     SceneClassSet,
     SoftPatch,
 )
+
+
+def container(magic, header, payload=b""):
+    """Version-2 container bytes around a hand-written header, padded so the
+    payload starts 8-byte aligned."""
+    text = json.dumps(header).encode("utf-8")
+    text += b" " * (-(len(magic) + 6 + len(text)) % 8)
+    return magic + struct.pack(">HI", 2, len(text)) + text + payload
 
 
 def make_vocab(n):

@@ -1,0 +1,232 @@
+"""Malformed bundle files end in a PipelineError and never run code.
+
+Every case starts from one small valid soft-mode bundle (PCA, codebook, bool
+fallback mask and ensemble all present) and damages it: truncation, flipped
+bytes, or edits of its JSON header.
+"""
+
+import json
+import struct
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oomscene import (
+    ClassPrior,
+    CompatibilityError,
+    PcaTransform,
+    PipelineConfig,
+    PipelineError,
+    ThresholdGrid,
+    VladCodebook,
+    fit_pipeline,
+    load_bundle,
+    save_bundle,
+)
+from oomscene.bundle import (
+    _BUNDLE_TYPES,
+    BUNDLE_MAGIC,
+    BUNDLE_VERSION,
+    _to_tree,
+    _write_container,
+)
+
+from helpers import container, random_soft_manifest
+
+PREAMBLE = 14  # magic, version, header length
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bundles")
+
+
+@pytest.fixture(scope="module")
+def trained():
+    train = random_soft_manifest(np.random.default_rng(0), 3, 5, 12)
+    config = PipelineConfig(mode="soft", object_count=3, pca_dim=2, codebook_size=2,
+                            topic_count=2, sgd_lambdas=(1e-3,), sgd_eta0s=(0.5,),
+                            sgd_epochs=2, seed=1)
+    return fit_pipeline(train, config)
+
+
+@pytest.fixture(scope="module")
+def valid(workdir, trained):
+    path = workdir / "valid.bundle"
+    save_bundle(trained, path)
+    return path.read_bytes()
+
+
+def split(data):
+    (hlen,) = struct.unpack_from(">I", data, PREAMBLE - 4)
+    return json.loads(data[PREAMBLE:PREAMBLE + hlen]), data[PREAMBLE + hlen:]
+
+
+def join(header, payload):
+    return container(b"OOMSCENE", header, payload)
+
+
+def slots(tree):
+    """(parent, key) of every value below the root of a JSON tree."""
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            found.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    return found
+
+
+def tagged(tree, tags):
+    """Every one-key JSON object in the tree whose key is in ``tags``."""
+    return [node[key] for node, key in slots(tree) if isinstance(node[key], dict)
+            and len(node[key]) == 1 and next(iter(node[key])) in tags]
+
+
+def load(workdir, data):
+    path = workdir / "case.bundle"
+    path.write_bytes(data)
+    return load_bundle(path)
+
+
+def test_valid_bundle_round_trips(workdir, valid):
+    bundle = load(workdir, valid)
+    save_bundle(bundle, workdir / "again.bundle")
+    assert (workdir / "again.bundle").read_bytes() == valid
+
+
+@settings(max_examples=50)
+@given(cut=st.integers(min_value=0))
+def test_truncated(workdir, valid, cut):
+    with pytest.raises(PipelineError):
+        load(workdir, valid[:cut % len(valid)])
+
+
+@settings(max_examples=100)
+@given(flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)),
+                      min_size=1, max_size=4))
+def test_flipped_bytes_load_or_raise_pipeline_error(workdir, valid, flips):
+    # a flip inside a name or a float can leave a well-formed bundle, so
+    # loading may succeed; anything else must be a PipelineError
+    data = bytearray(valid)
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    try:
+        load(workdir, bytes(data))
+    except PipelineError:
+        pass
+
+
+@given(data=st.data())
+def test_swapped_type_name(workdir, valid, data):
+    header, payload = split(valid)
+    node = data.draw(st.sampled_from(tagged(header, _BUNDLE_TYPES)))
+    (name, body), = node.items()
+    other = data.draw(st.sampled_from(sorted(set(_BUNDLE_TYPES) - {name})))
+    node[other] = node.pop(name)
+    with pytest.raises(PipelineError):
+        load(workdir, join(header, payload))
+
+
+@given(data=st.data())
+def test_edited_number_loads_or_raises_pipeline_error(workdir, valid, data):
+    # zero, negative or huge values trip the constructors' own checks (grid
+    # step, sigma, SGD settings, pyramid levels) or the shape checks
+    header, payload = split(valid)
+    numbers = [(node, key) for node, key in slots(header["bundle"])
+               if type(node[key]) in (int, float) and key != "array"]
+    node, key = data.draw(st.sampled_from(numbers))
+    node[key] = data.draw(st.sampled_from(
+        [0, -1, -0.5, 1e-300, 10**12, float("nan"), float("inf")]))
+    try:
+        load(workdir, join(header, payload))
+    except PipelineError:
+        pass
+
+
+def _swap_vocabulary_class(tree):
+    # ObjectVocabulary and SceneClassSet have the same fields
+    vocab = tree["vocabulary"]
+    vocab["SceneClassSet"] = vocab.pop("ObjectVocabulary")
+
+
+def _number_for_array(tree):
+    tree["occurrence"]["OccurrenceModel"]["probs"] = 0
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_swap_vocabulary_class, "bundle.vocabulary"),
+    (_number_for_array, "bundle.occurrence.probs"),
+], ids=["class-swap", "number-for-array"])
+def test_field_must_hold_its_declared_type(workdir, valid, edit, field):
+    header, payload = split(valid)
+    edit(header["bundle"]["ModelBundle"])
+    with pytest.raises(PipelineError, match=f"{field} does not hold"):
+        load(workdir, join(header, payload))
+
+
+@given(data=st.data())
+def test_array_index_out_of_range(workdir, valid, data):
+    header, payload = split(valid)
+    node = data.draw(st.sampled_from(tagged(header, {"array"})))
+    n = len(header["arrays"])
+    node["array"] = data.draw(st.integers(max_value=-1) | st.integers(min_value=n))
+    with pytest.raises(PipelineError, match="out of range"):
+        load(workdir, join(header, payload))
+
+
+@given(data=st.data())
+def test_bad_shape(workdir, valid, data):
+    header, payload = split(valid)
+    spec = data.draw(st.sampled_from(header["arrays"]))
+    axis = data.draw(st.integers(0, len(spec["shape"]) - 1))
+    spec["shape"][axis] = data.draw(st.integers(max_value=-1) | st.just(10**12))
+    # 10**12 is a well-formed count: only the size check stops it, before
+    # any array is made
+    field = "payload" if spec["shape"][axis] > 0 else r"arrays\["
+    with pytest.raises(PipelineError, match=field):
+        load(workdir, join(header, payload))
+
+
+@given(data=st.data())
+def test_bad_dtype(workdir, valid, data):
+    header, payload = split(valid)
+    spec = data.draw(st.sampled_from(header["arrays"]))
+    spec["dtype"] = data.draw(st.sampled_from(
+        ["<f4", ">f8", "<i8", "|u1", "|O", "<c16", "", 8, None, ["<f8"]]))
+    with pytest.raises(PipelineError, match=r"arrays\["):
+        load(workdir, join(header, payload))
+
+
+@pytest.mark.parametrize("forge, field", [
+    (lambda b: replace(b, posterior=replace(b.posterior, grid=ThresholdGrid(0.0, 1.0, 0.1))),
+     "threshold grid"),
+    (lambda b: replace(b, posterior=replace(
+        b.posterior, fallback_mask=b.posterior.fallback_mask[:, :-1])), "fallback mask"),
+    (lambda b: replace(b, posterior=replace(b.posterior, prior=ClassPrior.uniform(2))),
+     "class prior"),
+    (lambda b: replace(b, selection=replace(
+        b.selection, selected=(-1,) + b.selection.selected[1:])), "selection"),
+    (lambda b: replace(b, pca=PcaTransform(b.pca.mean[:-1], b.pca.basis)), "PCA mean"),
+    (lambda b: replace(b, pca=PcaTransform(b.pca.mean[:-1], b.pca.basis[:-1])),
+     "PCA input"),
+    (lambda b: replace(b, codebook=VladCodebook(b.codebook.centers[:, :-1],
+                                                b.codebook.sigma)), "codebook"),
+    (lambda b: replace(b, ensemble=replace(b.ensemble, biases=b.ensemble.biases[:, :1])),
+     "ensemble biases"),
+    (lambda b: replace(b, ensemble=replace(b.ensemble, weights=b.ensemble.weights[:2],
+                                           biases=b.ensemble.biases[:2])),
+     "ensemble classes"),
+], ids=["grid", "fallback-mask", "prior", "selection", "pca-mean", "pca-input",
+        "codebook", "biases", "classes"])
+def test_forged_shapes_name_the_component(workdir, trained, forge, field):
+    # written past save_bundle's own validate(), as a forged file would be
+    arrays = []
+    tree = _to_tree(forge(trained), arrays)
+    path = workdir / "forged.bundle"
+    _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
+    with pytest.raises(CompatibilityError, match=field):
+        load_bundle(path)

@@ -1,5 +1,6 @@
 import csv
-import pickle
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from oomscene.ingest import (
     SoftPatch,
     parse_manifest,
 )
+
+from helpers import container
 
 
 SMALL = ["--set", "object_count=8", "--set", "topic_count=2",
@@ -414,22 +417,55 @@ class TestDeterminismAndPersistence:
     @pytest.mark.parametrize("read, data, field", [
         (load_bundle, b"NOTABUNDLE", "magic"),
         (load_bundle, b"OOMSCENE", "version"),
-        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00", "header length"),
-        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00\x00\x10{}", "header"),
-        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00\x00\x05{rows", "header"),
-        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00\x00\x02[]", "header"),
-        (read_descriptor_file, b"OOMSDESC\x00\x01\x00\x00\x00\x0b{\"rows\": 1}",
+        # a version-1 bundle whose pickle would call divmod(1, 0): never unpickled
+        (load_bundle, b"OOMSCENE\x00\x01cbuiltins\ndivmod\n(I1\nI0\ntR.", "version"),
+        (read_descriptor_file, b"OOMSDESC\x00\x02\x00\x00", "header length"),
+        (read_descriptor_file, b"OOMSDESC\x00\x02\x00\x00\x00\x10{}", "header"),
+        (read_descriptor_file, b"OOMSDESC\x00\x02\x00\x00\x00\x05{rows", "header"),
+        (read_descriptor_file, b"OOMSDESC\x00\x02\x00\x00\x00\x02[]", "header"),
+        (read_descriptor_file,
+         b"OOMSDESC\x00\x02" + struct.pack(">I", 200000) + b"[" * 200000, "header"),
+        (load_bundle,
+         b"OOMSCENE\x00\x02" + struct.pack(">I", 200000) + b"[" * 200000, "header"),
+        (read_descriptor_file, container(b"OOMSDESC", {"rows": 1}), "arrays"),
+        (read_descriptor_file,
+         container(b"OOMSDESC", {"arrays": [{"dtype": "<i8", "shape": [1]}]}),
+         r"arrays\[0\]"),
+        (read_descriptor_file,
+         container(b"OOMSDESC", {"rows": 1, "arrays": [{"dtype": "<f8", "shape": [1, 2]}]},
+                   bytes(16)),
          "cols"),
         (read_descriptor_file,
-         b'OOMSDESC\x00\x01\x00\x00\x00\x16{"cols": 2, "rows": 1}' + bytes(8),
+         container(b"OOMSDESC", {"rows": 1, "cols": 2,
+                                 "arrays": [{"dtype": "<f8", "shape": [1, 2]}]}, bytes(8)),
          "payload"),
-        (load_bundle, b"OOMSCENE\x00\x01", "payload"),
-        (load_bundle, b"OOMSCENE\x00\x01" + pickle.dumps([1, 2]), "payload"),
-        # the payload calls divmod(1, 0) while it unpickles
-        (load_bundle, b"OOMSCENE\x00\x01cbuiltins\ndivmod\n(I1\nI0\ntR.", "payload"),
-    ], ids=["bundle-magic", "bundle-version", "desc-header-length", "desc-header",
-            "desc-header-json", "desc-header-object", "desc-cols", "desc-payload",
-            "bundle-payload-empty", "bundle-payload-type", "bundle-payload-raises"])
+        (load_bundle,
+         container(b"OOMSCENE", {"bundle": {"array": 0},
+                                  "arrays": [{"dtype": "<f8", "shape": [1]}]}),
+         "payload"),
+        (load_bundle,
+         container(b"OOMSCENE", {"bundle": {"array": 0},
+                                  "arrays": [{"dtype": "|b1", "shape": [1]}]},
+                   b"\x02" + bytes(7)),
+         "payload field holds a bool"),
+        (load_bundle, container(b"OOMSCENE", {"bundle": [1, 2], "arrays": []}),
+         "bundle field"),
+        (load_bundle, container(b"OOMSCENE", {"bundle": {"array": 0}, "arrays": []}),
+         "bundle: array index"),
+        (load_bundle,
+         container(b"OOMSCENE", {"bundle": {"Popen": {"args": "true"}}, "arrays": []}),
+         "bundle: 'Popen' is not a bundle node"),
+        # valid JSON, but deeper than rebuilding the tree can recurse
+        (load_bundle,
+         container(b"OOMSCENE", {"bundle": json.loads("[" * 600 + "]" * 600),
+                                 "arrays": []}),
+         "bundle field nests too deeply"),
+    ], ids=["bundle-magic", "bundle-version", "bundle-payload-raises",
+            "desc-header-length", "desc-header", "desc-header-json", "desc-header-object",
+            "desc-header-deep", "bundle-header-deep", "desc-arrays", "desc-array-dtype",
+            "desc-cols", "desc-payload", "bundle-payload-empty", "bundle-payload-bool",
+            "bundle-payload-type",
+            "bundle-array-index", "bundle-node-type", "bundle-tree-deep"])
     def test_bad_magic_rejected(self, tmp_path, read, data, field):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(data)

@@ -13,7 +13,6 @@ from oomscene import (
     descriptor_length,
     encode_hard,
     posterior_at_score,
-    posterior_matrix,
     select_objects,
 )
 from oomscene.ingest import ImageRecord, SoftPatch
@@ -52,6 +51,12 @@ class TestPyramidLayout:
             PyramidLayout(())
         with pytest.raises(ValueError):
             PyramidLayout(((0, 1),))
+
+
+def whole_image(rec, post, sel):
+    """The [selected objects x classes] block of a one-region (1x1) pyramid."""
+    return encode_hard(rec, post, sel, PyramidLayout(((1, 1),))).reshape(
+        len(sel.selected), post.n_classes)
 
 
 def fitted_model(rng, n_classes=3, n_objects=4, n_images=18):
@@ -130,13 +135,13 @@ class TestEncodeHard:
         for rec in m.records[:6]:
             vec = encode_hard(rec, post, sel, layout)
             np.testing.assert_array_equal(vec[: R * C].reshape(R, C),
-                                          posterior_matrix(rec, post, sel))
+                                          whole_image(rec, post, sel))
 
     def test_detected_rows_sum_to_one(self):
         rng = np.random.default_rng(27)
         m, post, sel = fitted_model(rng)
         for rec in m.records[:8]:
-            M = posterior_matrix(rec, post, sel)
+            M = whole_image(rec, post, sel)
             detected = {d.object_index for d in rec.detections}
             for i, obj in enumerate(sel.selected):
                 if obj in detected:
@@ -178,7 +183,7 @@ class TestEncodeHard:
             vec = encode_hard(rec, post, sel, layout)
             R, C = len(sel.selected), post.n_classes
             mats = vec.reshape(4, R, C)
-            whole = posterior_matrix(rec, post, sel)
+            whole = whole_image(rec, post, sel)
             counts = np.zeros((4, R))
             for det in rec.detections:
                 i = sel.selected.index(det.object_index)

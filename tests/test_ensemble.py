@@ -6,20 +6,14 @@ from oomscene import (
     SgdConfig,
     cross_validate,
     fit_topics,
+    assign_topics_batch,
     hinge_objective,
-    predict,
     predict_batch,
-    predict_max_pool,
     train_binary,
     train_ensemble,
 )
 from oomscene import ensemble as ensemble_module
-from oomscene.ensemble import (
-    TopicEnsemble,
-    _derive_seed,
-    _sgd_lockstep,
-    constant_classifier,
-)
+from oomscene.ensemble import TopicEnsemble, _derive_seed, _sgd_lockstep
 from hypothesis import given, settings, strategies as st
 
 from helpers import oracle_batch_subgradient, oracle_sgd
@@ -44,8 +38,8 @@ CFG = SgdConfig(lam=1e-4, eta0=0.5, epochs=40, seed=0)
 class TestTrainBinary:
     def test_two_point_problem(self):
         clf = train_binary([[1.0]], [[-1.0]], CFG)
-        assert clf.decision([1.0]) > 0
-        assert clf.decision([-1.0]) < 0
+        assert clf.weights @ [1.0] + clf.bias > 0
+        assert clf.weights @ [-1.0] + clf.bias < 0
 
     def test_identical_descriptors_mixed_labels(self):
         X = np.ones((1, 3))
@@ -264,8 +258,7 @@ class TestTrainEnsemble:
         for c in range(3):
             w, b = oracle_sgd(X, np.where(y == c, 1.0, -1.0), CFG.lam, CFG.eta0,
                               order)
-            clf = ens.classifiers[c][0]
-            assert_close_to_oracle(clf.weights, clf.bias, w, b)
+            assert_close_to_oracle(ens.weights[c, 0], ens.biases[c, 0], w, b)
 
     def test_degenerate_topic_slots(self):
         # each topic holds a single class: its own-class slot has no
@@ -274,18 +267,15 @@ class TestTrainEnsemble:
         y = np.array([0] * 5 + [1] * 5)
         topics = fit_topics(X, 2, seed=0)
         ens = train_ensemble(X, y, 2, topics, [CFG], folds=5)
-        from oomscene import assign_topic
-        d0 = assign_topic(topics, np.full(2, 10.0)).topic_index  # class-0 topic
+        d0 = int(assign_topics_batch(topics, np.full((1, 2), 10.0))[0][0])  # class-0 topic
         d1 = 1 - d0
-        for clf in (ens.classifiers[0][d0], ens.classifiers[0][d1],
-                    ens.classifiers[1][d0], ens.classifiers[1][d1]):
-            assert not clf.weights.any()
-        assert ens.classifiers[0][d0].bias == 1.0
-        assert ens.classifiers[1][d0].bias == -1.0
-        assert ens.classifiers[0][d1].bias == -1.0
-        assert ens.classifiers[1][d1].bias == 1.0
+        assert not ens.weights.any()
+        assert ens.biases[0, d0] == 1.0
+        assert ens.biases[1, d0] == -1.0
+        assert ens.biases[0, d1] == -1.0
+        assert ens.biases[1, d1] == 1.0
         # pooled sums tie at zero for every input; ties pick class 0
-        assert predict(ens, np.full(2, 10.0))[0] == 0
+        assert predict_one(ens, np.full(2, 10.0))[0] == 0
 
     def test_planted_topics_per_topic_training_accuracy(self):
         rng = np.random.default_rng(67)
@@ -318,26 +308,27 @@ class TestTrainEnsemble:
 
 def tiny_ensemble(decisions):
     """Ensemble of constant classifiers with given [class][topic] decisions."""
-    dim = 2
-    classifiers = tuple(
-        tuple(constant_classifier(dim, d) for d in row) for row in decisions
-    )
-    topics = fit_topics(np.zeros((len(decisions[0]), dim)), len(decisions[0]),
-                        seed=0)
-    return TopicEnsemble(topics=topics, classifiers=classifiers,
+    biases = np.array(decisions, dtype=float)
+    return TopicEnsemble(weights=np.zeros(biases.shape + (2,)), biases=biases,
                          training_meta={})
+
+
+def predict_one(ens, x, pooling="average"):
+    """predict_batch on a single descriptor: (label, pooled scores)."""
+    labels, scores = predict_batch(ens, np.asarray(x, dtype=float)[None, :], pooling)
+    return int(labels[0]), scores[0]
 
 
 class TestPredict:
     def test_average_pooling_example(self):
         ens = tiny_ensemble([[0.5, 0.5], [2.0, -1.5]])
-        label, scores = predict(ens, np.zeros(2))
+        label, scores = predict_one(ens, np.zeros(2))
         assert label == 0
         np.testing.assert_allclose(scores, [1.0, 0.5])
 
     def test_max_pooling_example(self):
         ens = tiny_ensemble([[0.5, 0.5], [2.0, -1.5]])
-        label, scores = predict_max_pool(ens, np.zeros(2))
+        label, scores = predict_one(ens, np.zeros(2), pooling="max")
         assert label == 1
         np.testing.assert_allclose(scores, [0.5, 2.0])
 
@@ -346,17 +337,17 @@ class TestPredict:
         X, y = make_blob_problem(rng)
         ens = train_ensemble(X, y, 3, fit_topics(X, 1, seed=0), [CFG], folds=5)
         probes = rng.standard_normal((30, X.shape[1]))
-        for x in probes:
-            assert predict(ens, x)[0] == predict_max_pool(ens, x)[0]
+        np.testing.assert_array_equal(predict_batch(ens, probes)[0],
+                                      predict_batch(ens, probes, pooling="max")[0])
 
     def test_matches_bruteforce_accumulation(self):
         rng = np.random.default_rng(70)
         X, y = make_blob_problem(rng)
         ens = train_ensemble(X, y, 3, fit_topics(X, 2, seed=1), [CFG], folds=5)
         for x in rng.standard_normal((20, X.shape[1])):
-            label, scores = predict(ens, x)
+            label, scores = predict_one(ens, x)
             manual = np.array([
-                sum(ens.classifiers[c][d].decision(x) for d in range(2))
+                sum(float(ens.weights[c, d] @ x) + ens.biases[c, d] for d in range(2))
                 for c in range(3)
             ])
             assert label == int(np.argmax(manual))
@@ -368,16 +359,16 @@ class TestPredict:
                                  [0.1 + 7.0, 0.3 - 3.0],
                                  [-0.5 + 7.0, 0.2 - 3.0]])
         x = np.zeros(2)
-        assert predict(ens, x)[0] == predict(shifted, x)[0]
+        assert predict_one(ens, x)[0] == predict_one(shifted, x)[0]
 
     def test_tie_breaks_low_index(self):
         ens = tiny_ensemble([[1.0], [1.0]])
-        assert predict(ens, np.zeros(2))[0] == 0
+        assert predict_one(ens, np.zeros(2))[0] == 0
 
     def test_dimension_mismatch(self):
         ens = tiny_ensemble([[1.0], [0.5]])
         with pytest.raises(DimensionError):
-            predict(ens, np.zeros(5))
+            predict_batch(ens, np.zeros((1, 5)))
 
     def test_ensemble_determinism_bit_identical(self):
         rng = np.random.default_rng(71)
@@ -386,8 +377,5 @@ class TestPredict:
         t2 = fit_topics(X, 2, seed=5)
         e1 = train_ensemble(X, y, 3, t1, [CFG], folds=5)
         e2 = train_ensemble(X, y, 3, t2, [CFG], folds=5)
-        for c in range(3):
-            for d in range(2):
-                np.testing.assert_array_equal(e1.classifiers[c][d].weights,
-                                              e2.classifiers[c][d].weights)
-                assert e1.classifiers[c][d].bias == e2.classifiers[c][d].bias
+        np.testing.assert_array_equal(e1.weights, e2.weights)
+        np.testing.assert_array_equal(e1.biases, e2.biases)

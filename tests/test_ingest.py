@@ -122,6 +122,26 @@ class TestParsing:
         with pytest.raises(FormatError, match="cafe"):
             parse_manifest_text(text)
 
+    @pytest.mark.parametrize("text, line, match", [
+        # the second #vocab would silently rename the detection of `a` to `b`
+        ("#vocab a b\n#classes c\n#mode hard\n\nimg i c\n"
+         "det a 0.5 0.1 0.1 0.2 0.2\n#vocab b a\n", 7,
+         "#vocab header after the first record"),
+        ("#vocab a\n#classes c\n#mode hard\n\nimg i c\n\n#split test\n", 7,
+         "#split header after the first record"),
+        ("#vocab a\n#vocab a\n#classes c\n#mode hard\n", 2, "repeated #vocab"),
+        ("#vocab a\n#classes c\n#classes c\n#mode hard\n", 3, "repeated #classes"),
+        ("#vocab a\n#classes c\n#mode hard\n#mode hard\n", 4, "repeated #mode"),
+        ("#vocab\n#classes c\n#mode hard\n", 1, "#vocab header: .*empty"),
+        ("#vocab a b a\n#classes c\n#mode hard\n", 1, "#vocab header: duplicate"),
+        ("#vocab a\n#classes c ?\n#mode hard\n", 2, "#classes header: .*reserved"),
+    ], ids=["vocab-after-record", "split-after-record", "repeated-vocab",
+            "repeated-classes", "repeated-mode", "empty-vocab", "duplicate-object",
+            "reserved-class"])
+    def test_bad_header_line(self, text, line, match):
+        with pytest.raises(ParseError, match=f"line {line}: {match}"):
+            parse_manifest_text(text)
+
     def test_zero_detection_record_is_legal(self):
         text = HARD_TEXT + "\nimg a2 shop\n"
         m = parse_manifest_text(text)

@@ -50,6 +50,11 @@ class TestThresholdGrid:
             ThresholdGrid(0.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             ThresholdGrid(0.0, 0.05, 0.2)  # single point
+        # a step from a forged bundle or config must not allocate 10**7 or
+        # infinitely many points
+        for step in (1e-7, 1e-320):
+            with pytest.raises(ValueError, match="points"):
+                ThresholdGrid(0.0, 1.0, step)
 
 
 def small_manifest():

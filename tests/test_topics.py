@@ -3,7 +3,6 @@ import pytest
 
 from oomscene import (
     DimensionError,
-    assign_topic,
     assign_topics_batch,
     fit_topics,
 )
@@ -90,9 +89,9 @@ class TestAssignTopic:
         rng = np.random.default_rng(9)
         X = rng.random((12, 4))
         model = fit_topics(X, 4, seed=0)
-        a = assign_topic(model, model.centroids[3])
-        assert a.topic_index == 3
-        assert a.distance == pytest.approx(0.0, abs=1e-9)
+        labels, dists = assign_topics_batch(model, model.centroids[3][None, :])
+        assert labels[0] == 3
+        assert dists[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_tie_goes_to_lower_index(self):
         rng = np.random.default_rng(10)
@@ -100,7 +99,7 @@ class TestAssignTopic:
         model = fit_topics(X, 2, seed=0)
         # midpoint of the two centroids is equidistant
         mid = model.centroids.mean(axis=0)
-        assert assign_topic(model, mid).topic_index == 0
+        assert assign_topics_batch(model, mid[None, :])[0][0] == 0
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(11)
@@ -109,10 +108,10 @@ class TestAssignTopic:
         for _ in range(50):
             v = rng.random(5)
             d2 = [float(((c - v) ** 2).sum()) for c in model.centroids]
-            assert assign_topic(model, v).topic_index == int(np.argmin(d2))
+            assert assign_topics_batch(model, v[None, :])[0][0] == int(np.argmin(d2))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
         model = fit_topics(rng.random((10, 4)), 2, seed=0)
         with pytest.raises(DimensionError):
-            assign_topic(model, np.zeros(5))
+            assign_topics_batch(model, np.zeros((1, 5)))
