@@ -16,20 +16,19 @@ from .bundle import (
 )
 from .descriptor_hard import (
     PyramidLayout,
-    assign_region,
     descriptor_length,
-    encode_hard,
     encode_hard_manifest,
+    pyramid_regions,
 )
 from .descriptor_soft import (
     PcaTransform,
     VladCodebook,
-    encode_soft,
     encode_soft_manifest,
     fit_codebook,
     fit_pca,
-    patch_matrices,
     soft_assignments,
+    training_patch_samples,
+    vlad,
 )
 from .ensemble import (
     LinearClassifier,
@@ -61,7 +60,6 @@ from .ingest import (
     max_scores,
     parse_manifest,
     parse_manifest_text,
-    threshold_indicator,
     to_text,
     write_manifest,
 )
@@ -73,10 +71,8 @@ from .occurrence import (
     ThresholdGrid,
     build_occurrence_model,
     build_posterior_model,
-    discriminability_at,
     discriminability_profile,
-    posterior_at_score,
-    posterior_columns,
+    score_grid_indices,
     select_objects,
 )
 from .pipeline import (
@@ -90,7 +86,6 @@ from .synth import (
     SynthSpec,
     adjusted_rand_index,
     apply_shift,
-    encode_rawscore_baseline,
     encode_rawscore_manifest,
     generate,
     hidden_topics,

@@ -10,20 +10,23 @@ leave the descriptor bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import VariantError
-from .ingest import HARD, DatasetManifest, ImageRecord
+from .ingest import HARD, DatasetManifest, flatten_detections
 from .occurrence import (
     DiscriminantSelection,
     PosteriorModel,
-    score_grid_index,
+    score_grid_indices,
 )
 
 DEFAULT_LEVELS = ((1, 1), (2, 2), (3, 1))
+# a layout can come from a bundle or config file, and every image's descriptor
+# holds region_count x objects x classes cells: bound the regions before
+# anything is allocated (the default pyramid has 8, a 32 x 32 grid 1024)
+_MAX_REGIONS = 1024
 
 
 @dataclass(frozen=True)
@@ -39,61 +42,32 @@ class PyramidLayout:
             raise ValueError("pyramid needs at least one level")
         if any(r < 1 or c < 1 for r, c in levels):
             raise ValueError("every pyramid level needs rows >= 1 and cols >= 1")
+        if self.region_count > _MAX_REGIONS:
+            raise ValueError(f"pyramid has {self.region_count} regions, more than "
+                             f"{_MAX_REGIONS}")
 
     @property
     def region_count(self) -> int:
         return sum(r * c for r, c in self.levels)
 
 
-def assign_region(box, level: tuple[int, int]) -> int:
-    """Region index (row-major) of the box center on a (rows, cols) grid.
+def pyramid_regions(box: np.ndarray, layout: PyramidLayout) -> np.ndarray:
+    """[n_levels, n]: the global region index of each box centre per level.
 
-    Centers exactly on an interior boundary go to the lower-index region.
+    Regions are numbered row-major within a level and levels follow each
+    other in layout order.  Centres exactly on an interior boundary go to the
+    lower-index region.
     """
-    rows, cols = level
-    x0, y0, x1, y1 = box
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    col = min(cols - 1, max(0, math.ceil(cx * cols) - 1))
-    row = min(rows - 1, max(0, math.ceil(cy * rows) - 1))
-    return row * cols + col
-
-
-def _region_buckets(record, sel, grid, layout):
-    """Map (global region, selection position) -> grid-column indices."""
-    pos_of = {obj: i for i, obj in enumerate(sel.selected)}
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for det in record.detections:
-        i = pos_of.get(det.object_index)
-        if i is None:
-            continue
-        t = score_grid_index(grid, det.score)
-        offset = 0
-        for rows, cols in layout.levels:
-            reg = offset + assign_region(det.box, (rows, cols))
-            buckets.setdefault((reg, i), []).append(t)
-            offset += rows * cols
-    return buckets
-
-
-def encode_hard(record: ImageRecord, post: PosteriorModel,
-                sel: DiscriminantSelection,
-                layout: PyramidLayout = PyramidLayout()) -> np.ndarray:
-    """Pyramid-stacked posterior descriptor of one hard-detection record.
-
-    Undetected (region, object) rows stay zero; a record without detections
-    encodes to the zero vector.  The result has length
-    region_count * len(sel) * n_classes.
-    """
-    if record.mode != HARD:
-        raise VariantError("encode_hard needs a hard-detection record")
-    n_sel, n_cls = len(sel.selected), post.n_classes
-    out = np.zeros((layout.region_count, n_sel, n_cls))
-    for (reg, i), ts in _region_buckets(record, sel, post.grid, layout).items():
-        # sort the grid columns so accumulation order is canonical: the
-        # encoding is then bit-identical under detection reordering
-        cols = post.posteriors[sel.selected[i], :, np.sort(np.asarray(ts))]
-        out[reg, i, :] = cols.sum(axis=0) / len(ts)
-    return out.reshape(-1)
+    cx = 0.5 * (box[:, 0] + box[:, 2])
+    cy = 0.5 * (box[:, 1] + box[:, 3])
+    out = np.empty((len(layout.levels), len(box)), dtype=np.intp)
+    offset = 0
+    for level, (rows, cols) in enumerate(layout.levels):
+        col = np.clip(np.ceil(cx * cols) - 1, 0, cols - 1)
+        row = np.clip(np.ceil(cy * rows) - 1, 0, rows - 1)
+        out[level] = offset + row * cols + col
+        offset += rows * cols
+    return out
 
 
 def descriptor_length(n_selected: int, n_classes: int,
@@ -104,5 +78,34 @@ def descriptor_length(n_selected: int, n_classes: int,
 def encode_hard_manifest(manifest: DatasetManifest, post: PosteriorModel,
                          sel: DiscriminantSelection,
                          layout: PyramidLayout = PyramidLayout()) -> np.ndarray:
-    """Stack encode_hard over all records: [n_records, descriptor_length]."""
-    return np.stack([encode_hard(r, post, sel, layout) for r in manifest.records])
+    """[n_records, descriptor_length]: the pyramid-stacked posterior
+    descriptor of every record.
+
+    Undetected (region, object) rows stay zero; a record without detections
+    encodes to the zero vector.
+    """
+    if manifest.mode != HARD:
+        raise VariantError("encode_hard_manifest needs a hard-detection manifest")
+    n_sel, n_cls = len(sel.selected), post.n_classes
+    out = np.zeros((len(manifest), layout.region_count * n_sel * n_cls))
+    rows = out.reshape(-1, n_cls)  # one row per (image, region, object)
+
+    image, obj, score, box = flatten_detections(manifest)
+    pos_of = np.full(len(manifest.vocabulary), -1, dtype=np.intp)
+    pos_of[list(sel.selected)] = np.arange(n_sel)
+    pos = pos_of[obj]
+    keep = pos >= 0
+    image, obj, pos, box = image[keep], obj[keep], pos[keep], box[keep]
+    t = score_grid_indices(post.grid, score[keep])
+
+    region = pyramid_regions(box, layout)  # [n_levels, m]
+    row = ((image * layout.region_count + region) * n_sel + pos).reshape(-1)
+    t = np.broadcast_to(t, region.shape).reshape(-1)
+    obj = np.broadcast_to(obj, region.shape).reshape(-1)
+    # add each row's columns in ascending grid order, one after another, so
+    # the sums are bit-identical under any detection order
+    order = np.lexsort((t, row))
+    np.add.at(rows, row[order], post.posteriors[obj[order], :, t[order]])
+    touched, counts = np.unique(row, return_counts=True)
+    rows[touched] /= counts[:, None]
+    return out

@@ -3,7 +3,7 @@
 Every patch's score vector turns into a [selected objects x classes] posterior
 matrix.  Flattened matrices are PCA-reduced, then aggregated as
 soft-assignment-weighted first-order residuals against a k-means codebook
-(VLAD), with optional signed-square-root and L2 normalization.
+(VLAD), then signed-square-rooted and L2-normalized.
 """
 
 from __future__ import annotations
@@ -13,22 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VariantError
-from .ingest import SOFT, DatasetManifest, ImageRecord
+from .ingest import SOFT, DatasetManifest, flatten_detections
 from .occurrence import DiscriminantSelection, PosteriorModel, score_grid_indices
-from .topics import fit_topics, nearest_centroids
+from .topics import _squared_distances, fit_topics, nearest_centroids
 
 
-def patch_matrices(record: ImageRecord, post: PosteriorModel,
-                   sel: DiscriminantSelection) -> list[np.ndarray]:
-    """One [selected objects x classes] posterior matrix per patch, in patch order."""
-    if record.mode != SOFT:
-        raise VariantError("patch_matrices needs a soft-detection record")
-    obj = np.asarray(sel.selected, dtype=int)
-    mats = []
-    for patch in record.detections:
-        ts = score_grid_indices(post.grid, patch.scores[obj])
-        mats.append(post.posteriors[obj, :, ts])
-    return mats
+def _patch_posteriors(manifest: DatasetManifest, post: PosteriorModel,
+                      sel: DiscriminantSelection):
+    """(image, X): the record index of every patch and its flattened
+    [selected objects x classes] posterior matrix, one row per patch."""
+    if manifest.mode != SOFT:
+        raise VariantError("soft descriptors need a soft-detection manifest")
+    image, scores = flatten_detections(manifest)
+    obj = np.asarray(sel.selected, dtype=np.intp)
+    ts = score_grid_indices(post.grid, scores[:, obj])  # [n_patches, n_sel]
+    return image, post.posteriors[obj, :, ts].reshape(len(scores), obj.size * post.n_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,56 +123,51 @@ def fit_codebook(projected, k: int, seed: int) -> VladCodebook:
 def soft_assignments(cb: VladCodebook, V: np.ndarray) -> np.ndarray:
     """Per-row Gaussian assignment weights over centers (rows sum to one)."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    d2 = ((V[:, None, :] - cb.centers[None, :, :]) ** 2).sum(axis=2)
-    logw = -d2 / (2.0 * cb.sigma**2)
+    logw = -_squared_distances(V, cb.centers) / (2.0 * cb.sigma**2)
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
     w /= w.sum(axis=1, keepdims=True)
     return w
 
 
-def encode_soft(record: ImageRecord, post: PosteriorModel,
-                sel: DiscriminantSelection, pca: PcaTransform,
-                cb: VladCodebook, ssr: bool = True,
-                l2_normalize: bool = True) -> np.ndarray:
-    """Soft-VLAD descriptor of one soft record.
-
-    Per patch: project the flattened posterior matrix, weight its residual to
-    every center by the soft assignment, and accumulate per-center blocks.
-    A VLAD that accumulates to exactly zero is returned unnormalized.
-    """
-    mats = patch_matrices(record, post, sel)
-    if not mats:
-        raise ValueError(f"empty bag: record {record.image_id!r} has no patches")
-    V = pca.project(np.stack([m.reshape(-1) for m in mats]))
-    W = soft_assignments(cb, V)
-    k, p = cb.centers.shape
-    blocks = np.empty((k, p))
-    for j in range(k):
-        blocks[j] = (W[:, j : j + 1] * (V - cb.centers[j])).sum(axis=0)
-    vec = blocks.reshape(-1)
-    if ssr:
-        vec = np.sign(vec) * np.sqrt(np.abs(vec))
-    if l2_normalize:
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec = vec / norm
-    return vec
+def vlad(W: np.ndarray, V: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """[k, p] un-normalized VLAD of one bag: block j sums W[i, j] (V[i] - c_j)
+    over the bag's rows, computed as Wᵀ V − diag(ΣW) C."""
+    return W.T @ V - W.sum(axis=0)[:, None] * centers
 
 
 def encode_soft_manifest(manifest: DatasetManifest, post: PosteriorModel,
                          sel: DiscriminantSelection, pca: PcaTransform,
                          cb: VladCodebook) -> np.ndarray:
-    return np.stack([encode_soft(r, post, sel, pca, cb) for r in manifest.records])
+    """[n_records, k * p]: the soft-VLAD descriptor of every record.
+
+    The flattened posterior matrices of all patches are PCA-projected and
+    soft-assigned to the codebook at once; each record's VLAD is then
+    signed-square-rooted and L2-normalized.  A VLAD that accumulates to
+    exactly zero is returned unnormalized.
+    """
+    image, X = _patch_posteriors(manifest, post, sel)
+    bounds = np.searchsorted(image, np.arange(len(manifest) + 1))
+    empty = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if empty.size:
+        raise ValueError(f"empty bag: record {manifest.records[empty[0]].image_id!r} "
+                         f"has no patches")
+    V = pca.project(X)
+    del X  # the largest temporary: free it before the output is allocated
+    W = soft_assignments(cb, V)
+    out = np.empty((len(manifest), cb.centers.size))
+    for i, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        vec = vlad(W[start:stop], V[start:stop], cb.centers).reshape(-1)
+        vec = np.sign(vec) * np.sqrt(np.abs(vec))
+        norm = float(np.linalg.norm(vec))
+        out[i] = vec / norm if norm > 0.0 else vec
+    return out
 
 
 def training_patch_samples(manifest: DatasetManifest, post: PosteriorModel,
                            sel: DiscriminantSelection) -> np.ndarray:
-    """Flattened patch matrices of every record, stacked for PCA fitting."""
-    rows = []
-    for rec in manifest.records:
-        for m in patch_matrices(rec, post, sel):
-            rows.append(m.reshape(-1))
-    if not rows:
+    """Flattened patch posterior matrices of every record, stacked for PCA fitting."""
+    _, X = _patch_posteriors(manifest, post, sel)
+    if not len(X):
         raise ValueError("manifest has no patches to fit on")
-    return np.stack(rows)
+    return X

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +37,6 @@ from .errors import (
     DimensionError,
     FormatError,
     ParseError,
-    VariantError,
     VocabularyError,
 )
 
@@ -214,9 +215,6 @@ class DatasetManifest:
     def __len__(self) -> int:
         return len(self.records)
 
-    def records_for_class(self, class_index: int) -> list[ImageRecord]:
-        return [r for r in self.records if r.scene_class == class_index]
-
     def labels(self) -> np.ndarray:
         """Class index per record, -1 where unlabeled."""
         return np.array(
@@ -225,40 +223,42 @@ class DatasetManifest:
         )
 
 
-def threshold_indicator(record: ImageRecord, object_index: int, theta: float) -> int:
-    """1 iff the record's best detection of the object scores at least theta.
+def flatten_detections(manifest: DatasetManifest) -> tuple:
+    """Every detection of the manifest as flat arrays, in record order.
 
-    Scores exactly equal to the threshold count as present.  A record with no
-    detection of the object yields 0 at any threshold.
+    Hard manifests give (image, object, score, box): the record index, object
+    index and score of each detection and its [n, 4] box.  Soft manifests give
+    (image, scores): the record index of each patch and the [n_patches,
+    n_objects] score matrix.  A record's detections keep their file order.
     """
-    if record.mode != HARD:
-        raise VariantError("threshold_indicator needs a hard-detection record")
-    best = -math.inf
-    for det in record.detections:
-        if det.object_index == object_index and det.score > best:
-            best = det.score
-    return 1 if best >= theta else 0
+    records = manifest.records
+    counts = np.fromiter((len(r.detections) for r in records), np.intp, len(records))
+    image = np.repeat(np.arange(len(records)), counts)
+    dets = [d for r in records for d in r.detections]
+    if manifest.mode == SOFT:
+        scores = np.array([p.scores for p in dets], dtype=float)
+        return image, scores.reshape(len(dets), len(manifest.vocabulary))
+    obj = np.fromiter(map(attrgetter("object_index"), dets), np.intp, len(dets))
+    score = np.fromiter(map(attrgetter("score"), dets), float, len(dets))
+    box = np.fromiter(chain.from_iterable(map(attrgetter("box"), dets)), float,
+                      4 * len(dets)).reshape(-1, 4)
+    return image, obj, score, box
 
 
-def max_scores(record: ImageRecord, n_objects: int) -> np.ndarray:
-    """Per-object best confidence in the record; -inf for objects never seen.
+def max_scores(manifest: DatasetManifest) -> np.ndarray:
+    """[n_records, n_objects]: each record's best confidence per object, -inf
+    for objects it never detects.
 
     For soft records the best score over all patches stands in for the
     image-level confidence.
     """
-    out = np.full(n_objects, -np.inf)
-    if record.mode == HARD:
-        for det in record.detections:
-            if det.score > out[det.object_index]:
-                out[det.object_index] = det.score
+    out = np.full((len(manifest), len(manifest.vocabulary)), -np.inf)
+    if manifest.mode == SOFT:
+        image, scores = flatten_detections(manifest)
+        np.maximum.at(out, image, scores)
     else:
-        for patch in record.detections:
-            if patch.scores.size != n_objects:
-                raise DimensionError(
-                    f"record {record.image_id!r}: patch {patch.patch_id} has "
-                    f"{patch.scores.size} scores, expected {n_objects}"
-                )
-            np.maximum(out, patch.scores, out=out)
+        image, obj, score, _ = flatten_detections(manifest)
+        np.maximum.at(out, (image, obj), score)
     return out
 
 
@@ -335,7 +335,10 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
                 raise ParseError(
                     "expected 'img <id> <class|?> [domain=<tag>]'", line_no
                 )
-            class_idx = None if parts[2] == UNLABELED_MARK else classes.index(parts[2])
+            try:
+                class_idx = None if parts[2] == UNLABELED_MARK else classes.index(parts[2])
+            except VocabularyError as exc:
+                raise VocabularyError(f"line {line_no}: {exc}") from None
             domain = None
             if len(parts) == 4:
                 if not parts[3].startswith("domain="):
@@ -353,7 +356,10 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
                 raise ParseError(
                     "expected 'det <object> <score> <x0> <y0> <x1> <y1>'", line_no
                 )
-            obj = vocab.index(parts[1])
+            try:
+                obj = vocab.index(parts[1])
+            except VocabularyError as exc:
+                raise VocabularyError(f"line {line_no}: {exc}") from None
             score = _parse_float(parts[2], "score", line_no)
             box = tuple(_parse_float(p, "coordinate", line_no) for p in parts[3:7])
             try:
@@ -378,10 +384,13 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
             )
             if scores.size != len(vocab):
                 raise DimensionError(
-                    f"record {cur['id']!r}: patch {patch_id} has {scores.size} "
-                    f"scores, expected {len(vocab)}"
+                    f"line {line_no}: record {cur['id']!r}: patch {patch_id} has "
+                    f"{scores.size} scores, expected {len(vocab)}"
                 )
-            cur["dets"].append(SoftPatch(patch_id, scores))
+            try:
+                cur["dets"].append(SoftPatch(patch_id, scores))
+            except FormatError as exc:
+                raise ParseError(str(exc), line_no) from None
         else:
             raise ParseError(f"unrecognized line starting with {head!r}", line_no)
     flush()

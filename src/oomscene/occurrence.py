@@ -60,14 +60,14 @@ class ThresholdGrid:
         return self._values.size
 
 
-def score_grid_index(grid: ThresholdGrid, score: float) -> int:
-    """Nearest grid point after clamping into the bandwidth; midpoints go low."""
-    return int(np.argmin(np.abs(grid.values - float(score))))
-
-
 def score_grid_indices(grid: ThresholdGrid, scores) -> np.ndarray:
-    s = np.asarray(scores, dtype=float)
-    return np.argmin(np.abs(s[..., None] - grid.values), axis=-1)
+    """Nearest grid point of each score after clamping into the bandwidth;
+    exact midpoints go to the lower point."""
+    vals = grid.values
+    s = np.clip(np.asarray(scores, dtype=float), vals[0], vals[-1])
+    hi = np.searchsorted(vals, s)  # first point >= s; in range after the clamp
+    lo = np.maximum(hi - 1, 0)
+    return np.where(s - vals[lo] <= vals[hi] - s, lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,16 +162,17 @@ def build_occurrence_model(train: DatasetManifest, grid: ThresholdGrid) -> Occur
     """
     n_obj, n_cls = len(train.vocabulary), len(train.classes)
     thetas = grid.values
+    best = max_scores(train)  # [n_records, n_obj]
+    labels = train.labels()
     probs = np.zeros((n_obj, n_cls, thetas.size))
     for c in range(n_cls):
-        recs = train.records_for_class(c)
-        if not recs:
+        rows = best[labels == c]
+        if not len(rows):
             raise ModelError(
                 f"scene class {train.classes.names[c]!r} has no labeled images"
             )
-        best = np.stack([max_scores(r, n_obj) for r in recs])  # [n_img, n_obj]
-        counts = (best[:, :, None] >= thetas).sum(axis=0)      # [n_obj, n_theta]
-        probs[:, c, :] = counts / len(recs)
+        counts = (rows[:, :, None] >= thetas).sum(axis=0)  # [n_obj, n_theta]
+        probs[:, c, :] = counts / len(rows)
     return OccurrenceModel(grid=grid, probs=probs)
 
 
@@ -217,21 +218,12 @@ def build_posterior_model(oom: OccurrenceModel, prior: ClassPrior,
     )
 
 
-def discriminability_at(post: PosteriorModel, object_index: int, theta_index: int) -> float:
-    """Largest gap between consecutive class posteriors, ranked descending.
+def discriminability_profile(post: PosteriorModel) -> np.ndarray:
+    """[n_objects, n_thresholds]: the largest gap between consecutive class
+    posteriors of each cell, ranked descending.
 
     Fallback cells score 0: they carry no evidence about the object.
     """
-    if post.n_classes < 2:
-        raise ValueError("discriminability needs at least 2 classes")
-    if post.fallback_mask[object_index, theta_index]:
-        return 0.0
-    col = np.sort(post.posteriors[object_index, :, theta_index])[::-1]
-    return float((col[:-1] - col[1:]).max())
-
-
-def discriminability_profile(post: PosteriorModel) -> np.ndarray:
-    """discriminability_at for every (object, threshold) cell, vectorized."""
     if post.n_classes < 2:
         raise ValueError("discriminability needs at least 2 classes")
     srt = np.sort(post.posteriors, axis=1)[:, ::-1, :]
@@ -262,17 +254,3 @@ def select_objects(post: PosteriorModel, count: int,
         selected=tuple(int(i) for i in order[:count]),
         aggregation=aggregation,
     )
-
-
-def posterior_at_score(post: PosteriorModel, object_index: int, score: float) -> np.ndarray:
-    """Posterior column for an arbitrary score: clamp into the bandwidth, then
-    nearest grid point (exact midpoints resolve to the lower point)."""
-    t = score_grid_index(post.grid, score)
-    return post.posteriors[object_index, :, t].copy()
-
-
-def posterior_columns(post: PosteriorModel, object_indices, scores) -> np.ndarray:
-    """Batch posterior_at_score: one row per (object, score) pair."""
-    obj = np.asarray(object_indices, dtype=int)
-    ts = score_grid_indices(post.grid, scores)
-    return post.posteriors[obj, :, ts]

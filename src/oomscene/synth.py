@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VariantError
-from .descriptor_hard import PyramidLayout, assign_region
+from .descriptor_hard import PyramidLayout, pyramid_regions
 from .ingest import (
     HARD,
     DatasetManifest,
@@ -29,6 +29,7 @@ from .ingest import (
     ObjectVocabulary,
     SceneClassSet,
     SoftPatch,
+    flatten_detections,
 )
 
 _TOPIC_RE = re.compile(r"_t(\d+)_")
@@ -267,32 +268,22 @@ def hidden_topics(manifest: DatasetManifest) -> np.ndarray:
     return np.array([hidden_topic_of(r.image_id) for r in manifest.records], dtype=int)
 
 
-def encode_rawscore_baseline(record: ImageRecord, n_objects: int,
+def encode_rawscore_manifest(manifest: DatasetManifest, n_objects: int,
                              layout: PyramidLayout = PyramidLayout()) -> np.ndarray:
-    """Per-object max raw score per pyramid region, concatenated.
+    """[n_records, region_count * n_objects]: per pyramid region, each
+    object's best raw score (0 where it is not detected or scores below 0).
 
     The un-quantized counterpart of the posterior descriptor: it inherits any
     score shift between domains verbatim.  Scores are used as-is (no clamp).
     """
-    if record.mode != HARD:
+    if manifest.mode != HARD:
         raise VariantError("the raw-score baseline needs hard detections")
-    out = np.zeros(layout.region_count * n_objects)
-    for det in record.detections:
-        offset = 0
-        for rows, cols in layout.levels:
-            reg = offset + assign_region(det.box, (rows, cols))
-            idx = reg * n_objects + det.object_index
-            if det.score > out[idx]:
-                out[idx] = det.score
-            offset += rows * cols
+    image, obj, score, box = flatten_detections(manifest)
+    region = pyramid_regions(box, layout)  # [n_levels, n]
+    out = np.zeros((len(manifest), layout.region_count * n_objects))
+    np.maximum.at(out, (np.broadcast_to(image, region.shape), region * n_objects + obj),
+                  np.broadcast_to(score, region.shape))
     return out
-
-
-def encode_rawscore_manifest(manifest: DatasetManifest, n_objects: int,
-                             layout: PyramidLayout = PyramidLayout()) -> np.ndarray:
-    return np.stack(
-        [encode_rawscore_baseline(r, n_objects, layout) for r in manifest.records]
-    )
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -78,6 +79,14 @@ def soft_record(patches, image_id="img", scene_class=0):
     return ImageRecord(image_id, scene_class, tuple(patches), "soft")
 
 
+def one_record_manifest(record, n_objects):
+    """A test-split manifest holding only the record, so per-record checks run
+    through the manifest-at-a-time encoders."""
+    n_classes = 1 if record.scene_class is None else record.scene_class + 1
+    return DatasetManifest(make_vocab(n_objects), make_classes(n_classes),
+                           (record,), "test", record.mode)
+
+
 def single_class_manifest(records, n_objects, n_classes=1, split_tag="train"):
     return DatasetManifest(make_vocab(n_objects), make_classes(n_classes),
                            tuple(records), split_tag, "hard")
@@ -120,6 +129,62 @@ def oracle_discriminability(column):
     """Sort-and-scan evaluation of the largest consecutive posterior gap."""
     ranked = sorted(column, reverse=True)
     return max(ranked[r] - ranked[r + 1] for r in range(len(ranked) - 1))
+
+
+def oracle_grid_index(grid, score):
+    """Nearest grid point by a full scan; argmin keeps the lowest index on ties."""
+    return int(np.argmin(np.abs(grid.values - float(score))))
+
+
+def oracle_region(box, level):
+    """Row-major region of the box centre on a (rows, cols) grid; centres on
+    an interior boundary go to the lower-index region."""
+    rows, cols = level
+    x0, y0, x1, y1 = box
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    col = min(cols - 1, max(0, math.ceil(cx * cols) - 1))
+    row = min(rows - 1, max(0, math.ceil(cy * rows) - 1))
+    return row * cols + col
+
+
+def _global_regions(box, layout):
+    offset = 0
+    for rows, cols in layout.levels:
+        yield offset + oracle_region(box, (rows, cols))
+        offset += rows * cols
+
+
+def oracle_encode_hard(record, post, sel, layout):
+    """One record's hard descriptor, detection by detection: per (region,
+    selected object), the posterior columns at the detections' grid points in
+    ascending grid order, added one after another, divided by their count."""
+    n_sel, n_cls = len(sel.selected), post.n_classes
+    buckets = {}
+    for det in record.detections:
+        if det.object_index not in sel.selected:
+            continue
+        i = sel.selected.index(det.object_index)
+        t = oracle_grid_index(post.grid, det.score)
+        for reg in _global_regions(det.box, layout):
+            buckets.setdefault((reg, i), []).append(t)
+    out = np.zeros((layout.region_count, n_sel, n_cls))
+    for (reg, i), ts in buckets.items():
+        total = np.zeros(n_cls)
+        for t in sorted(ts):
+            total = total + post.posteriors[sel.selected[i], :, t]
+        out[reg, i] = total / len(ts)
+    return out.reshape(-1)
+
+
+def oracle_rawscore(record, n_objects, layout):
+    """One record's raw-score baseline: per (region, object), the best raw
+    score, 0 where the object is not detected or scores below 0."""
+    out = np.zeros(layout.region_count * n_objects)
+    for det in record.detections:
+        for reg in _global_regions(det.box, layout):
+            idx = reg * n_objects + det.object_index
+            out[idx] = max(out[idx], det.score)
+    return out
 
 
 def oracle_vlad(V, centers, sigma):

@@ -26,24 +26,24 @@ from oomscene import (
     assign_topics_batch,
     build_occurrence_model,
     build_posterior_model,
-    discriminability_at,
-    encode_hard,
+    discriminability_profile,
     encode_hard_manifest,
     encode_rawscore_manifest,
-    encode_soft,
+    encode_soft_manifest,
     fit_codebook,
     fit_pca,
     fit_topics,
     generate,
     hidden_topics,
     hinge_objective,
-    patch_matrices,
     planted_spec,
     predict_batch,
     select_objects,
     soft_assignments,
     train_binary,
     train_ensemble,
+    training_patch_samples,
+    vlad,
 )
 from oomscene.cli import main
 from oomscene.pipeline import class_mean_accuracy
@@ -51,6 +51,7 @@ from oomscene.bundle import load_bundle
 from oomscene.ingest import parse_manifest, write_manifest
 from helpers import (
     hard_record,
+    one_record_manifest,
     oracle_batch_subgradient,
     oracle_discriminability,
     oracle_occurrence,
@@ -183,7 +184,7 @@ def test_criterion_3_discriminability_oracle_and_planted_ranking():
         post = build_posterior_model(OccurrenceModel(grid, probs),
                                      ClassPrior.uniform(n_cls))
         stored = post.posteriors[0, :, 0]
-        assert discriminability_at(post, 0, 0) == oracle_discriminability(stored)
+        assert discriminability_profile(post)[0, 0] == oracle_discriminability(stored)
 
     # planted one-hot occurrence objects always outrank uniform objects
     for trial in range(10):
@@ -211,7 +212,7 @@ def test_criterion_4_descriptor_dimensional_contract():
                                  ClassPrior.uniform(n_cls))
     sel = select_objects(post, 140)
     rec = hard_record([HardDetection(sel.selected[0], 0.5, (0.1, 0.1, 0.4, 0.4))])
-    vec = encode_hard(rec, post, sel, PyramidLayout())
+    vec = encode_hard_manifest(one_record_manifest(rec, n_obj), post, sel, PyramidLayout())[0]
     assert vec.size == 140 * 18 * 8 == 20160
     report(4, "hard descriptor length is exactly 20160 for 140 objects, "
               "18 classes, 1x1+2x2+3x1 pyramid")
@@ -243,8 +244,8 @@ def test_criterion_5_quantization_robustness(harness):
             dets.append(HardDetection(obj, base + delta, box))
             moved.append(HardDetection(obj, base + delta + eps, box))
         np.testing.assert_array_equal(
-            encode_hard(hard_record(dets), post, sel),
-            encode_hard(hard_record(moved), post, sel))
+            encode_hard_manifest(one_record_manifest(hard_record(dets), N_OBJECTS), post, sel),
+            encode_hard_manifest(one_record_manifest(hard_record(moved), N_OBJECTS), post, sel))
     report(5, f"mean drop {mean_drop_oom:+.4f} (posterior descriptor) <= "
               f"{mean_drop_raw:+.4f} (raw baseline) over 5 seeds; sub-grid "
               f"perturbations leave descriptors bit-identical "
@@ -312,26 +313,22 @@ def test_criterion_9_soft_path_checks():
     post = build_posterior_model(build_occurrence_model(m, grid),
                                  ClassPrior.uniform(2))
     sel = select_objects(post, 4)
-    samples = np.vstack([
-        np.stack([mm.reshape(-1) for mm in patch_matrices(r, post, sel)])
-        for r in m.records
-    ])
+    samples = training_patch_samples(m, post, sel)
     pca2 = fit_pca(samples, 5)
     cb = fit_codebook(pca2.project(samples), 3, seed=1)
     for rec in m.records[:6]:
-        V = pca2.project(np.stack([mm.reshape(-1)
-                                   for mm in patch_matrices(rec, post, sel)]))
+        V = pca2.project(training_patch_samples(one_record_manifest(rec, 4), post, sel))
         W = soft_assignments(cb, V)
         assert np.all(W >= 0)
         np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)
-        raw = encode_soft(rec, post, sel, pca2, cb, ssr=False, l2_normalize=False)
+        raw = vlad(W, V, cb.centers).reshape(-1)
         np.testing.assert_allclose(raw, oracle_vlad(V, cb.centers, cb.sigma),
                                    atol=1e-9)
-        out1 = encode_soft(rec, post, sel, pca2, cb)
+        out1 = encode_soft_manifest(one_record_manifest(rec, 4), post, sel, pca2, cb)[0]
         from oomscene.ingest import ImageRecord
         shuffled = ImageRecord(rec.image_id, rec.scene_class,
                                tuple(rec.detections[::-1]), "soft")
-        out2 = encode_soft(shuffled, post, sel, pca2, cb)
+        out2 = encode_soft_manifest(one_record_manifest(shuffled, 4), post, sel, pca2, cb)[0]
         np.testing.assert_allclose(out1, out2, atol=1e-10)
     report(9, "PCA lossless on rank-deficient data (1e-6); VLAD matches the "
               "double-loop oracle (1e-9); weights sum to 1; patch-order "

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from oomscene import (
     ClassPrior,
     CompatibilityError,
+    FormatError,
     PcaTransform,
     PipelineConfig,
     PipelineError,
@@ -229,4 +230,16 @@ def test_forged_shapes_name_the_component(workdir, trained, forge, field):
     path = workdir / "forged.bundle"
     _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
     with pytest.raises(CompatibilityError, match=field):
+        load_bundle(path)
+
+
+def test_forged_pyramid_is_refused_before_encoding(workdir, trained):
+    # without an ensemble no descriptor length bounds the layout; 3000 x 3000
+    # regions would make every encoded image take gigabytes
+    arrays = []
+    tree = _to_tree(replace(trained, topics=None, ensemble=None), arrays)
+    tagged(tree, {"PyramidLayout"})[0]["PyramidLayout"]["levels"] = [[3000, 3000]]
+    path = workdir / "forged.bundle"
+    _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
+    with pytest.raises(FormatError, match="bundle.layout: PyramidLayout.*9000000 regions"):
         load_bundle(path)

@@ -252,6 +252,27 @@ class TestTrainEvalPredict:
         assert "topics" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("missing", ["bundle", "test"])
+    def test_missing_input_file(self, missing, trained_bundle, synth_files, tmp_path,
+                                capsys):
+        paths = {"bundle": str(trained_bundle), "test": str(synth_files / "target.txt")}
+        paths[missing] = str(tmp_path / "nope")
+        rc = main(["eval", "--bundle", paths["bundle"], "--test", paths["test"],
+                   "--out-prefix", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope" in err
+
+    def test_oversized_pyramid_is_refused(self, synth_files, tmp_path, capsys):
+        rc = main(["train", "--train", str(synth_files / "source.txt"),
+                   "--out", str(tmp_path / "m.bundle"), "--set", "pyramid=3000x3000"]
+                  + SMALL)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "regions" in err
+
+
 class TestStagedCommands:
     def test_build_oom_inspect_select_encode_cluster(self, synth_files, tmp_path):
         oom_path = tmp_path / "oom.bin"

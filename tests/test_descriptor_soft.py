@@ -7,17 +7,19 @@ from oomscene import (
     VariantError,
     VladCodebook,
     build_posterior_model,
-    encode_soft,
+    encode_soft_manifest,
     fit_codebook,
     fit_pca,
-    patch_matrices,
-    posterior_at_score,
     select_objects,
     soft_assignments,
+    training_patch_samples,
+    vlad,
 )
 from oomscene.ingest import HardDetection, SoftPatch
 from helpers import (
     hard_record,
+    one_record_manifest,
+    oracle_grid_index,
     oracle_vlad,
     random_soft_manifest,
     soft_record,
@@ -32,6 +34,28 @@ def soft_model(rng, n_classes=2, n_objects=3, n_images=10):
                                  ClassPrior.uniform(n_classes))
     sel = select_objects(post, n_objects)
     return m, post, sel
+
+
+def patch_matrices(rec, post, sel):
+    """[patches, selected objects, classes]: one record's patch posteriors."""
+    X = training_patch_samples(one_record_manifest(rec, post.n_objects), post, sel)
+    return X.reshape(len(X), len(sel.selected), post.n_classes)
+
+
+def posterior_at_score(post, obj, score):
+    return post.posteriors[obj, :, oracle_grid_index(post.grid, score)]
+
+
+def encode_soft(rec, post, sel, pca, cb):
+    """One record's descriptor through the manifest encoder."""
+    manifest = one_record_manifest(rec, post.n_objects)
+    return encode_soft_manifest(manifest, post, sel, pca, cb)[0]
+
+
+def ssr_l2(vec):
+    vec = np.sign(vec) * np.sqrt(np.abs(vec))
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
 
 
 class TestPatchMatrices:
@@ -70,6 +94,13 @@ class TestPatchMatrices:
         rec = hard_record([HardDetection(0, 0.5, (0.1, 0.1, 0.2, 0.2))])
         with pytest.raises(VariantError):
             patch_matrices(rec, post, sel)
+
+    def test_manifest_rows_follow_records_and_patches(self):
+        rng = np.random.default_rng(35)
+        m, post, sel = soft_model(rng)
+        want = np.vstack([patch_matrices(r, post, sel).reshape(len(r.detections), -1)
+                          for r in m.records])
+        np.testing.assert_array_equal(training_patch_samples(m, post, sel), want)
 
 
 class TestFitPca:
@@ -164,10 +195,7 @@ class TestFitCodebook:
 class TestEncodeSoft:
     def _setup(self, rng, k=3, p=4):
         m, post, sel = soft_model(rng, n_classes=2, n_objects=3, n_images=12)
-        samples = np.vstack([
-            np.stack([mm.reshape(-1) for mm in patch_matrices(r, post, sel)])
-            for r in m.records
-        ])
+        samples = training_patch_samples(m, post, sel)
         pca = fit_pca(samples, p)
         cb = fit_codebook(pca.project(samples), k, seed=0)
         return m, post, sel, pca, cb
@@ -189,25 +217,38 @@ class TestEncodeSoft:
         cb = VladCodebook(centers=np.zeros((1, pca.out_dim)), sigma=1.0)
         one_patch = soft_record([rec.detections[0]])
         v = pca.project(patch_matrices(one_patch, post, sel)[0].reshape(-1))
-        out = encode_soft(one_patch, post, sel, pca, cb, ssr=False)
-        np.testing.assert_allclose(out, v / np.linalg.norm(v), atol=1e-12)
+        W = soft_assignments(cb, v)
+        np.testing.assert_allclose(vlad(W, v[None, :], cb.centers).reshape(-1), v,
+                                   atol=1e-15)
+        out = encode_soft(one_patch, post, sel, pca, cb)
+        np.testing.assert_allclose(out, ssr_l2(v), atol=1e-12)
 
     def test_matches_naive_vlad_oracle(self):
         rng = np.random.default_rng(46)
         m, post, sel, pca, cb = self._setup(rng)
         for rec in m.records[:6]:
-            raw = encode_soft(rec, post, sel, pca, cb, ssr=False,
-                              l2_normalize=False)
-            V = pca.project(np.stack([mm.reshape(-1)
-                                      for mm in patch_matrices(rec, post, sel)]))
+            V = pca.project(patch_matrices(rec, post, sel).reshape(len(rec.detections), -1))
+            raw = vlad(soft_assignments(cb, V), V, cb.centers).reshape(-1)
             np.testing.assert_allclose(raw, oracle_vlad(V, cb.centers, cb.sigma),
                                        atol=1e-9)
+
+    def test_manifest_rows_match_the_oracle(self):
+        rng = np.random.default_rng(51)
+        m, post, sel, pca, cb = self._setup(rng)
+        X = encode_soft_manifest(m, post, sel, pca, cb)
+        assert X.shape == (len(m), cb.size * pca.out_dim)
+        for row, rec in zip(X, m.records):
+            V = pca.project(patch_matrices(rec, post, sel).reshape(len(rec.detections), -1))
+            # the square root turns a rounding difference e of a VLAD entry
+            # near zero into up to sqrt(e): 1e-7 covers e up to 1e-14
+            np.testing.assert_allclose(row, ssr_l2(oracle_vlad(V, cb.centers, cb.sigma)),
+                                       atol=1e-7)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(47)
         m, post, sel, pca, cb = self._setup(rng)
-        V = pca.project(np.stack([mm.reshape(-1)
-                                  for mm in patch_matrices(m.records[0], post, sel)]))
+        V = pca.project(training_patch_samples(one_record_manifest(m.records[0], 3),
+                                               post, sel))
         W = soft_assignments(cb, V)
         assert np.all(W >= 0)
         np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)

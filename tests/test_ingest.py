@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oomscene import (
     DimensionError,
@@ -7,17 +11,21 @@ from oomscene import (
     HardDetection,
     ImageRecord,
     ParseError,
+    PipelineError,
     SoftPatch,
-    VariantError,
     VocabularyError,
     max_scores,
     parse_manifest,
     parse_manifest_text,
-    threshold_indicator,
     to_text,
     write_manifest,
 )
-from helpers import hard_record, random_hard_manifest, random_soft_manifest
+from helpers import (
+    hard_record,
+    one_record_manifest,
+    random_hard_manifest,
+    random_soft_manifest,
+)
 
 HARD_TEXT = """\
 #vocab chair table lamp
@@ -167,6 +175,12 @@ class TestRoundTrip:
             assert to_text(parse_manifest_text(to_text(m))) == to_text(m)
 
 
+def threshold_indicator(record, object_index, theta):
+    """1 iff the record's best detection of the object scores at least theta,
+    as the occurrence model counts it."""
+    return int(max_scores(one_record_manifest(record, 3))[0, object_index] >= theta)
+
+
 class TestThresholdIndicator:
     def _record(self):
         return hard_record([
@@ -187,18 +201,14 @@ class TestThresholdIndicator:
     def test_score_equal_to_threshold_counts(self):
         assert threshold_indicator(self._record(), 0, 0.8) == 1
 
-    def test_soft_record_rejected(self):
-        rec = ImageRecord("s", 0, (SoftPatch(0, [0.1, 0.2, 0.3]),), "soft")
-        with pytest.raises(VariantError):
-            threshold_indicator(rec, 0, 0.5)
-
     def test_non_increasing_in_theta(self):
         rng = np.random.default_rng(3)
         m = random_hard_manifest(rng, 2, 4, 10)
+        best = max_scores(m)
         thetas = np.linspace(0, 1, 21)
-        for rec in m.records:
+        for row in best:
             for o in range(4):
-                vals = [threshold_indicator(rec, o, t) for t in thetas]
+                vals = [int(row[o] >= t) for t in thetas]
                 assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -208,7 +218,7 @@ class TestMaxScores:
             HardDetection(1, 0.3, (0.1, 0.1, 0.2, 0.2)),
             HardDetection(1, 0.8, (0.1, 0.1, 0.2, 0.2)),
         ])
-        out = max_scores(rec, 3)
+        out = max_scores(one_record_manifest(rec, 3))[0]
         assert out[1] == 0.8
         assert np.isneginf(out[0]) and np.isneginf(out[2])
 
@@ -218,4 +228,81 @@ class TestMaxScores:
             (SoftPatch(0, [0.1, 0.9, 0.2]), SoftPatch(1, [0.4, 0.1, 0.3])),
             "soft",
         )
-        np.testing.assert_array_equal(max_scores(rec, 3), [0.4, 0.9, 0.3])
+        np.testing.assert_array_equal(max_scores(one_record_manifest(rec, 3)),
+                                      [[0.4, 0.9, 0.3]])
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_one_row_per_record(self, mode):
+        rng = np.random.default_rng(4)
+        make = random_hard_manifest if mode == "hard" else random_soft_manifest
+        m = make(rng, 2, 5, 12)
+        best = max_scores(m)
+        assert best.shape == (12, 5)
+        for row, rec in zip(best, m.records):
+            if mode == "hard":
+                want = [max((d.score for d in rec.detections if d.object_index == o),
+                            default=-np.inf) for o in range(5)]
+            else:
+                want = np.max([p.scores for p in rec.detections], axis=0)
+            np.testing.assert_array_equal(row, want)
+
+
+# faults of the whole file, which no single line carries
+_WHOLE_FILE = re.compile(r"missing #vocab|empty manifest|training manifest has no images")
+_JUNK = ["nan", "inf", "-inf", "1e999", "abc", "sofa", "garage", "?", "-1", "0.5",
+         "7", "domain=x", "#vocab", "#mode", "img", "det", "patch"]
+
+
+@st.composite
+def mutated_manifests(draw):
+    lines = draw(st.sampled_from([HARD_TEXT, SOFT_TEXT])).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "tokens"]))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            toks = lines[i].split()
+            k = draw(st.integers(0, len(toks)))
+            tok_op = draw(st.sampled_from(["drop", "duplicate", "swap", "insert"]))
+            if tok_op == "insert" or not toks:
+                toks.insert(k, draw(st.sampled_from(_JUNK)))
+            else:
+                k = min(k, len(toks) - 1)
+                if tok_op == "drop":
+                    del toks[k]
+                elif tok_op == "duplicate":
+                    toks.insert(k, toks[k])
+                else:
+                    j = draw(st.integers(0, len(toks) - 1))
+                    toks[k], toks[j] = toks[j], toks[k]
+            lines[i] = " ".join(toks)
+    return "\n".join(lines)
+
+
+class TestFuzzedManifests:
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_manifests())
+    def test_parses_or_names_the_faulty_line(self, text):
+        try:
+            parse_manifest_text(text)
+        except PipelineError as exc:
+            assert re.search(r"\bline \d+: ", str(exc)) or _WHOLE_FILE.search(str(exc)), \
+                str(exc)
+
+    @pytest.mark.parametrize("text, old, new, line", [
+        (HARD_TEXT, "det chair 0.9", "det sofa 0.9", 7),
+        (HARD_TEXT, "img a1 cafe", "img a1 garage", 11),
+        (SOFT_TEXT, "patch 1 0.3 0.2 0.4", "patch 1 0.3 nan 0.4", 8),
+        (SOFT_TEXT, "patch 1 0.3 0.2 0.4", "patch 1 0.3 inf 0.4", 8),
+        (SOFT_TEXT, "patch 0 0.6 0.6 0.6", "patch 0 0.6 0.6", 11),
+    ], ids=["unknown-object", "unknown-class", "nan-patch-score", "inf-patch-score",
+            "short-patch"])
+    def test_line_level_faults_name_the_line(self, text, old, new, line):
+        with pytest.raises(PipelineError, match=f"^line {line}: "):
+            parse_manifest_text(text.replace(old, new))

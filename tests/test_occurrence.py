@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oomscene import (
     ClassPrior,
@@ -11,10 +13,8 @@ from oomscene import (
     ThresholdGrid,
     build_occurrence_model,
     build_posterior_model,
-    discriminability_at,
     discriminability_profile,
-    posterior_at_score,
-    posterior_columns,
+    score_grid_indices,
     select_objects,
 )
 from helpers import (
@@ -22,6 +22,7 @@ from helpers import (
     make_classes,
     make_vocab,
     oracle_discriminability,
+    oracle_grid_index,
     oracle_occurrence,
     oracle_posterior_cell,
     random_hard_manifest,
@@ -261,22 +262,22 @@ class TestDiscriminability:
 
     def test_hand_example(self):
         post = self._post_from_columns(np.array([[0.6], [0.3], [0.08], [0.02]]))
-        assert discriminability_at(post, 0, 0) == pytest.approx(0.3)
+        assert discriminability_profile(post)[0, 0] == pytest.approx(0.3)
 
     def test_uniform_gives_zero(self):
         post = self._post_from_columns(np.full((4, 1), 0.25))
-        assert discriminability_at(post, 0, 0) == 0.0
+        assert discriminability_profile(post)[0, 0] == 0.0
 
     def test_one_hot_gives_one(self):
         post = self._post_from_columns(np.array([[1.0], [0.0], [0.0]]))
-        assert discriminability_at(post, 0, 0) == 1.0
+        assert discriminability_profile(post)[0, 0] == 1.0
 
     def test_fallback_cell_returns_zero(self):
         grid = ThresholdGrid(0.0, 1.0, 0.5)
         probs = np.zeros((1, 3, 3))
         post = build_posterior_model(OccurrenceModel(grid, probs),
                                      ClassPrior(np.array([0.5, 0.4, 0.1])))
-        assert discriminability_at(post, 0, 0) == 0.0
+        assert discriminability_profile(post)[0, 0] == 0.0
 
     def test_two_classes_required(self):
         grid = ThresholdGrid(0.0, 1.0, 0.5)
@@ -284,7 +285,7 @@ class TestDiscriminability:
         post = build_posterior_model(OccurrenceModel(grid, probs),
                                      ClassPrior.uniform(1))
         with pytest.raises(ValueError):
-            discriminability_at(post, 0, 0)
+            discriminability_profile(post)[0, 0]
 
     def test_matches_sort_scan_oracle(self):
         rng = np.random.default_rng(100)
@@ -294,7 +295,7 @@ class TestDiscriminability:
             col /= col.sum()
             post = self._post_from_columns(col[:, None])
             stored = post.posteriors[0, :, 0]
-            assert discriminability_at(post, 0, 0) == oracle_discriminability(stored)
+            assert discriminability_profile(post)[0, 0] == oracle_discriminability(stored)
 
     def test_range_zero_to_one(self):
         rng = np.random.default_rng(101)
@@ -361,6 +362,11 @@ class TestSelection:
         assert set(sel.selected) == set(special)
 
 
+def posterior_at_score(post, object_index, score):
+    """The posterior column the encoders look up for one score."""
+    return post.posteriors[object_index, :, score_grid_indices(post.grid, score)]
+
+
 class TestPosteriorAtScore:
     def _post(self):
         grid = ThresholdGrid(0.0, 1.0, 0.1)
@@ -400,9 +406,35 @@ class TestPosteriorAtScore:
     def test_batch_matches_scalar(self):
         post = self._post()
         rng = np.random.default_rng(10)
-        objs = rng.integers(0, 2, size=20)
-        scores = rng.uniform(-0.5, 1.5, size=20)
-        batch = posterior_columns(post, objs, scores)
-        for i in range(20):
-            np.testing.assert_array_equal(batch[i],
-                                          posterior_at_score(post, objs[i], scores[i]))
+        scores = rng.uniform(-0.5, 1.5, size=(4, 5))
+        ts = score_grid_indices(post.grid, scores)
+        assert ts.shape == scores.shape
+        for t, score in zip(ts.reshape(-1), scores.reshape(-1)):
+            assert t == oracle_grid_index(post.grid, score)
+
+
+@st.composite
+def grids_and_scores(draw):
+    lo = draw(st.floats(-2.0, 1.0))
+    step = draw(st.floats(1e-3, 1.0))
+    hi = lo + step * draw(st.floats(1.5, 60.0))
+    grid = ThresholdGrid(lo, hi, step)
+    vals = grid.values
+    t = st.integers(0, len(vals) - 1)
+    midpoint = st.builds(lambda i: 0.5 * (vals[max(i - 1, 0)] + vals[i]), t)
+    score = st.one_of(
+        st.floats(lo - 1.0, hi + 1.0),                          # random, out of range
+        st.builds(lambda i: float(vals[i]), t),                 # on a grid point
+        midpoint,                                               # exact midpoints
+        st.builds(np.nextafter, midpoint, st.sampled_from([-np.inf, np.inf])),
+    )
+    return grid, draw(st.lists(score, min_size=1, max_size=30))
+
+
+class TestScoreGridIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_scores())
+    def test_matches_the_argmin_oracle(self, case):
+        grid, scores = case
+        got = score_grid_indices(grid, scores)
+        assert list(got) == [oracle_grid_index(grid, s) for s in scores]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oomscene import (
     ClassPrior,
@@ -14,7 +16,7 @@ from oomscene import (
     build_occurrence_model,
     build_posterior_model,
     encode_hard_manifest,
-    encode_rawscore_baseline,
+    encode_rawscore_manifest,
     fit_topics,
     generate,
     hidden_topics,
@@ -23,7 +25,13 @@ from oomscene import (
     to_text,
 )
 from oomscene.ingest import ImageRecord, SoftPatch
-from helpers import hard_record
+from helpers import (
+    hard_record,
+    one_record_manifest,
+    oracle_rawscore,
+    random_hard_manifest,
+    single_class_manifest,
+)
 
 
 def small_spec(seed=0, shift=DomainShift()):
@@ -74,7 +82,7 @@ class TestGenerate:
         assert all(r.domain_tag == "target" for r in target.records)
         assert source.split_tag == "train"
         for c in range(3):
-            assert len(source.records_for_class(c)) == 20
+            assert np.sum(source.labels() == c) == 20
 
 
 class TestApplyShift:
@@ -83,21 +91,21 @@ class TestApplyShift:
         shift = DomainShift(0.3, 1.0, 0.0)
         shifted = apply_shift(source, shift, seed=0)
         layout = PyramidLayout()
-        for rec, rec_s in zip(source.records[:10], shifted.records[:10]):
-            v = encode_rawscore_baseline(rec, 12, layout)
-            vs = encode_rawscore_baseline(rec_s, 12, layout)
+        V = encode_rawscore_manifest(source, 12, layout)
+        VS = encode_rawscore_manifest(shifted, 12, layout)
+        # cells without any detection stay empty (a clipped score of exactly
+        # 0.0 counts as a detection and shifts to 0.3)
+        all_high = single_class_manifest(
+            [hard_record([HardDetection(d.object_index, 1.0, d.box) for d in rec.detections])
+             for rec in source.records], 12, n_classes=3, split_tag="test")
+        detected = encode_rawscore_manifest(all_high, 12, layout) > 0
+        for v, vs, det in list(zip(V, VS, detected))[:10]:
             nz = v != 0
             np.testing.assert_array_equal(vs[nz], v[nz] + 0.3)
-            # cells without any detection stay empty (a clipped score of
-            # exactly 0.0 counts as a detection and shifts to 0.3)
-            detected = encode_rawscore_baseline(
-                hard_record([HardDetection(d.object_index, 1.0, d.box)
-                             for d in rec.detections]), 12, layout) > 0
-            assert not vs[~detected].any()
+            assert not vs[~det].any()
 
     def test_scale_applied_before_offset(self):
         rec = hard_record([HardDetection(0, 0.5, (0.1, 0.1, 0.3, 0.3))])
-        from helpers import single_class_manifest
         m = single_class_manifest([rec], 2)
         out = apply_shift(m, DomainShift(0.1, 2.0, 0.0), seed=0)
         assert out.records[0].detections[0].score == 2.0 * 0.5 + 0.1
@@ -107,6 +115,12 @@ class TestApplyShift:
         a = apply_shift(source, DomainShift(0.0, 1.0, 0.5), seed=3)
         b = apply_shift(source, DomainShift(0.0, 1.0, 0.5), seed=3)
         assert to_text(a) == to_text(b)
+
+
+def encode_rawscore_baseline(rec, n_objects, layout=PyramidLayout()):
+    """One record's baseline through the manifest encoder."""
+    return encode_rawscore_manifest(one_record_manifest(rec, n_objects), n_objects,
+                                    layout)[0]
 
 
 class TestRawScoreBaseline:
@@ -129,6 +143,17 @@ class TestRawScoreBaseline:
         rec = ImageRecord("s", 0, (SoftPatch(0, np.zeros(3)),), "soft")
         with pytest.raises(VariantError):
             encode_rawscore_baseline(rec, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), offset=st.sampled_from([-1.5, -0.2, 0.0, 0.4]))
+    def test_matches_per_record_max_oracle(self, seed, offset):
+        rng = np.random.default_rng(seed)
+        m = apply_shift(random_hard_manifest(rng, 2, 5, 8, split_tag="test"),
+                        DomainShift(offset, 1.0, 0.0), seed=0)  # negative scores too
+        layout = PyramidLayout(((1, 1), (2, 2), (3, 1)))
+        R = encode_rawscore_manifest(m, 5, layout)
+        for row, rec in zip(R, m.records):
+            np.testing.assert_array_equal(row, oracle_rawscore(rec, 5, layout))
 
 
 class TestClusterRecovery:
