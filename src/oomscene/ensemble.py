@@ -3,13 +3,14 @@
 Training minimizes (lam/2)||w||^2 + mean hinge loss by stochastic subgradient
 descent with the step schedule eta0 / (1 + eta0 * lam * t), shuffling samples
 each epoch.  Every binary problem on one set of samples trains in lockstep:
-one pass over the samples updates all of them, with each weight vector kept
-as a scale times a vector (Bottou 2010; Pegasos, Shalev-Shwartz et al. 2007)
-so the decay costs one multiply per problem and a sparse sample touches only
-its nonzero columns.  On topic d, every cross-validation pass (grid entries,
-folds and classes sharing a seed and epoch count, split so that a pass's
-weights stay small) and the final one-vs-rest pass each draw one permutation
-per epoch from a generator seeded with ``_derive_seed(seed, d)``.
+one pass over the samples updates all of them.  Each weight vector is kept
+as a scale times coefficients over the samples (lazy scaling, Bottou 2010;
+the kernelised Pegasos, Shalev-Shwartz et al. 2011, section 4), so the decay
+costs one multiply per problem, a margin is a row of coefficients times a
+column of the Gram matrix X X^T, and an update writes one coefficient.  On
+topic d, every cross-validation pass (grid entries, folds and classes
+sharing a seed and epoch count) and the final one-vs-rest pass each draw one
+permutation per epoch from a generator seeded with ``_derive_seed(seed, d)``.
 
 At prediction time a descriptor is scored by every topic's classifiers; the
 per-class decisions are pooled (sum by default, max for the ablation) and the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ModelError
 from .topics import KMeansModel, assign_topics_batch
 
 
@@ -34,10 +35,10 @@ class SgdConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if not self.eta0 > 0:
-            raise ValueError("eta0 must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        if not 0 < self.eta0 < np.inf:
+            raise ValueError(f"eta0 must be finite and positive, got {self.eta0}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
 
@@ -66,8 +67,13 @@ def _as_sample_matrix(samples) -> np.ndarray:
     return X
 
 
-# A scale below this is folded into its weight row before the next update.
+# A scale below this is folded into its coefficient row before the next update.
 _TINY_SCALE = 1e-9
+
+# A lockstep call on n samples and P problems holds the Gram matrix, 8 * n^2
+# bytes, and about 50 * P * n bytes of coefficients, labels and step schedule;
+# a call, or a topic in train_ensemble, with more samples than this is refused.
+_GRAM_MAX_SAMPLES = 8192
 
 
 def _sgd_lockstep(X, Y, active, lam, eta0, epochs: int, rng):
@@ -80,30 +86,29 @@ def _sgd_lockstep(X, Y, active, lam, eta0, epochs: int, rng):
     does what the scalar loop does: margin test, decay by
     ``1 - eta * lam``, then the hinge update if the margin was below 1.
 
-    Weights are held as ``w_p = s_p * V[p]`` so the decay is one multiply of
-    the scale vector.  A row with fewer than half its entries nonzero reads
-    and updates only those columns of V; any other row uses all of them.
-    Returns the weight matrix [P, d] and the biases [P].
+    Weights are held as coefficients over the samples, ``w_p = s_p * A[p] @ X``
+    (the kernelised Pegasos iteration): with the Gram matrix K = X X^T a
+    sample's margins are ``A @ K[i]``, the decay is one multiply of the scale
+    vector and an update writes one column of A.  More than
+    ``_GRAM_MAX_SAMPLES`` samples raise a ModelError before anything is
+    allocated.  Returns the coefficients [P, n], whose product with X is the
+    weight matrix, and the biases [P].
     """
     X = np.asarray(X, dtype=float)
-    n, d = X.shape
+    n = len(X)
+    if n > _GRAM_MAX_SAMPLES:
+        raise ModelError(f"SGD on {n} samples exceeds the limit of {_GRAM_MAX_SAMPLES} "
+                         "(its Gram matrix takes 8 * n^2 bytes)")
+    K = X @ X.T
     YT = np.ascontiguousarray(np.asarray(Y, dtype=float).T)   # [n, P]
     AT = np.ascontiguousarray(np.asarray(active, dtype=bool).T)
     lam = np.asarray(lam, dtype=float)
     eta0 = np.asarray(eta0, dtype=float)
     eta0_lam = eta0 * lam
-    P = lam.size
-    rows = []
-    for x in X:
-        cols = np.flatnonzero(x)
-        rows.append((cols, x[cols]) if 2 * cols.size < d else (None, x))
-    # Sparse rows read a few columns of V for every problem, dense rows update
-    # whole rows of V: store V contiguous along what most rows need.
-    n_sparse = sum(cols is not None for cols, _ in rows)
-    V = np.zeros((P, d), order="F" if 2 * n_sparse > n else "C")
-    s = np.ones(P)
-    b = np.zeros(P)
-    t = np.zeros(P)
+    A = np.zeros((lam.size, n))
+    s = np.ones(lam.size)
+    b = np.zeros(lam.size)
+    t = np.zeros(lam.size)
     for _ in range(epochs):
         order = rng.permutation(n)
         # every problem's step count, step size and decay at each visit
@@ -113,26 +118,20 @@ def _sgd_lockstep(X, Y, active, lam, eta0, epochs: int, rng):
         decay = np.where(seen, 1.0 - eta * lam, 1.0)
         t += seen.sum(axis=0)
         for k, i in enumerate(order):
-            cols, x = rows[i]
-            dots = V @ x if cols is None else V[:, cols] @ x
             y = YT[i]
-            violated = seen[k] & (y * (s * dots + b) < 1.0)
+            violated = seen[k] & (y * (s * (A @ K[i]) + b) < 1.0)
             s *= decay[k]
             if s.min(initial=1.0) < _TINY_SCALE:
                 low = s < _TINY_SCALE
-                V[low] *= s[low, None]
+                A[low] *= s[low, None]
                 s[low] = 1.0
             upd = np.flatnonzero(violated)
             if upd.size:
                 step = eta[k, upd] * y[upd]
                 b[upd] += step
-                coef = (step / s[upd])[:, None] * x
-                if cols is None:
-                    V[upd] += coef
-                else:
-                    V[np.ix_(upd, cols)] += coef
-    V *= s[:, None]
-    return np.ascontiguousarray(V), b
+                A[upd, i] += step / s[upd]
+    A *= s[:, None]
+    return A, b
 
 
 def train_binary(positives, negatives, cfg: SgdConfig) -> LinearClassifier:
@@ -147,10 +146,10 @@ def train_binary(positives, negatives, cfg: SgdConfig) -> LinearClassifier:
         raise ValueError("training needs at least one positive and one negative sample")
     X = np.vstack([P, N])
     y = np.concatenate([np.ones(len(P)), -np.ones(len(N))])
-    W, b = _sgd_lockstep(X, y[None, :], np.ones((1, len(X)), dtype=bool),
+    A, b = _sgd_lockstep(X, y[None, :], np.ones((1, len(X)), dtype=bool),
                          [cfg.lam], [cfg.eta0], cfg.epochs,
                          np.random.default_rng(cfg.seed))
-    return LinearClassifier(weights=W[0], bias=float(b[0]))
+    return LinearClassifier(weights=A[0] @ X, bias=float(b[0]))
 
 
 def _derive_seed(base_seed: int, *parts: int) -> int:
@@ -158,24 +157,17 @@ def _derive_seed(base_seed: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
-# Cross-validation trains its (grid entry, fold) one-vs-rest sets in passes
-# whose weight matrices stay within this many bytes, and validates a pass's
-# weights before it trains the next: with dense descriptors (soft VLAD,
-# d = 50000) all grid x fold x class problems at once would hold hundreds of MB.
-_CV_PASS_BYTES = 8 << 20
-
-
 def _one_vs_rest_lockstep(X, y, n_classes: int, units, salt: int):
     """One-vs-rest problems for every (config, training mask) unit, in one pass.
 
     All configs must share seed and epochs.  The pass draws its permutations
-    from a generator seeded with ``_derive_seed(seed, salt)``, so units split
-    over several passes see the same sample order.  Within a mask, a class
-    with no positives decides -1 everywhere and one with no negatives +1.
-    Returns weights [U, C, d] and biases [U, C].
+    from a generator seeded with ``_derive_seed(seed, salt)``.  Within a mask,
+    a class with no positives decides -1 everywhere and one with no negatives
+    +1 (its coefficients stay zero).  Returns the coefficients over the rows
+    of X [U, C, n] and the biases [U, C].
     """
     cfgs = [cfg for cfg, _ in units]
-    U, n, d = len(units), len(y), X.shape[1]
+    U, n = len(units), len(y)
     train_masks = np.array([mask for _, mask in units], dtype=bool).reshape(U, n)
     onehot = y[None, :] == np.arange(n_classes)[:, None]               # [C, n]
     has_pos = (train_masks[:, None, :] & onehot).any(axis=2)            # [U, C]
@@ -184,7 +176,7 @@ def _one_vs_rest_lockstep(X, y, n_classes: int, units, salt: int):
     active = train_masks[:, None, :] & trained[:, :, None]              # [U, C, n]
     Y = np.where(onehot, 1.0, -1.0)
     P = U * n_classes
-    W, b = _sgd_lockstep(
+    A, b = _sgd_lockstep(
         X,
         np.broadcast_to(Y, (U, n_classes, n)).reshape(P, n),
         active.reshape(P, n),
@@ -194,7 +186,7 @@ def _one_vs_rest_lockstep(X, y, n_classes: int, units, salt: int):
         np.random.default_rng(_derive_seed(cfgs[0].seed, salt)),
     )
     b = np.where(trained, b.reshape(U, n_classes), np.where(has_pos, 1.0, -1.0))
-    return W.reshape(U, n_classes, d), b
+    return A.reshape(U, n_classes, n), b
 
 
 def _fold_assignments(labels: np.ndarray, folds: int) -> np.ndarray:
@@ -211,37 +203,39 @@ def cross_validate(descriptors, labels, n_classes: int, grid, folds: int,
     """Pick the grid entry with the best mean validation accuracy.
 
     Samples are stratified into round-robin folds per class; ties keep the
-    earlier grid entry.  A single-entry grid short-circuits.  The (grid
-    entry, fold, class) problems of each distinct (seed, epochs) train in
-    lockstep passes seeded with ``_derive_seed(seed, salt)``, as many
-    (grid entry, fold) sets per pass as fit in ``_CV_PASS_BYTES`` of weights.
+    earlier grid entry.  A single-entry grid short-circuits, and so do
+    samples too few to hold out a fold.  The (grid entry, fold, class)
+    problems of each distinct (seed, epochs) train in one lockstep pass
+    seeded with ``_derive_seed(seed, salt)``; a fold's validation samples are
+    scored from the pass's coefficients and the Gram columns ``K[:, val]``,
+    without forming weight vectors.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    if folds < 2:
-        raise ValueError("cross-validation needs at least 2 folds")
     if len(grid) == 1:
         return grid[0]
+    if folds < 2:
+        raise ValueError("cross-validation needs at least 2 folds")
     X = np.asarray(descriptors, dtype=float)
     y = np.asarray(labels, dtype=int)
     fold_of = _fold_assignments(y, folds)
     val_masks = [fold_of == f for f in range(folds)]
     val_masks = [v for v in val_masks if v.any() and not v.all()]
-    per_pass = max(1, _CV_PASS_BYTES // (8 * n_classes * X.shape[1]))
+    if not val_masks:
+        return grid[0]
     accs = np.zeros((len(grid), len(val_masks)))
     for key in dict.fromkeys((cfg.seed, cfg.epochs) for cfg in grid):
-        units = [(g, m) for g, cfg in enumerate(grid) if (cfg.seed, cfg.epochs) == key
-                 for m in range(len(val_masks))]
-        for start in range(0, len(units), per_pass):
-            batch = units[start:start + per_pass]
-            W, b = _one_vs_rest_lockstep(
-                X, y, n_classes, [(grid[g], ~val_masks[m]) for g, m in batch], salt)
-            for (g, m), Wu, bu in zip(batch, W, b):
-                val = val_masks[m]
-                accs[g, m] = ((X[val] @ Wu.T + bu).argmax(axis=1) == y[val]).mean()
-    acc = accs.mean(axis=1) if val_masks else np.zeros(len(grid))
-    return grid[int(np.argmax(acc))]  # the first of tied entries
+        entries = [g for g, cfg in enumerate(grid) if (cfg.seed, cfg.epochs) == key]
+        A, b = _one_vs_rest_lockstep(
+            X, y, n_classes, [(grid[g], ~val) for g in entries for val in val_masks], salt)
+        A = A.reshape(len(entries), len(val_masks), n_classes, len(y))
+        b = b.reshape(len(entries), len(val_masks), n_classes)
+        for m, val in enumerate(val_masks):
+            # K[:, val] per fold: no second n x n matrix next to the kernel's
+            scores = A[:, m] @ (X @ X[val].T) + b[:, m, :, None]   # [G, C, n_val]
+            accs[entries, m] = (scores.argmax(axis=1) == y[val]).mean(axis=1)
+    return grid[int(np.argmax(accs.mean(axis=1)))]  # the first of tied entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,36 +266,38 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
     Hyperparameters come from cross-validation on each topic's samples.
     Topics too small to validate fall back to the first grid entry.  A class
     with no positives in a topic decides -1 everywhere there, one with no
-    negatives +1, which keeps pooled sums well-defined on any partition.
+    negatives +1, which keeps pooled sums well-defined on any partition.  A
+    topic with more than ``_GRAM_MAX_SAMPLES`` samples raises a ModelError
+    before any topic trains.
     """
     X = np.asarray(descriptors, dtype=float)
     y = np.asarray(labels, dtype=int)
     grid = list(grid)
-    if not grid:
-        raise ValueError("empty hyperparameter grid")
     if X.ndim != 2 or X.shape[1] != topics.dim:
         raise DimensionError("descriptors do not match the topic model dimension")
     topic_of, _ = assign_topics_batch(topics, X)
+    topic_sizes = np.bincount(topic_of, minlength=topics.n_topics)
+    if topic_sizes.max(initial=0) > _GRAM_MAX_SAMPLES:
+        d = int(topic_sizes.argmax())
+        raise ModelError(f"topic {d} has {topic_sizes[d]} training samples, above "
+                         f"the SGD limit of {_GRAM_MAX_SAMPLES}")
 
     weights = np.empty((n_classes, topics.n_topics, X.shape[1]))
     biases = np.empty((n_classes, topics.n_topics))
-    topic_sizes, chosen = [], []
+    chosen = []
     for d in range(topics.n_topics):
         mask = topic_of == d
         Xd, yd = X[mask], y[mask]
-        topic_sizes.append(int(mask.sum()))
-        if len(grid) == 1 or len(Xd) < 2:
-            cfg = grid[0]
-        else:
-            cfg = cross_validate(Xd, yd, n_classes, grid, folds, salt=d)
+        cfg = cross_validate(Xd, yd, n_classes, grid, folds, salt=d)
         chosen.append(cfg)
-        W, b = _one_vs_rest_lockstep(Xd, yd, n_classes,
+        A, b = _one_vs_rest_lockstep(Xd, yd, n_classes,
                                      [(cfg, np.ones(len(yd), dtype=bool))], salt=d)
-        weights[:, d], biases[:, d] = W[0], b[0]
+        weights[:, d], biases[:, d] = A[0] @ Xd, b[0]
     return TopicEnsemble(
         weights=weights,
         biases=biases,
-        training_meta={"topic_sizes": tuple(topic_sizes), "configs": tuple(chosen)},
+        training_meta={"topic_sizes": tuple(int(v) for v in topic_sizes),
+                       "configs": tuple(chosen)},
     )
 
 

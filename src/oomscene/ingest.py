@@ -250,12 +250,14 @@ def max_scores(manifest: DatasetManifest) -> np.ndarray:
     for objects it never detects.
 
     For soft records the best score over all patches stands in for the
-    image-level confidence.
+    image-level confidence: one reduction over each record's contiguous rows.
     """
     out = np.full((len(manifest), len(manifest.vocabulary)), -np.inf)
     if manifest.mode == SOFT:
         image, scores = flatten_detections(manifest)
-        np.maximum.at(out, image, scores)
+        rows, starts = np.unique(image, return_index=True)
+        if rows.size:  # a manifest without patches has no segment to reduce
+            out[rows] = np.maximum.reduceat(scores, starts, axis=0)
     else:
         image, obj, score, _ = flatten_detections(manifest)
         np.maximum.at(out, (image, obj), score)

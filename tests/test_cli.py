@@ -140,6 +140,19 @@ class TestConfig:
         assert rc == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair, field", [("sgd_lambdas=inf", "lam"),
+                                             ("sgd_eta0s=1,inf", "eta0"),
+                                             ("sgd_lambdas=nan", "lam")])
+    def test_non_finite_sgd_value_refused(self, pair, field, synth_files, tmp_path,
+                                          capsys):
+        # it used to train NaN weights and predict the first class everywhere
+        out = tmp_path / "m.bundle"
+        rc = main(["train", "--train", str(synth_files / "source.txt"),
+                   "--out", str(out), *SMALL, "--set", pair])
+        assert rc == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_writes_manifests_and_sidecars(self, tmp_path):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oomscene import (
     DimensionError,
+    ModelError,
     SgdConfig,
     cross_validate,
     fit_topics,
@@ -109,6 +112,14 @@ class TestTrainBinary:
         with pytest.raises(ValueError):
             SgdConfig(lam=1.0, eta0=1.0, epochs=0, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_config_rejects_non_finite(self, bad):
+        # an infinite lambda or step size trains NaN weights
+        with pytest.raises(ValueError, match="lam"):
+            SgdConfig(lam=bad, eta0=1.0, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="eta0"):
+            SgdConfig(lam=1.0, eta0=bad, epochs=1, seed=0)
+
 
 # (lam, eta0) per problem; eta0 * lam >= 1 makes the first decay factor <= 0
 STEP_PARAMS = st.one_of(
@@ -139,13 +150,28 @@ class TestSgdLockstep:
         active = rng.random((len(problems), n)) < [[q] for _, q in problems]
         lam = [lam for (lam, _), _ in problems]
         eta0 = [eta0 for (_, eta0), _ in problems]
-        W, b = _sgd_lockstep(X, Y, active, lam, eta0, epochs,
+        A, b = _sgd_lockstep(X, Y, active, lam, eta0, epochs,
                              np.random.default_rng(perm_seed))
+        W = A @ X
         perm_rng = np.random.default_rng(perm_seed)
         order = np.concatenate([perm_rng.permutation(n) for _ in range(epochs)])
         for p in range(len(problems)):
             w, bias = oracle_sgd(X, Y[p], lam[p], eta0[p], order[active[p, order]])
             assert_close_to_oracle(W[p], b[p], w, bias)
+
+    def test_gram_bound_refuses_before_allocating(self):
+        n = ensemble_module._GRAM_MAX_SAMPLES + 1
+        X = np.broadcast_to(np.ones(3), (n, 3))   # views: no sample memory
+        Y = np.broadcast_to(np.ones(1), (1, n))
+        active = np.broadcast_to(np.ones(1, dtype=bool), (1, n))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match=str(n)):
+                _sgd_lockstep(X, Y, active, [1.0], [0.5], 1, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the Gram matrix alone would take 8 * n^2 bytes
 
 
 class TestCrossValidate:
@@ -160,6 +186,10 @@ class TestCrossValidate:
     def test_single_entry_short_circuit(self):
         cfg = CFG
         assert cross_validate(np.zeros((2, 1)), [0, 1], 2, [cfg], 5) is cfg
+        # nothing to choose: the fold count is not checked
+        assert cross_validate(np.zeros((2, 1)), [0, 1], 2, [cfg], 1) is cfg
+        with pytest.raises(ValueError, match="2 folds"):
+            cross_validate(np.zeros((2, 1)), [0, 1], 2, [cfg, cfg], 1)
 
     def test_dominant_config_wins(self):
         rng = np.random.default_rng(63)
@@ -200,29 +230,30 @@ class TestCrossValidate:
         tied = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
         assert cross_validate(X, y, 2, [bad, good, tied], 5) is good
 
-    def test_split_passes_train_the_same_weights(self, monkeypatch):
-        rng = np.random.default_rng(67)
-        X, y = make_blob_problem(rng)
-        grid = [SgdConfig(lam=lam, eta0=0.5, epochs=5, seed=2) for lam in (1e-4, 1e-2, 1.0)]
-        real = ensemble_module._one_vs_rest_lockstep
-
-        def recorded(passes):
-            def wrapped(*args):
-                W, b = real(*args)
-                passes.append(list(zip(W, b)))
-                return W, b
-            return wrapped
-
-        whole, split = [], []
-        monkeypatch.setattr(ensemble_module, "_one_vs_rest_lockstep", recorded(whole))
-        chosen = cross_validate(X, y, 3, grid, 4)
-        monkeypatch.setattr(ensemble_module, "_CV_PASS_BYTES", 1)
-        monkeypatch.setattr(ensemble_module, "_one_vs_rest_lockstep", recorded(split))
-        assert cross_validate(X, y, 3, grid, 4) is chosen
-        assert len(whole) == 1 and len(split) == 12  # 3 grid entries x 4 folds
-        for (W1, b1), [(W2, b2)] in zip(whole[0], split):
-            for c in range(3):
-                assert_close_to_oracle(W2[c], b2[c], W1[c], b1[c])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        n_classes=st.integers(2, 3),
+        n=st.integers(4, 24),
+        dim=st.integers(1, 3),
+        folds=st.integers(2, 4),
+        salt=st.integers(0, 3),
+        grid=st.lists(st.builds(SgdConfig,
+                                lam=st.sampled_from([1e-4, 1e-2, 1.0, 1e3]),
+                                eta0=st.sampled_from([0.1, 0.5]),
+                                epochs=st.integers(1, 3),
+                                seed=st.integers(0, 1)),
+                      min_size=2, max_size=4),
+    )
+    def test_matches_bruteforce_oracle(self, data_seed, n_classes, n, dim, folds,
+                                       salt, grid):
+        # overlapping, unbalanced classes: validation scores, not training
+        # scores, and the biases decide which entry wins
+        rng = np.random.default_rng(data_seed)
+        y = rng.integers(0, n_classes, n)
+        X = rng.standard_normal((n_classes, dim))[y] + rng.standard_normal((n, dim))
+        chosen = cross_validate(X, y, n_classes, grid, folds, salt=salt)
+        assert chosen is oracle_cross_validate(X, y, n_classes, grid, folds, salt)
 
     def test_no_usable_fold_keeps_first(self):
         # one sample per class: the only nonempty fold holds every sample
@@ -233,6 +264,39 @@ class TestCrossValidate:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             cross_validate(np.zeros((2, 1)), [0, 1], 2, [], 5)
+
+
+def oracle_cross_validate(X, y, n_classes, grid, folds, salt):
+    """cross_validate by brute force: one scalar SGD run per (grid entry,
+    fold, class) over the permutations of ``default_rng(_derive_seed(seed,
+    salt))``, validation scores ``X[val] @ w + b``, the first best entry."""
+    fold_of = np.zeros(len(y), dtype=int)
+    for c in np.unique(y):
+        idx = np.flatnonzero(y == c)
+        fold_of[idx] = np.arange(idx.size) % folds
+    vals = [fold_of == f for f in range(folds)]
+    vals = [v for v in vals if v.any() and not v.all()]
+    if not vals:
+        return grid[0]
+    accs = []
+    for cfg in grid:
+        perm_rng = np.random.default_rng(_derive_seed(cfg.seed, salt))
+        order = np.concatenate([perm_rng.permutation(len(y)) for _ in range(cfg.epochs)])
+        fold_accs = []
+        for val in vals:
+            train = ~val
+            scores = np.empty((val.sum(), n_classes))
+            for c in range(n_classes):
+                pos, neg = (train & (y == c)).any(), (train & (y != c)).any()
+                if pos and neg:
+                    w, b = oracle_sgd(X, np.where(y == c, 1.0, -1.0), cfg.lam, cfg.eta0,
+                                      order[train[order]])
+                    scores[:, c] = X[val] @ w + b
+                else:
+                    scores[:, c] = 1.0 if pos else -1.0
+            fold_accs.append((scores.argmax(axis=1) == y[val]).mean())
+        accs.append(np.mean(fold_accs))
+    return grid[int(np.argmax(accs))]
 
 
 def make_blob_problem(rng, n_classes=3, n_per=15, dim=4):
@@ -304,6 +368,21 @@ class TestTrainEnsemble:
         ens = train_ensemble(X, y, 3, topics, [CFG], folds=5)
         assert sum(ens.training_meta["topic_sizes"]) == len(X)
         assert len(ens.training_meta["configs"]) == 2
+
+    def test_oversized_topic_refused_before_any_training(self, monkeypatch):
+        # a small topic that would train first and a large one over the limit
+        rng = np.random.default_rng(69)
+        X = np.vstack([rng.standard_normal((6, 2)) + 10, rng.standard_normal((20, 2)) - 10])
+        y = np.arange(len(X)) % 2
+        topics = fit_topics(X, 2, seed=0)
+        big = int(assign_topics_batch(topics, X[-1:])[0][0])
+        calls = []
+        monkeypatch.setattr(ensemble_module, "_GRAM_MAX_SAMPLES", 10)
+        monkeypatch.setattr(ensemble_module, "_sgd_lockstep",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ModelError, match=f"topic {big} has 20 training samples"):
+            train_ensemble(X, y, 2, topics, [CFG, CFG], folds=2)
+        assert calls == []
 
 
 def tiny_ensemble(decisions):

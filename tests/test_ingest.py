@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oomscene import (
+    DatasetManifest,
     DimensionError,
     FormatError,
     HardDetection,
@@ -22,9 +23,12 @@ from oomscene import (
 )
 from helpers import (
     hard_record,
+    make_classes,
+    make_vocab,
     one_record_manifest,
     random_hard_manifest,
     random_soft_manifest,
+    soft_record,
 )
 
 HARD_TEXT = """\
@@ -245,6 +249,22 @@ class TestMaxScores:
             else:
                 want = np.max([p.scores for p in rec.detections], axis=0)
             np.testing.assert_array_equal(row, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           patch_counts=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+           n_objects=st.integers(1, 5))
+    def test_soft_matches_per_record_max(self, seed, patch_counts, n_objects):
+        # records without patches included, alone or between others
+        rng = np.random.default_rng(seed)
+        records = [soft_record([SoftPatch(k, rng.random(n_objects)) for k in range(n)],
+                               image_id=f"img{i}", scene_class=None)
+                   for i, n in enumerate(patch_counts)]
+        m = DatasetManifest(make_vocab(n_objects), make_classes(1), tuple(records),
+                            "test", "soft")
+        want = [np.max([p.scores for p in rec.detections], axis=0)
+                if rec.detections else np.full(n_objects, -np.inf) for rec in records]
+        np.testing.assert_array_equal(max_scores(m), np.reshape(want, (len(records), n_objects)))
 
 
 # faults of the whole file, which no single line carries
