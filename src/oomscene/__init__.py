@@ -34,11 +34,11 @@ from .ensemble import (
     LinearClassifier,
     SgdConfig,
     TopicEnsemble,
-    cross_validate,
     hinge_objective,
     predict_batch,
     train_binary,
     train_ensemble,
+    train_one_vs_rest,
 )
 from .errors import (
     CompatibilityError,

@@ -59,10 +59,10 @@ class PipelineConfig:
     theta_min: float = 0.0
     theta_max: float = 1.0
     delta_theta: float = 0.05
-    prior: str = "uniform"          # or "empirical"
-    fallback: str = "prior"         # or "last-valid"
+    prior: str = "uniform"
+    fallback: str = "prior"
     object_count: int = PROFILES["snapstore"][HARD]
-    phi_aggregation: str = "max"    # or "mean"
+    phi_aggregation: str = "max"
     pyramid: tuple[tuple[int, int], ...] = DEFAULT_LEVELS
     pca_dim: int = DEFAULT_PCA_DIM
     codebook_size: int = 100
@@ -74,12 +74,27 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in (HARD, SOFT):
-            raise ValueError(f"mode must be 'hard' or 'soft', got {self.mode!r}")
         object.__setattr__(self, "pyramid",
                            tuple((int(r), int(c)) for r, c in self.pyramid))
         object.__setattr__(self, "sgd_lambdas", tuple(float(v) for v in self.sgd_lambdas))
         object.__setattr__(self, "sgd_eta0s", tuple(float(v) for v in self.sgd_eta0s))
+        for name, known in (("mode", (HARD, SOFT)), ("prior", ("uniform", "empirical")),
+                            ("fallback", ("prior", "last-valid")),
+                            ("phi_aggregation", ("max", "mean"))):
+            if getattr(self, name) not in known:
+                raise ValueError(f"{name} must be one of {known}, got {getattr(self, name)!r}")
+        for name in ("object_count", "pca_dim", "codebook_size", "topic_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not self.sgd_lambdas or not self.sgd_eta0s:
+            raise ValueError("sgd_lambdas and sgd_eta0s each need at least one value")
+        self.threshold_grid()  # the grid's and the layout's own checks
+        self.pyramid_layout()
+        if len(self.sgd_grid()) > 1 and self.folds < 2:
+            raise ValueError(f"folds must be at least 2 to choose among grid entries, "
+                             f"got {self.folds}")
 
     def threshold_grid(self) -> ThresholdGrid:
         return ThresholdGrid(self.theta_min, self.theta_max, self.delta_theta)
@@ -126,9 +141,9 @@ def _parse_config_value(name: str, text: str, target_type):
     return text
 
 
-def config_from_pairs(pairs, base: Optional[PipelineConfig] = None) -> PipelineConfig:
-    """Apply 'key=value' strings over a base config."""
-    cfg = base if base is not None else PipelineConfig()
+def config_from_pairs(pairs) -> PipelineConfig:
+    """The default config with 'key=value' strings applied; a later pair of a
+    key overrides an earlier one, and the result is checked as a whole."""
     known = {f.name for f in fields(PipelineConfig)}
     defaults = PipelineConfig()
     updates = {}
@@ -140,18 +155,14 @@ def config_from_pairs(pairs, base: Optional[PipelineConfig] = None) -> PipelineC
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
         updates[key] = _parse_config_value(key, value, type(getattr(defaults, key)))
-    return replace(cfg, **updates)
+    return replace(defaults, **updates)
 
 
-def config_from_file(path, base: Optional[PipelineConfig] = None) -> PipelineConfig:
-    """Flat key=value config file; blank lines and '#' comments are skipped."""
-    pairs = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        pairs.append(line)
-    return config_from_pairs(pairs, base=base)
+def config_file_pairs(path) -> list[str]:
+    """The key=value lines of a flat config file; blank lines and '#'
+    comments are skipped."""
+    lines = (raw.strip() for raw in Path(path).read_text(encoding="utf-8").splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 @dataclass(eq=False)

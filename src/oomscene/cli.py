@@ -21,7 +21,7 @@ import numpy as np
 from .bundle import (
     ModelBundle,
     PipelineConfig,
-    config_from_file,
+    config_file_pairs,
     config_from_pairs,
     load_bundle,
     save_bundle,
@@ -103,11 +103,9 @@ def _write_confusion(path, manifest, pred, y_true):
 # ------------------------------------------------------------- commands
 
 def _config_from_args(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = config_from_file(args.config, base=cfg)
-    if getattr(args, "set", None):
-        cfg = config_from_pairs(args.set, base=cfg)
+    # the file's pairs, then --set's, make one config
+    pairs = config_file_pairs(args.config) if getattr(args, "config", None) else []
+    cfg = config_from_pairs(pairs + (getattr(args, "set", None) or []))
     if getattr(args, "profile", None):
         cfg = cfg.with_profile(args.profile)
     return cfg

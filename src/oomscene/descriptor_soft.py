@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VariantError
+from .errors import FormatError, VariantError
 from .ingest import SOFT, DatasetManifest, flatten_detections
 from .occurrence import DiscriminantSelection, PosteriorModel, score_grid_indices
 from .topics import _squared_distances, fit_topics, nearest_centroids
@@ -20,14 +20,20 @@ from .topics import _squared_distances, fit_topics, nearest_centroids
 
 def _patch_posteriors(manifest: DatasetManifest, post: PosteriorModel,
                       sel: DiscriminantSelection):
-    """(image, X): the record index of every patch and its flattened
-    [selected objects x classes] posterior matrix, one row per patch."""
+    """(bounds, X): record i's patches are the rows bounds[i]:bounds[i + 1]
+    of X, each its flattened [selected objects x classes] posterior matrix.
+    A record without patches raises a FormatError naming it."""
     if manifest.mode != SOFT:
         raise VariantError("soft descriptors need a soft-detection manifest")
     image, scores = flatten_detections(manifest)
+    bounds = np.searchsorted(image, np.arange(len(manifest) + 1))
+    empty = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if empty.size:
+        raise FormatError(f"empty bag: record {manifest.records[empty[0]].image_id!r} "
+                          f"has no patches")
     obj = np.asarray(sel.selected, dtype=np.intp)
     ts = score_grid_indices(post.grid, scores[:, obj])  # [n_patches, n_sel]
-    return image, post.posteriors[obj, :, ts].reshape(len(scores), obj.size * post.n_classes)
+    return bounds, post.posteriors[obj, :, ts].reshape(len(scores), obj.size * post.n_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +152,7 @@ def encode_soft_manifest(manifest: DatasetManifest, post: PosteriorModel,
     signed-square-rooted and L2-normalized.  A VLAD that accumulates to
     exactly zero is returned unnormalized.
     """
-    image, X = _patch_posteriors(manifest, post, sel)
-    bounds = np.searchsorted(image, np.arange(len(manifest) + 1))
-    empty = np.flatnonzero(bounds[1:] == bounds[:-1])
-    if empty.size:
-        raise ValueError(f"empty bag: record {manifest.records[empty[0]].image_id!r} "
-                         f"has no patches")
+    bounds, X = _patch_posteriors(manifest, post, sel)
     V = pca.project(X)
     del X  # the largest temporary: free it before the output is allocated
     W = soft_assignments(cb, V)
@@ -169,5 +170,5 @@ def training_patch_samples(manifest: DatasetManifest, post: PosteriorModel,
     """Flattened patch posterior matrices of every record, stacked for PCA fitting."""
     _, X = _patch_posteriors(manifest, post, sel)
     if not len(X):
-        raise ValueError("manifest has no patches to fit on")
+        raise FormatError("manifest has no records to fit on")
     return X

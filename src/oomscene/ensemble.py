@@ -8,9 +8,9 @@ as a scale times coefficients over the samples (lazy scaling, Bottou 2010;
 the kernelised Pegasos, Shalev-Shwartz et al. 2011, section 4), so the decay
 costs one multiply per problem, a margin is a row of coefficients times a
 column of the Gram matrix X X^T, and an update writes one coefficient.  On
-topic d, every cross-validation pass (grid entries, folds and classes
-sharing a seed and epoch count) and the final one-vs-rest pass each draw one
-permutation per epoch from a generator seeded with ``_derive_seed(seed, d)``.
+topic d, the cross-validation problems (grid entries, folds and classes),
+then the chosen entry's problems on all samples, train in two passes over one
+Gram matrix; each pass seeds its permutations with ``_derive_seed(seed, d)``.
 
 At prediction time a descriptor is scored by every topic's classifiers; the
 per-class decisions are pooled (sum by default, max for the ablation) and the
@@ -60,24 +60,27 @@ def hinge_objective(clf: LinearClassifier, X, y, lam: float) -> float:
     return reg + float(np.maximum(0.0, 1.0 - margins).mean())
 
 
-def _as_sample_matrix(samples) -> np.ndarray:
-    X = np.asarray(samples, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    return X
-
-
 # A scale below this is folded into its coefficient row before the next update.
 _TINY_SCALE = 1e-9
 
 # A lockstep call on n samples and P problems holds the Gram matrix, 8 * n^2
 # bytes, and about 50 * P * n bytes of coefficients, labels and step schedule;
-# a call, or a topic in train_ensemble, with more samples than this is refused.
+# a Gram matrix, or a topic in train_ensemble, of more samples is refused.
 _GRAM_MAX_SAMPLES = 8192
 
 
-def _sgd_lockstep(X, Y, active, lam, eta0, epochs: int, rng):
-    """Train P binary problems on the rows of X in one pass per epoch.
+def _gram(X: np.ndarray) -> np.ndarray:
+    """K = X X^T.  More than ``_GRAM_MAX_SAMPLES`` rows raise a ModelError
+    before anything is allocated."""
+    n = len(X)
+    if n > _GRAM_MAX_SAMPLES:
+        raise ModelError(f"SGD on {n} samples exceeds the limit of {_GRAM_MAX_SAMPLES} "
+                         "(its Gram matrix takes 8 * n^2 bytes)")
+    return X @ X.T
+
+
+def _sgd_lockstep(K, Y, active, lam, eta0, epochs: int, rng):
+    """Train P binary problems on n samples in one pass per epoch.
 
     Problem p sees the samples where ``active[p]`` holds, with labels
     ``Y[p]`` in {-1, +1}, step size ``eta0[p] / (1 + eta0[p] * lam[p] * t_p)``
@@ -87,19 +90,13 @@ def _sgd_lockstep(X, Y, active, lam, eta0, epochs: int, rng):
     ``1 - eta * lam``, then the hinge update if the margin was below 1.
 
     Weights are held as coefficients over the samples, ``w_p = s_p * A[p] @ X``
-    (the kernelised Pegasos iteration): with the Gram matrix K = X X^T a
-    sample's margins are ``A @ K[i]``, the decay is one multiply of the scale
-    vector and an update writes one column of A.  More than
-    ``_GRAM_MAX_SAMPLES`` samples raise a ModelError before anything is
-    allocated.  Returns the coefficients [P, n], whose product with X is the
-    weight matrix, and the biases [P].
+    (the kernelised Pegasos iteration): with the Gram matrix K = X X^T
+    (``_gram``) a sample's margins are ``A @ K[i]``, the decay is one
+    multiply of the scale vector and an update writes one column of A.
+    Returns the coefficients [P, n], whose product with X is the weight
+    matrix, and the biases [P].
     """
-    X = np.asarray(X, dtype=float)
-    n = len(X)
-    if n > _GRAM_MAX_SAMPLES:
-        raise ModelError(f"SGD on {n} samples exceeds the limit of {_GRAM_MAX_SAMPLES} "
-                         "(its Gram matrix takes 8 * n^2 bytes)")
-    K = X @ X.T
+    n = len(K)
     YT = np.ascontiguousarray(np.asarray(Y, dtype=float).T)   # [n, P]
     AT = np.ascontiguousarray(np.asarray(active, dtype=bool).T)
     lam = np.asarray(lam, dtype=float)
@@ -141,12 +138,12 @@ def train_binary(positives, negatives, cfg: SgdConfig) -> LinearClassifier:
     positives-then-negatives come from a generator seeded with cfg.seed.
     Returns the final iterate.
     """
-    P, N = _as_sample_matrix(positives), _as_sample_matrix(negatives)
+    P, N = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (positives, negatives))
     if P.size == 0 or N.size == 0:
         raise ValueError("training needs at least one positive and one negative sample")
     X = np.vstack([P, N])
     y = np.concatenate([np.ones(len(P)), -np.ones(len(N))])
-    A, b = _sgd_lockstep(X, y[None, :], np.ones((1, len(X)), dtype=bool),
+    A, b = _sgd_lockstep(_gram(X), y[None, :], np.ones((1, len(X)), dtype=bool),
                          [cfg.lam], [cfg.eta0], cfg.epochs,
                          np.random.default_rng(cfg.seed))
     return LinearClassifier(weights=A[0] @ X, bias=float(b[0]))
@@ -157,85 +154,80 @@ def _derive_seed(base_seed: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
-def _one_vs_rest_lockstep(X, y, n_classes: int, units, salt: int):
-    """One-vs-rest problems for every (config, training mask) unit, in one pass.
-
-    All configs must share seed and epochs.  The pass draws its permutations
-    from a generator seeded with ``_derive_seed(seed, salt)``.  Within a mask,
-    a class with no positives decides -1 everywhere and one with no negatives
-    +1 (its coefficients stay zero).  Returns the coefficients over the rows
-    of X [U, C, n] and the biases [U, C].
-    """
-    cfgs = [cfg for cfg, _ in units]
-    U, n = len(units), len(y)
-    train_masks = np.array([mask for _, mask in units], dtype=bool).reshape(U, n)
-    onehot = y[None, :] == np.arange(n_classes)[:, None]               # [C, n]
-    has_pos = (train_masks[:, None, :] & onehot).any(axis=2)            # [U, C]
-    has_neg = (train_masks[:, None, :] & ~onehot).any(axis=2)
-    trained = has_pos & has_neg
-    active = train_masks[:, None, :] & trained[:, :, None]              # [U, C, n]
-    Y = np.where(onehot, 1.0, -1.0)
-    P = U * n_classes
-    A, b = _sgd_lockstep(
-        X,
-        np.broadcast_to(Y, (U, n_classes, n)).reshape(P, n),
-        active.reshape(P, n),
-        np.repeat([c.lam for c in cfgs], n_classes),
-        np.repeat([c.eta0 for c in cfgs], n_classes),
-        cfgs[0].epochs,
-        np.random.default_rng(_derive_seed(cfgs[0].seed, salt)),
-    )
-    b = np.where(trained, b.reshape(U, n_classes), np.where(has_pos, 1.0, -1.0))
-    return A.reshape(U, n_classes, n), b
-
-
-def _fold_assignments(labels: np.ndarray, folds: int) -> np.ndarray:
-    """Stratified round-robin folds, deterministic in sample order."""
+def _validation_masks(labels: np.ndarray, folds: int) -> list[np.ndarray]:
+    """Stratified round-robin folds, deterministic in sample order; a fold
+    that is empty or holds every sample is dropped."""
     fold_of = np.zeros(len(labels), dtype=int)
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         fold_of[idx] = np.arange(idx.size) % folds
-    return fold_of
+    masks = [fold_of == f for f in range(folds)]
+    return [v for v in masks if v.any() and not v.all()]
 
 
-def cross_validate(descriptors, labels, n_classes: int, grid, folds: int,
-                   salt: int = 0) -> SgdConfig:
-    """Pick the grid entry with the best mean validation accuracy.
+def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
+                      salt: int = 0):
+    """Pick a grid entry by cross-validation and train its one-vs-rest classifiers.
 
-    Samples are stratified into round-robin folds per class; ties keep the
-    earlier grid entry.  A single-entry grid short-circuits, and so do
-    samples too few to hold out a fold.  The (grid entry, fold, class)
-    problems of each distinct (seed, epochs) train in one lockstep pass
-    seeded with ``_derive_seed(seed, salt)``; a fold's validation samples are
-    scored from the pass's coefficients and the Gram columns ``K[:, val]``,
-    without forming weight vectors.
+    Every grid entry must share one seed and epoch count.  K = X X^T is built
+    once.  A lockstep pass trains the (grid entry, fold, class) problems on
+    each fold's complement, and a fold's validation samples are scored from
+    the coefficients and the Gram columns ``K[:, val]``; the entry with the
+    best mean validation accuracy wins, ties to the earlier entry.  A second
+    pass on the same K trains the winner's problems on all samples.  Both
+    passes are seeded with ``_derive_seed(seed, salt)``.  A single-entry
+    grid, or samples too few to hold out a fold, skip the first pass and
+    take ``grid[0]``.  Within a training set, a class with no positives
+    decides -1 everywhere and one with no negatives +1, with zero weights.
+
+    Returns (chosen config, weights [C, dim], biases [C]).
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    if len(grid) == 1:
-        return grid[0]
-    if folds < 2:
-        raise ValueError("cross-validation needs at least 2 folds")
+    if len({(cfg.seed, cfg.epochs) for cfg in grid}) > 1:
+        raise ValueError("grid entries must share one seed and one epoch count")
     X = np.asarray(descriptors, dtype=float)
     y = np.asarray(labels, dtype=int)
-    fold_of = _fold_assignments(y, folds)
-    val_masks = [fold_of == f for f in range(folds)]
-    val_masks = [v for v in val_masks if v.any() and not v.all()]
-    if not val_masks:
-        return grid[0]
-    accs = np.zeros((len(grid), len(val_masks)))
-    for key in dict.fromkeys((cfg.seed, cfg.epochs) for cfg in grid):
-        entries = [g for g, cfg in enumerate(grid) if (cfg.seed, cfg.epochs) == key]
-        A, b = _one_vs_rest_lockstep(
-            X, y, n_classes, [(grid[g], ~val) for g in entries for val in val_masks], salt)
-        A = A.reshape(len(entries), len(val_masks), n_classes, len(y))
-        b = b.reshape(len(entries), len(val_masks), n_classes)
-        for m, val in enumerate(val_masks):
-            # K[:, val] per fold: no second n x n matrix next to the kernel's
-            scores = A[:, m] @ (X @ X[val].T) + b[:, m, :, None]   # [G, C, n_val]
-            accs[entries, m] = (scores.argmax(axis=1) == y[val]).mean(axis=1)
-    return grid[int(np.argmax(accs.mean(axis=1)))]  # the first of tied entries
+    n = len(y)
+    vals = []
+    if len(grid) > 1:
+        if folds < 2:
+            raise ValueError("cross-validation needs at least 2 folds")
+        vals = _validation_masks(y, folds)
+    onehot = y[None, :] == np.arange(n_classes)[:, None]                     # [C, n]
+    K = _gram(X)
+
+    def fit(entries, train_masks):
+        """Coefficients [E, M, C, n] and biases [E, M, C] of every (entry,
+        training mask, class) problem, from one lockstep pass."""
+        masks = np.array(train_masks)[:, None, :]                            # [M, 1, n]
+        has_pos = (masks & onehot).any(axis=2)                               # [M, C]
+        trained = has_pos & (masks & ~onehot).any(axis=2)
+        shape = (len(entries),) + trained.shape + (n,)
+        P = len(entries) * trained.size
+        A, b = _sgd_lockstep(
+            K,
+            np.broadcast_to(np.where(onehot, 1.0, -1.0), shape).reshape(P, n),
+            np.broadcast_to(masks & trained[:, :, None], shape).reshape(P, n),
+            np.repeat([cfg.lam for cfg in entries], trained.size),
+            np.repeat([cfg.eta0 for cfg in entries], trained.size),
+            grid[0].epochs,
+            np.random.default_rng(_derive_seed(grid[0].seed, salt)),
+        )
+        b = np.where(trained, b.reshape(shape[:-1]), np.where(has_pos, 1.0, -1.0))
+        return A.reshape(shape), b
+
+    best = 0
+    if vals:
+        A, b = fit(grid, [~v for v in vals])
+        accs = np.empty((len(grid), len(vals)))
+        for m, val in enumerate(vals):
+            scores = A[:, m] @ K[:, val] + b[:, m, :, None]                 # [G, C, n_val]
+            accs[:, m] = (scores.argmax(axis=1) == y[val]).mean(axis=1)
+        best = int(np.argmax(accs.mean(axis=1)))  # the first of tied entries
+    A, b = fit([grid[best]], [np.ones(n, dtype=bool)])
+    return grid[best], A[0, 0] @ X, b[0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +255,9 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
                    grid, folds: int) -> TopicEnsemble:
     """Partition training samples by topic and train one-vs-rest per topic.
 
-    Hyperparameters come from cross-validation on each topic's samples.
-    Topics too small to validate fall back to the first grid entry.  A class
+    Each topic trains in one ``train_one_vs_rest`` call, which picks its
+    hyperparameters by cross-validation on the topic's samples; topics too
+    small to validate take the first grid entry.  A class
     with no positives in a topic decides -1 everywhere there, one with no
     negatives +1, which keeps pooled sums well-defined on any partition.  A
     topic with more than ``_GRAM_MAX_SAMPLES`` samples raises a ModelError
@@ -287,12 +280,9 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
     chosen = []
     for d in range(topics.n_topics):
         mask = topic_of == d
-        Xd, yd = X[mask], y[mask]
-        cfg = cross_validate(Xd, yd, n_classes, grid, folds, salt=d)
+        cfg, weights[:, d], biases[:, d] = train_one_vs_rest(X[mask], y[mask], n_classes,
+                                                             grid, folds, salt=d)
         chosen.append(cfg)
-        A, b = _one_vs_rest_lockstep(Xd, yd, n_classes,
-                                     [(cfg, np.ones(len(yd), dtype=bool))], salt=d)
-        weights[:, d], biases[:, d] = A[0] @ Xd, b[0]
     return TopicEnsemble(
         weights=weights,
         biases=biases,

@@ -66,11 +66,9 @@ def class_mean_accuracy(y_true, y_pred, n_classes: int) -> float:
 # ------------------------------------------------------------- pipeline
 
 def _build_prior(manifest: DatasetManifest, config: PipelineConfig) -> ClassPrior:
-    if config.prior == "uniform":
-        return ClassPrior.uniform(len(manifest.classes))
     if config.prior == "empirical":
         return ClassPrior.empirical(manifest)
-    raise ValueError(f"unknown prior {config.prior!r}")
+    return ClassPrior.uniform(len(manifest.classes))
 
 
 def _train_labels(manifest: DatasetManifest) -> np.ndarray:

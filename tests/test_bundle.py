@@ -148,6 +148,16 @@ def test_edited_number_loads_or_raises_pipeline_error(workdir, valid, data):
         pass
 
 
+@pytest.mark.parametrize("field, value", [("seed", -1), ("prior", "flat"),
+                                          ("sgd_epochs", 0),
+                                          ("sgd_lambdas", [float("inf")])])
+def test_forged_config_value_is_refused(workdir, valid, field, value):
+    header, payload = split(valid)
+    header["bundle"]["ModelBundle"]["config"]["PipelineConfig"][field] = value
+    with pytest.raises(FormatError, match="PipelineConfig rejects its fields"):
+        load(workdir, join(header, payload))
+
+
 def _swap_vocabulary_class(tree):
     # ObjectVocabulary and SceneClassSet have the same fields
     vocab = tree["vocabulary"]

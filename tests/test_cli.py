@@ -121,13 +121,59 @@ class TestConfig:
         assert cfg.sgd_lambdas == (0.1, 0.2)
         path = tmp_path / "cfg.txt"
         path.write_text("# comment\nobject_count=9\nmode=soft\n")
-        from oomscene.bundle import config_from_file
-        cfg2 = config_from_file(path)
+        from oomscene.bundle import config_file_pairs
+        cfg2 = config_from_pairs(config_file_pairs(path))
         assert cfg2.object_count == 9 and cfg2.mode == "soft"
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             config_from_pairs(["nonsense=1"])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sgd_lambdas", (float("inf"),), "lam"),
+        ("sgd_lambdas", (0.0,), "lam"),
+        ("sgd_eta0s", (float("nan"),), "eta0"),
+        ("sgd_lambdas", (), "sgd_lambdas"),
+        ("sgd_eta0s", (), "sgd_eta0s"),
+        ("sgd_epochs", 0, "epochs"),
+        ("folds", 1, "folds"),
+        ("prior", "flat", "prior"),
+        ("fallback", "zero", "fallback"),
+        ("phi_aggregation", "sum", "phi_aggregation"),
+        ("object_count", 0, "object_count"),
+        ("pca_dim", 0, "pca_dim"),
+        ("codebook_size", 0, "codebook_size"),
+        ("topic_count", 0, "topic_count"),
+        ("seed", -1, "seed"),
+        ("delta_theta", 0.0, "delta_theta"),
+        ("pyramid", ((0, 1),), "pyramid level"),
+    ])
+    def test_bad_field_refused_when_built(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**{field: value})
+
+    def test_one_entry_grid_needs_no_folds(self, synth_files, tmp_path):
+        cfg = PipelineConfig(sgd_lambdas=(1e-4,), sgd_eta0s=(0.5,), folds=1)
+        assert len(cfg.sgd_grid()) == 1
+        # a file and --set pairs make one config, checked as a whole
+        path = tmp_path / "cfg.txt"
+        path.write_text("folds=1\nsgd_lambdas=1e-4,1e-3\n")
+        rc = main(["build-oom", "--train", str(synth_files / "source.txt"),
+                   "--out", str(tmp_path / "oom.bin"), "--config", str(path),
+                   "--set", "sgd_lambdas=1e-4", "--set", "sgd_eta0s=0.5"])
+        assert rc == 0
+        assert load_bundle(tmp_path / "oom.bin").config.folds == 1
+
+    @pytest.mark.parametrize("command, pair", [("build-oom", "sgd_lambdas=inf"),
+                                               ("train", "seed=-1")])
+    def test_bad_config_writes_no_bundle(self, command, pair, synth_files, tmp_path,
+                                         capsys):
+        out = tmp_path / "m.bundle"
+        rc = main([command, "--train", str(synth_files / "source.txt"),
+                   "--out", str(out), "--set", pair])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("pair, key", [("object_count=abc", "object_count"),
                                            ("pyramid=1x1,2y2", "pyramid"),

@@ -3,6 +3,7 @@ import pytest
 
 from oomscene import (
     ClassPrior,
+    FormatError,
     ThresholdGrid,
     VariantError,
     VladCodebook,
@@ -273,5 +274,5 @@ class TestEncodeSoft:
     def test_empty_bag_raises(self):
         rng = np.random.default_rng(50)
         m, post, sel, pca, cb = self._setup(rng)
-        with pytest.raises(ValueError, match="empty bag"):
+        with pytest.raises(FormatError, match="empty bag: record 'img'"):
             encode_soft(soft_record([]), post, sel, pca, cb)

@@ -7,16 +7,16 @@ from oomscene import (
     DimensionError,
     ModelError,
     SgdConfig,
-    cross_validate,
     fit_topics,
     assign_topics_batch,
     hinge_objective,
     predict_batch,
     train_binary,
     train_ensemble,
+    train_one_vs_rest,
 )
 from oomscene import ensemble as ensemble_module
-from oomscene.ensemble import TopicEnsemble, _derive_seed, _sgd_lockstep
+from oomscene.ensemble import TopicEnsemble, _derive_seed, _gram, _sgd_lockstep
 from hypothesis import given, settings, strategies as st
 
 from helpers import oracle_batch_subgradient, oracle_sgd
@@ -150,7 +150,7 @@ class TestSgdLockstep:
         active = rng.random((len(problems), n)) < [[q] for _, q in problems]
         lam = [lam for (lam, _), _ in problems]
         eta0 = [eta0 for (_, eta0), _ in problems]
-        A, b = _sgd_lockstep(X, Y, active, lam, eta0, epochs,
+        A, b = _sgd_lockstep(_gram(X), Y, active, lam, eta0, epochs,
                              np.random.default_rng(perm_seed))
         W = A @ X
         perm_rng = np.random.default_rng(perm_seed)
@@ -161,17 +161,19 @@ class TestSgdLockstep:
 
     def test_gram_bound_refuses_before_allocating(self):
         n = ensemble_module._GRAM_MAX_SAMPLES + 1
-        X = np.broadcast_to(np.ones(3), (n, 3))   # views: no sample memory
-        Y = np.broadcast_to(np.ones(1), (1, n))
-        active = np.broadcast_to(np.ones(1, dtype=bool), (1, n))
+        X = np.broadcast_to(np.ones(3), (n, 3))   # a view: no sample memory
         tracemalloc.start()
         try:
             with pytest.raises(ModelError, match=str(n)):
-                _sgd_lockstep(X, Y, active, [1.0], [0.5], 1, np.random.default_rng(0))
+                _gram(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # the Gram matrix alone would take 8 * n^2 bytes
+
+
+def chosen_entry(X, y, n_classes, grid, folds, salt=0):
+    return train_one_vs_rest(X, y, n_classes, grid, folds, salt=salt)[0]
 
 
 class TestCrossValidate:
@@ -185,25 +187,25 @@ class TestCrossValidate:
 
     def test_single_entry_short_circuit(self):
         cfg = CFG
-        assert cross_validate(np.zeros((2, 1)), [0, 1], 2, [cfg], 5) is cfg
+        assert chosen_entry(np.zeros((2, 1)), [0, 1], 2, [cfg], 5) is cfg
         # nothing to choose: the fold count is not checked
-        assert cross_validate(np.zeros((2, 1)), [0, 1], 2, [cfg], 1) is cfg
+        assert chosen_entry(np.zeros((2, 1)), [0, 1], 2, [cfg], 1) is cfg
         with pytest.raises(ValueError, match="2 folds"):
-            cross_validate(np.zeros((2, 1)), [0, 1], 2, [cfg, cfg], 1)
+            chosen_entry(np.zeros((2, 1)), [0, 1], 2, [cfg, cfg], 1)
 
     def test_dominant_config_wins(self):
         rng = np.random.default_rng(63)
         X, y = self._labeled_blobs(rng)
         good = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
         bad = SgdConfig(lam=1e6, eta0=0.5, epochs=20, seed=0)  # crushes weights
-        assert cross_validate(X, y, 2, [bad, good], 5) is good
+        assert chosen_entry(X, y, 2, [bad, good], 5) is good
 
     def test_tie_keeps_first(self):
         rng = np.random.default_rng(64)
         X, y = self._labeled_blobs(rng)
         a = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
         b = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
-        assert cross_validate(X, y, 2, [a, b], 5) is a
+        assert chosen_entry(X, y, 2, [a, b], 5) is a
 
     def test_underfitting_lambda_rejected(self):
         rng = np.random.default_rng(65)
@@ -213,22 +215,20 @@ class TestCrossValidate:
             SgdConfig(lam=10.0, eta0=0.5, epochs=25, seed=1),
             SgdConfig(lam=1e-4, eta0=0.5, epochs=25, seed=1),
         ]
-        chosen = cross_validate(X, y, 2, grid, 5)
+        chosen = chosen_entry(X, y, 2, grid, 5)
         assert chosen.lam == 1e-4
 
-    def test_groups_by_seed_and_epochs(self):
-        # seeds and epoch counts differ, so the entries train in two passes
-        # (indices 0 and 2, then 1 and 3); the winner sits in the second pass
-        rng = np.random.default_rng(66)
-        X, y = self._labeled_blobs(rng)
-        bad = SgdConfig(lam=1e6, eta0=0.5, epochs=20, seed=0)
-        good = SgdConfig(lam=1e-4, eta0=0.5, epochs=25, seed=1)
-        worse = SgdConfig(lam=1e7, eta0=0.5, epochs=20, seed=0)
-        assert cross_validate(X, y, 2, [bad, good, worse], 5) is good
-        # both good entries separate the blobs: the earlier grid entry wins,
-        # although its pass runs after the later entry's
-        tied = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
-        assert cross_validate(X, y, 2, [bad, good, tied], 5) is good
+    @pytest.mark.parametrize("other", [
+        SgdConfig(lam=1e-3, eta0=0.5, epochs=20, seed=1),
+        SgdConfig(lam=1e-3, eta0=0.5, epochs=25, seed=0),
+    ], ids=["seed", "epochs"])
+    def test_mixed_grid_refused(self, other):
+        # the cross-validation pass draws one permutation stream, so a grid
+        # shares one seed and one epoch count
+        X, y = self._labeled_blobs(np.random.default_rng(66))
+        first = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
+        with pytest.raises(ValueError, match="one seed and one epoch count"):
+            train_one_vs_rest(X, y, 2, [first, other], 5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -238,38 +238,60 @@ class TestCrossValidate:
         dim=st.integers(1, 3),
         folds=st.integers(2, 4),
         salt=st.integers(0, 3),
-        grid=st.lists(st.builds(SgdConfig,
-                                lam=st.sampled_from([1e-4, 1e-2, 1.0, 1e3]),
-                                eta0=st.sampled_from([0.1, 0.5]),
-                                epochs=st.integers(1, 3),
-                                seed=st.integers(0, 1)),
-                      min_size=2, max_size=4),
+        seed=st.integers(0, 1),
+        epochs=st.integers(1, 3),
+        steps=st.lists(st.tuples(st.sampled_from([1e-4, 1e-2, 1.0, 1e3]),
+                                 st.sampled_from([0.1, 0.5])),
+                       min_size=2, max_size=4),
     )
     def test_matches_bruteforce_oracle(self, data_seed, n_classes, n, dim, folds,
-                                       salt, grid):
+                                       salt, seed, epochs, steps):
         # overlapping, unbalanced classes: validation scores, not training
         # scores, and the biases decide which entry wins
         rng = np.random.default_rng(data_seed)
         y = rng.integers(0, n_classes, n)
         X = rng.standard_normal((n_classes, dim))[y] + rng.standard_normal((n, dim))
-        chosen = cross_validate(X, y, n_classes, grid, folds, salt=salt)
+        grid = [SgdConfig(lam=lam, eta0=eta0, epochs=epochs, seed=seed)
+                for lam, eta0 in steps]
+        chosen, W, b = train_one_vs_rest(X, y, n_classes, grid, folds, salt=salt)
         assert chosen is oracle_cross_validate(X, y, n_classes, grid, folds, salt)
+        W_oracle, b_oracle = oracle_one_vs_rest(X, y, n_classes, chosen,
+                                                np.ones(n, dtype=bool), salt)
+        for c in range(n_classes):
+            assert_close_to_oracle(W[c], b[c], W_oracle[c], b_oracle[c])
 
     def test_no_usable_fold_keeps_first(self):
         # one sample per class: the only nonempty fold holds every sample
         a = SgdConfig(lam=1e-4, eta0=0.5, epochs=5, seed=0)
         b = SgdConfig(lam=1e-3, eta0=0.5, epochs=5, seed=0)
-        assert cross_validate(np.eye(2), [0, 1], 2, [a, b], 5) is a
+        assert chosen_entry(np.eye(2), [0, 1], 2, [a, b], 5) is a
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
-            cross_validate(np.zeros((2, 1)), [0, 1], 2, [], 5)
+            train_one_vs_rest(np.zeros((2, 1)), [0, 1], 2, [], 5)
+
+
+def oracle_one_vs_rest(X, y, n_classes, cfg, train, salt):
+    """One scalar SGD run per class on the samples where ``train`` holds,
+    over the permutations of ``default_rng(_derive_seed(cfg.seed, salt))``;
+    a class without positives or negatives there is the constant -1 or +1."""
+    perm_rng = np.random.default_rng(_derive_seed(cfg.seed, salt))
+    order = np.concatenate([perm_rng.permutation(len(y)) for _ in range(cfg.epochs)])
+    W, b = np.zeros((n_classes, X.shape[1])), np.empty(n_classes)
+    for c in range(n_classes):
+        pos, neg = (train & (y == c)).any(), (train & (y != c)).any()
+        if pos and neg:
+            W[c], b[c] = oracle_sgd(X, np.where(y == c, 1.0, -1.0), cfg.lam, cfg.eta0,
+                                    order[train[order]])
+        else:
+            b[c] = 1.0 if pos else -1.0
+    return W, b
 
 
 def oracle_cross_validate(X, y, n_classes, grid, folds, salt):
-    """cross_validate by brute force: one scalar SGD run per (grid entry,
-    fold, class) over the permutations of ``default_rng(_derive_seed(seed,
-    salt))``, validation scores ``X[val] @ w + b``, the first best entry."""
+    """The cross-validation choice by brute force: ``oracle_one_vs_rest`` per
+    (grid entry, fold), validation scores ``X[val] @ w + b``, the first best
+    entry."""
     fold_of = np.zeros(len(y), dtype=int)
     for c in np.unique(y):
         idx = np.flatnonzero(y == c)
@@ -280,20 +302,10 @@ def oracle_cross_validate(X, y, n_classes, grid, folds, salt):
         return grid[0]
     accs = []
     for cfg in grid:
-        perm_rng = np.random.default_rng(_derive_seed(cfg.seed, salt))
-        order = np.concatenate([perm_rng.permutation(len(y)) for _ in range(cfg.epochs)])
         fold_accs = []
         for val in vals:
-            train = ~val
-            scores = np.empty((val.sum(), n_classes))
-            for c in range(n_classes):
-                pos, neg = (train & (y == c)).any(), (train & (y != c)).any()
-                if pos and neg:
-                    w, b = oracle_sgd(X, np.where(y == c, 1.0, -1.0), cfg.lam, cfg.eta0,
-                                      order[train[order]])
-                    scores[:, c] = X[val] @ w + b
-                else:
-                    scores[:, c] = 1.0 if pos else -1.0
+            W, b = oracle_one_vs_rest(X, y, n_classes, cfg, ~val, salt)
+            scores = X[val] @ W.T + b
             fold_accs.append((scores.argmax(axis=1) == y[val]).mean())
         accs.append(np.mean(fold_accs))
     return grid[int(np.argmax(accs))]
@@ -368,6 +380,30 @@ class TestTrainEnsemble:
         ens = train_ensemble(X, y, 3, topics, [CFG], folds=5)
         assert sum(ens.training_meta["topic_sizes"]) == len(X)
         assert len(ens.training_meta["configs"]) == 2
+
+    def test_one_gram_and_two_passes_per_topic(self, monkeypatch):
+        # a topic's cross-validation pass and the winner's final pass share
+        # one Gram matrix; the final pass trains only the winner's classes
+        rng = np.random.default_rng(72)
+        X, y = make_blob_problem(rng, n_per=20)
+        topics = fit_topics(X, 3, seed=0)
+        grid = [SgdConfig(lam=lam, eta0=eta0, epochs=3, seed=0)
+                for lam in (1e-5, 1e-4, 1e-3) for eta0 in (0.1, 1.0)]
+        grams, problems = [], []
+
+        def gram(X):
+            grams.append(len(X))
+            return _gram(X)
+
+        def lockstep(K, Y, *args):
+            problems.append(len(Y))
+            return _sgd_lockstep(K, Y, *args)
+
+        monkeypatch.setattr(ensemble_module, "_gram", gram)
+        monkeypatch.setattr(ensemble_module, "_sgd_lockstep", lockstep)
+        ens = train_ensemble(X, y, 3, topics, grid, folds=5)
+        assert grams == list(ens.training_meta["topic_sizes"])
+        assert problems == [6 * 5 * 3, 3] * 3
 
     def test_oversized_topic_refused_before_any_training(self, monkeypatch):
         # a small topic that would train first and a large one over the limit
