@@ -68,8 +68,8 @@ def _fmt(v: float) -> str:
 def _write_predictions(path, manifest, pred, scores):
     header = ["image_id", "predicted_class"] + [f"score_{n}" for n in manifest.classes.names]
     rows = []
-    for rec, p, s in zip(manifest.records, pred, scores):
-        rows.append([rec.image_id, manifest.classes.names[int(p)]] + [_fmt(v) for v in s])
+    for rid, p, s in zip(manifest.image_ids, pred, scores):
+        rows.append([rid, manifest.classes.names[int(p)]] + [_fmt(v) for v in s])
     _write_csv(path, header, rows)
 
 
@@ -122,10 +122,7 @@ def cmd_synth(args) -> int:
     write_manifest(source, out / "source.txt")
     write_manifest(target, out / "target.txt")
     for name, manifest in (("source", source), ("target", target)):
-        rows = [
-            [rec.image_id, int(t)]
-            for rec, t in zip(manifest.records, hidden_topics(manifest))
-        ]
+        rows = [[rid, int(t)] for rid, t in zip(manifest.image_ids, hidden_topics(manifest))]
         _write_csv(out / f"{name}_topics.csv", ["image_id", "hidden_topic"], rows)
     print(f"wrote {out / 'source.txt'} ({len(source)} records) and "
           f"{out / 'target.txt'} ({len(target)} records)")
@@ -187,7 +184,7 @@ def cmd_encode(args) -> int:
     bundle = load_bundle(args.bundle)
     manifest = parse_manifest(args.manifest, mode=bundle.config.mode)
     X = encode_with_bundle(bundle, manifest)
-    ids = [r.image_id for r in manifest.records]
+    ids = manifest.image_ids
     if args.format == "csv":
         rows = [[rid] + [repr(float(v)) for v in row] for rid, row in zip(ids, X)]
         _write_csv(args.out, ["image_id"] + [f"d{i}" for i in range(X.shape[1])], rows)
@@ -209,8 +206,8 @@ def cmd_cluster(args) -> int:
     if args.csv:
         labels, dists = assign_topics_batch(topics, X)
         rows = [
-            [rec.image_id, int(l), _fmt(d)]
-            for rec, l, d in zip(manifest.records, labels, dists)
+            [rid, int(l), _fmt(d)]
+            for rid, l, d in zip(manifest.image_ids, labels, dists)
         ]
         _write_csv(args.csv, ["image_id", "topic", "distance"], rows)
     print(f"wrote {args.out}: {args.topics} topics "
@@ -256,7 +253,7 @@ def cmd_ablate(args) -> int:
     test = parse_manifest(args.test, mode=config.mode)
     object_counts = args.objects_list or [config.object_count]
     topic_counts = args.topics_list or sorted({1, config.topic_count})
-    y_true = test.labels()
+    y_true = test.labels
 
     rows = []
     for r in object_counts:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VariantError
-from .ingest import HARD, DatasetManifest, flatten_detections
+from .ingest import HARD, DatasetManifest
 from .occurrence import (
     DiscriminantSelection,
     PosteriorModel,
@@ -90,7 +90,8 @@ def encode_hard_manifest(manifest: DatasetManifest, post: PosteriorModel,
     out = np.zeros((len(manifest), layout.region_count * n_sel * n_cls))
     rows = out.reshape(-1, n_cls)  # one row per (image, region, object)
 
-    image, obj, score, box = flatten_detections(manifest)
+    image, obj, score, box = (manifest.image, manifest.object_index, manifest.score,
+                              manifest.box)
     pos_of = np.full(len(manifest.vocabulary), -1, dtype=np.intp)
     pos_of[list(sel.selected)] = np.arange(n_sel)
     pos = pos_of[obj]

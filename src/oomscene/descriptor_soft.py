@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, VariantError
-from .ingest import SOFT, DatasetManifest, flatten_detections
+from .ingest import SOFT, DatasetManifest
 from .occurrence import DiscriminantSelection, PosteriorModel, score_grid_indices
 from .topics import _squared_distances, fit_topics, nearest_centroids
 
@@ -25,11 +25,10 @@ def _patch_posteriors(manifest: DatasetManifest, post: PosteriorModel,
     A record without patches raises a FormatError naming it."""
     if manifest.mode != SOFT:
         raise VariantError("soft descriptors need a soft-detection manifest")
-    image, scores = flatten_detections(manifest)
-    bounds = np.searchsorted(image, np.arange(len(manifest) + 1))
+    bounds, scores = manifest.bounds, manifest.scores
     empty = np.flatnonzero(bounds[1:] == bounds[:-1])
     if empty.size:
-        raise FormatError(f"empty bag: record {manifest.records[empty[0]].image_id!r} "
+        raise FormatError(f"empty bag: record {manifest.image_ids[empty[0]]!r} "
                           f"has no patches")
     obj = np.asarray(sel.selected, dtype=np.intp)
     ts = score_grid_indices(post.grid, scores[:, obj])  # [n_patches, n_sel]

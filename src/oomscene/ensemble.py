@@ -41,6 +41,8 @@ class SgdConfig:
             raise ValueError(f"eta0 must be finite and positive, got {self.eta0}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

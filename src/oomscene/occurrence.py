@@ -93,10 +93,8 @@ class ClassPrior:
     @classmethod
     def empirical(cls, manifest: DatasetManifest) -> "ClassPrior":
         """Training class frequencies over the labeled records."""
-        counts = np.zeros(len(manifest.classes))
-        for rec in manifest.records:
-            if rec.scene_class is not None:
-                counts[rec.scene_class] += 1
+        labels = manifest.labels
+        counts = np.bincount(labels[labels >= 0], minlength=len(manifest.classes))
         total = counts.sum()
         if total == 0:
             raise ModelError("cannot build an empirical prior from an unlabeled manifest")
@@ -163,7 +161,7 @@ def build_occurrence_model(train: DatasetManifest, grid: ThresholdGrid) -> Occur
     n_obj, n_cls = len(train.vocabulary), len(train.classes)
     thetas = grid.values
     best = max_scores(train)  # [n_records, n_obj]
-    labels = train.labels()
+    labels = train.labels
     probs = np.zeros((n_obj, n_cls, thetas.size))
     for c in range(n_cls):
         rows = best[labels == c]

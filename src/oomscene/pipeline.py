@@ -72,9 +72,9 @@ def _build_prior(manifest: DatasetManifest, config: PipelineConfig) -> ClassPrio
 
 
 def _train_labels(manifest: DatasetManifest) -> np.ndarray:
-    labels = manifest.labels()
+    labels = manifest.labels
     if np.any(labels < 0):
-        bad = [r.image_id for r in manifest.records if r.scene_class is None]
+        bad = [manifest.image_ids[i] for i in np.flatnonzero(labels < 0)]
         raise PipelineError(f"training manifest has unlabeled records: {bad[:3]}...")
     return labels
 
@@ -181,4 +181,4 @@ def evaluate_bundle(bundle: ModelBundle, test: DatasetManifest, pooling="average
         raise CompatibilityError("bundle has no trained ensemble")
     X = encode_with_bundle(bundle, test)
     pred, scores = predict_batch(bundle.ensemble, X, pooling=pooling)
-    return pred, scores, test.labels()
+    return pred, scores, test.labels

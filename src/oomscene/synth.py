@@ -24,12 +24,8 @@ from .descriptor_hard import PyramidLayout, pyramid_regions
 from .ingest import (
     HARD,
     DatasetManifest,
-    HardDetection,
-    ImageRecord,
     ObjectVocabulary,
     SceneClassSet,
-    SoftPatch,
-    flatten_detections,
 )
 
 _TOPIC_RE = re.compile(r"_t(\d+)_")
@@ -166,41 +162,29 @@ def _random_box(rng) -> tuple[float, float, float, float]:
 def _draw_manifest(spec: SynthSpec, domain_tag: str, domain_code: int,
                    split_tag: str) -> DatasetManifest:
     model = spec.score_model
-    records = []
+    ids, labels, image, obj, score, box = [], [], [], [], [], []
     for c in range(spec.n_classes):
         for i in range(spec.images_per_class):
             # per-image substream: generation order never matters
             rng = np.random.default_rng([spec.seed, domain_code, c, i])
             topic = int(rng.integers(spec.n_topics_true))
-            dets = []
             for o in range(spec.n_objects):
                 if rng.random() < model.detect_prob[topic, c, o]:
                     for _ in range(int(rng.integers(1, 4))):
-                        score = float(
-                            np.clip(
-                                rng.normal(model.score_mean[topic, c, o],
-                                           model.score_spread[topic, c, o]),
-                                0.0,
-                                1.0,
-                            )
-                        )
-                        dets.append(HardDetection(o, score, _random_box(rng)))
-            records.append(
-                ImageRecord(
-                    image_id=f"{domain_tag}_c{c:02d}_t{topic}_{i:04d}",
-                    scene_class=c,
-                    detections=tuple(dets),
-                    mode=HARD,
-                    domain_tag=domain_tag,
-                )
-            )
-    return DatasetManifest(
-        vocabulary=ObjectVocabulary(tuple(f"obj{i:03d}" for i in range(spec.n_objects))),
-        classes=SceneClassSet(tuple(f"class{i:02d}" for i in range(spec.n_classes))),
-        records=tuple(records),
-        split_tag=split_tag,
-        mode=HARD,
-    )
+                        image.append(len(ids))
+                        obj.append(o)
+                        # clipped to [0, 1] as np.clip would, without its call cost
+                        score.append(min(max(float(rng.normal(
+                            model.score_mean[topic, c, o],
+                            model.score_spread[topic, c, o])), 0.0), 1.0))
+                        box.append(_random_box(rng))
+            ids.append(f"{domain_tag}_c{c:02d}_t{topic}_{i:04d}")
+            labels.append(c)
+    return DatasetManifest.from_arrays(
+        ObjectVocabulary(tuple(f"obj{i:03d}" for i in range(spec.n_objects))),
+        SceneClassSet(tuple(f"class{i:02d}" for i in range(spec.n_classes))),
+        split_tag, HARD, ids, labels, [domain_tag] * len(ids), image,
+        object_index=obj, score=score, box=box)
 
 
 def apply_shift(manifest: DatasetManifest, shift: DomainShift,
@@ -210,39 +194,24 @@ def apply_shift(manifest: DatasetManifest, shift: DomainShift,
     Shifted scores are stored raw (no clamping); encoders clamp into their
     own threshold bandwidth.
     """
-    new_records = []
-    for ri, rec in enumerate(manifest.records):
-        rng = np.random.default_rng([abs(int(seed)), 424243, ri]) if shift.dropout > 0 else None
-        dets = []
-        for det in rec.detections:
-            if rec.mode == HARD:
-                if rng is not None and rng.random() < shift.dropout:
-                    continue
-                dets.append(
-                    HardDetection(
-                        det.object_index,
-                        shift.score_scale * det.score + shift.score_offset,
-                        det.box,
-                    )
-                )
-            else:
-                if rng is not None and rng.random() < shift.dropout:
-                    continue
-                dets.append(
-                    SoftPatch(det.patch_id,
-                              shift.score_scale * det.scores + shift.score_offset)
-                )
-        new_records.append(
-            ImageRecord(rec.image_id, rec.scene_class, tuple(dets), rec.mode,
-                        rec.domain_tag)
-        )
-    return DatasetManifest(
-        vocabulary=manifest.vocabulary,
-        classes=manifest.classes,
-        records=tuple(new_records),
-        split_tag=manifest.split_tag,
-        mode=manifest.mode,
-    )
+    keep = np.ones(manifest.image.size, dtype=bool)
+    if shift.dropout > 0:
+        # one draw per detection from each record's own substream
+        bounds = manifest.bounds.tolist()
+        for ri, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+            rng = np.random.default_rng([abs(int(seed)), 424243, ri])
+            keep[start:stop] = rng.random(stop - start) >= shift.dropout
+    if manifest.mode == HARD:
+        dets = dict(object_index=manifest.object_index[keep],
+                    score=shift.score_scale * manifest.score[keep] + shift.score_offset,
+                    box=manifest.box[keep])
+    else:
+        dets = dict(patch_id=manifest.patch_id[keep],
+                    scores=shift.score_scale * manifest.scores[keep] + shift.score_offset)
+    return DatasetManifest.from_arrays(
+        manifest.vocabulary, manifest.classes, manifest.split_tag, manifest.mode,
+        manifest.image_ids, manifest.labels, manifest.domain_tags, manifest.image[keep],
+        **dets)
 
 
 def generate(spec: SynthSpec) -> tuple[DatasetManifest, DatasetManifest]:
@@ -265,7 +234,7 @@ def hidden_topic_of(image_id: str) -> int:
 
 
 def hidden_topics(manifest: DatasetManifest) -> np.ndarray:
-    return np.array([hidden_topic_of(r.image_id) for r in manifest.records], dtype=int)
+    return np.array([hidden_topic_of(i) for i in manifest.image_ids], dtype=int)
 
 
 def encode_rawscore_manifest(manifest: DatasetManifest, n_objects: int,
@@ -278,11 +247,11 @@ def encode_rawscore_manifest(manifest: DatasetManifest, n_objects: int,
     """
     if manifest.mode != HARD:
         raise VariantError("the raw-score baseline needs hard detections")
-    image, obj, score, box = flatten_detections(manifest)
-    region = pyramid_regions(box, layout)  # [n_levels, n]
+    region = pyramid_regions(manifest.box, layout)  # [n_levels, n]
     out = np.zeros((len(manifest), layout.region_count * n_objects))
-    np.maximum.at(out, (np.broadcast_to(image, region.shape), region * n_objects + obj),
-                  np.broadcast_to(score, region.shape))
+    np.maximum.at(out, (np.broadcast_to(manifest.image, region.shape),
+                        region * n_objects + manifest.object_index),
+                  np.broadcast_to(manifest.score, region.shape))
     return out
 
 

@@ -187,6 +187,30 @@ def oracle_rawscore(record, n_objects, layout):
     return out
 
 
+def oracle_apply_shift(manifest, shift, seed):
+    """Record-by-record domain shift: per record, a generator seeded with
+    (|seed|, 424243, record index) draws once per detection, which is dropped
+    below the dropout rate; kept scores become scale * score + offset."""
+    records = []
+    for ri, rec in enumerate(manifest.records):
+        rng = np.random.default_rng([abs(int(seed)), 424243, ri])
+        dets = []
+        for det in rec.detections:
+            if shift.dropout > 0 and rng.random() < shift.dropout:
+                continue
+            if rec.mode == "hard":
+                dets.append(HardDetection(det.object_index,
+                                          shift.score_scale * det.score + shift.score_offset,
+                                          det.box))
+            else:
+                dets.append(SoftPatch(det.patch_id,
+                                      shift.score_scale * det.scores + shift.score_offset))
+        records.append(ImageRecord(rec.image_id, rec.scene_class, tuple(dets), rec.mode,
+                                   rec.domain_tag))
+    return DatasetManifest(manifest.vocabulary, manifest.classes, records,
+                           manifest.split_tag, manifest.mode)
+
+
 def oracle_vlad(V, centers, sigma):
     """Naive double-loop soft-assignment VLAD, no normalization."""
     k, p = centers.shape

@@ -90,7 +90,7 @@ def _run_harness_seed(seed):
     X_target = encode_hard_manifest(target, post, sel)
     R_train = encode_rawscore_manifest(source, N_OBJECTS)
     R_target = encode_rawscore_manifest(target, N_OBJECTS)
-    y_train, y_target = source.labels(), target_clean.labels()
+    y_train, y_target = source.labels, target_clean.labels
 
     cfg = SgdConfig(lam=1e-5, eta0=0.5, epochs=20, seed=seed)
     ens_oom = train_ensemble(X_train, y_train, N_CLASSES,

@@ -120,6 +120,11 @@ class TestTrainBinary:
         with pytest.raises(ValueError, match="eta0"):
             SgdConfig(lam=1.0, eta0=bad, epochs=1, seed=0)
 
+    def test_config_rejects_negative_seed(self):
+        # train_one_vs_rest would train seed 1's classifiers, train_binary fail in numpy
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SgdConfig(lam=1.0, eta0=1.0, epochs=1, seed=-1)
+
 
 # (lam, eta0) per problem; eta0 * lam >= 1 makes the first decay factor <= 0
 STEP_PARAMS = st.one_of(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oomscene.ingest
 from oomscene import (
     DatasetManifest,
     DimensionError,
@@ -12,9 +13,12 @@ from oomscene import (
     HardDetection,
     ImageRecord,
     ParseError,
+    PipelineConfig,
     PipelineError,
     SoftPatch,
     VocabularyError,
+    evaluate_bundle,
+    fit_pipeline,
     max_scores,
     parse_manifest,
     parse_manifest_text,
@@ -179,6 +183,138 @@ class TestRoundTrip:
             assert to_text(parse_manifest_text(to_text(m))) == to_text(m)
 
 
+# finite floats, the extremes included; repr and float() must round-trip them
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([5e-324, -5e-324, 1.7976931348623157e308,
+                                    -1.7976931348623157e308, -0.0, 0.0]))
+UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 1.0]))
+# one token of the file format: no character that str.split() splits on
+TOKEN_CHARS = st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"))
+COLUMNS = ("labels", "image", "object_index", "score", "box", "patch_id", "scores")
+
+
+@st.composite
+def interval(draw):
+    lo, hi = draw(UNIT), draw(UNIT)
+    if not lo < hi:
+        lo, hi = (hi, lo) if hi < lo else (0.0, 1.0)
+    return lo, hi
+
+
+@st.composite
+def record_manifests(draw):
+    """Manifests built record by record, in either mode."""
+    mode = draw(st.sampled_from(["hard", "soft"]))
+    n_obj, n_cls = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        dets = []
+        for _ in range(draw(st.integers(0, 3))):
+            if mode == "hard":
+                (x0, x1), (y0, y1) = draw(interval()), draw(interval())
+                dets.append(HardDetection(draw(st.integers(0, n_obj - 1)), draw(FLOATS),
+                                          (x0, y0, x1, y1)))
+            else:
+                dets.append(SoftPatch(draw(st.integers(-2**63, 2**63 - 1)),
+                                      draw(st.lists(FLOATS, min_size=n_obj, max_size=n_obj))))
+        records.append(ImageRecord(
+            draw(st.text(TOKEN_CHARS, min_size=1, max_size=6)) + str(i),
+            draw(st.one_of(st.none(), st.integers(0, n_cls - 1))), dets, mode,
+            draw(st.one_of(st.none(), st.text(TOKEN_CHARS, max_size=4)))))
+    return DatasetManifest(make_vocab(n_obj), make_classes(n_cls), records,
+                           draw(st.sampled_from(["test", "target"])), mode)
+
+
+def assert_same_columns(a, b):
+    assert (a.image_ids, a.domain_tags) == (b.image_ids, b.domain_tags)
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+class TestColumns:
+    def test_hard_arrays(self):
+        m = parse_manifest_text(HARD_TEXT)
+        assert m.image_ids == ("a0", "a1") and m.domain_tags == ("web", None)
+        np.testing.assert_array_equal(m.labels, [0, 1])
+        np.testing.assert_array_equal(m.image, [0, 0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(m.object_index, [0, 1, 0, 2, 1, 2])
+        np.testing.assert_array_equal(m.score, [0.9, 0.4, 0.2, 0.7, 0.55, 0.1])
+        np.testing.assert_array_equal(m.box[1], [0.2, 0.2, 0.8, 0.9])
+        np.testing.assert_array_equal(m.bounds, [0, 3, 6])
+        assert m.patch_id is None and m.scores is None
+
+    def test_soft_arrays(self):
+        m = parse_manifest_text(SOFT_TEXT.replace("img s1 cafe", "img s1 ?")
+                                .replace("#split train", "#split test"))
+        np.testing.assert_array_equal(m.labels, [0, -1])
+        np.testing.assert_array_equal(m.image, [0, 0, 1])
+        np.testing.assert_array_equal(m.patch_id, [0, 1, 0])
+        np.testing.assert_array_equal(m.scores, [[0.1, 0.5, 0.9], [0.3, 0.2, 0.4],
+                                                 [0.6, 0.6, 0.6]])
+        assert m.object_index is None and m.score is None and m.box is None
+
+    def test_manifest_is_immutable(self):
+        m = parse_manifest_text(HARD_TEXT)
+        with pytest.raises(AttributeError):
+            m.split_tag = "test"
+        with pytest.raises(ValueError):
+            m.score[0] = 0.0
+
+    @pytest.mark.parametrize("make", [random_hard_manifest, random_soft_manifest])
+    def test_records_view_rebuilds_the_manifest(self, make):
+        m = make(np.random.default_rng(5), 2, 4, 9)
+        parsed = parse_manifest_text(to_text(m))
+        again = DatasetManifest(parsed.vocabulary, parsed.classes, parsed.records,
+                                parsed.split_tag, parsed.mode)
+        assert_same_columns(again, m)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("image_id", "a b", r"record 0: image id 'a b'"),
+        ("image_id", "", r"record 0: image id ''"),
+        ("image_id", "a\nb", r"record 0: image id 'a\\nb'"),
+        ("domain_tag", "u v", r"record 'img': domain tag 'u v'"),
+        ("domain_tag", "u\x85v", r"record 'img': domain tag"),
+        ("split_tag", "a b", r"split tag 'a b'"),
+        ("split_tag", "", r"split tag ''"),
+    ])
+    def test_refuses_what_the_parser_would_reject(self, field, value, match):
+        # to_text would write it, and the parser reject or misread the file
+        fields = dict(image_id="img", domain_tag=None, split_tag="test")
+        fields[field] = value
+        rec = ImageRecord(fields["image_id"], 0, (), "hard", fields["domain_tag"])
+        with pytest.raises(FormatError, match=match):
+            DatasetManifest(make_vocab(1), make_classes(1), (rec,), fields["split_tag"],
+                            "hard")
+
+    def test_empty_domain_tag_round_trips(self):
+        rec = ImageRecord("img", 0, (), "hard", "")
+        m = DatasetManifest(make_vocab(1), make_classes(1), (rec,), "test", "hard")
+        assert parse_manifest_text(to_text(m)).domain_tags == ("",)
+
+    def test_file_stem_with_whitespace_gives_the_split_tag(self, tmp_path):
+        path = tmp_path / "train  set.txt"
+        path.write_text(HARD_TEXT.replace("#split train\n", ""), encoding="utf-8")
+        assert parse_manifest(path).split_tag == "train_set"
+
+    @pytest.mark.parametrize("chunk", [1, 5, 7])
+    @pytest.mark.parametrize("text", [HARD_TEXT, SOFT_TEXT], ids=["hard", "soft"])
+    def test_chunked_conversion_parses_the_same(self, text, chunk, monkeypatch):
+        whole = parse_manifest_text(text)
+        monkeypatch.setattr(oomscene.ingest, "_CHUNK_TOKENS", chunk)
+        assert_same_columns(parse_manifest_text(text), whole)
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_manifests())
+    def test_parse_serialize_parse_round_trips(self, m):
+        text = to_text(m)
+        parsed = parse_manifest_text(text)
+        assert to_text(parsed) == text
+        assert_same_columns(parsed, m)
+
+
 def threshold_indicator(record, object_index, theta):
     """1 iff the record's best detection of the object scores at least theta,
     as the occurrence model counts it."""
@@ -315,6 +451,43 @@ class TestFuzzedManifests:
             assert re.search(r"\bline \d+: ", str(exc)) or _WHOLE_FILE.search(str(exc)), \
                 str(exc)
 
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_manifests())
+    def test_the_error_names_the_first_faulty_line(self, text):
+        # the text up to line L raises the same error; the text before it no
+        # line-level error
+        try:
+            parse_manifest_text(text)
+            return
+        except PipelineError as exc:
+            fault = exc
+        found = re.match(r"line (\d+): ", str(fault))
+        if found is None:
+            assert _WHOLE_FILE.search(str(fault)), str(fault)
+            return
+        line = int(found.group(1))
+        lines = text.splitlines()
+        with pytest.raises(PipelineError) as again:
+            parse_manifest_text("\n".join(lines[:line]))
+        assert (type(again.value), str(again.value)) == (type(fault), str(fault))
+        try:
+            parse_manifest_text("\n".join(lines[:line - 1]))
+        except PipelineError as earlier:
+            assert _WHOLE_FILE.search(str(earlier)), str(earlier)
+
+    @pytest.mark.parametrize("text, old, new, match", [
+        (HARD_TEXT, "det lamp 0.1", "det lamp nan", "line 14: detection score"),
+        (SOFT_TEXT, "patch 1 0.3 0.2 0.4", "patch 1 0.3 x 0.4", "line 8: score 'x'"),
+        (SOFT_TEXT, "patch 0 0.6 0.6 0.6", "patch 0 0.6 0.6 inf", "line 11: patch scores"),
+    ], ids=["hard", "soft-number", "soft-finite"])
+    @pytest.mark.parametrize("chunk", [1, None], ids=["chunk-1", "chunk-default"])
+    def test_detection_fault_precedes_a_later_structural_one(self, text, old, new, match,
+                                                             chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(oomscene.ingest, "_CHUNK_TOKENS", chunk)
+        with pytest.raises(ParseError, match=f"^{match}"):
+            parse_manifest_text(text.replace(old, new) + "\nbogus line\n")
+
     @pytest.mark.parametrize("text, old, new, line", [
         (HARD_TEXT, "det chair 0.9", "det sofa 0.9", 7),
         (HARD_TEXT, "img a1 cafe", "img a1 garage", 11),
@@ -326,3 +499,32 @@ class TestFuzzedManifests:
     def test_line_level_faults_name_the_line(self, text, old, new, line):
         with pytest.raises(PipelineError, match=f"^line {line}: "):
             parse_manifest_text(text.replace(old, new))
+
+
+@pytest.fixture(scope="module")
+def bundles():
+    """A small trained bundle per mode."""
+    rng = np.random.default_rng(11)
+    small = dict(object_count=3, topic_count=1, sgd_lambdas=(1e-3,), sgd_eta0s=(0.5,),
+                 sgd_epochs=2, seed=1)
+    return {"hard": fit_pipeline(random_hard_manifest(rng, 2, 5, 12),
+                                 PipelineConfig(**small)),
+            "soft": fit_pipeline(random_soft_manifest(rng, 2, 5, 12),
+                                 PipelineConfig(mode="soft", pca_dim=2, codebook_size=2,
+                                                **small))}
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_parse_and_evaluate_build_no_record_objects(bundles, mode, monkeypatch):
+    make = random_hard_manifest if mode == "hard" else random_soft_manifest
+    text = to_text(make(np.random.default_rng(12), 2, 5, 8, split_tag="test"))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (HardDetection, SoftPatch, ImageRecord):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    pred, scores, labels = evaluate_bundle(bundles[mode], parse_manifest_text(text))
+    assert pred.shape == labels.shape == (8,) and scores.shape == (8, 2)
+    with pytest.raises(AssertionError, match="built a"):
+        oomscene.ingest.parse_manifest_text(text).records

@@ -28,8 +28,10 @@ from oomscene.ingest import ImageRecord, SoftPatch
 from helpers import (
     hard_record,
     one_record_manifest,
+    oracle_apply_shift,
     oracle_rawscore,
     random_hard_manifest,
+    random_soft_manifest,
     single_class_manifest,
 )
 
@@ -82,7 +84,7 @@ class TestGenerate:
         assert all(r.domain_tag == "target" for r in target.records)
         assert source.split_tag == "train"
         for c in range(3):
-            assert np.sum(source.labels() == c) == 20
+            assert np.sum(source.labels == c) == 20
 
 
 class TestApplyShift:
@@ -109,6 +111,15 @@ class TestApplyShift:
         m = single_class_manifest([rec], 2)
         out = apply_shift(m, DomainShift(0.1, 2.0, 0.0), seed=0)
         assert out.records[0].detections[0].score == 2.0 * 0.5 + 0.1
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    @pytest.mark.parametrize("shift", [DomainShift(0.15), DomainShift(-0.1, 1.3, 0.4)],
+                             ids=["offset", "scale-dropout"])
+    def test_matches_record_by_record_reference(self, mode, shift):
+        make = random_hard_manifest if mode == "hard" else random_soft_manifest
+        m = make(np.random.default_rng(21), 2, 4, 10, split_tag="test")
+        assert to_text(apply_shift(m, shift, seed=-5)) == \
+            to_text(oracle_apply_shift(m, shift, seed=-5))
 
     def test_dropout_deterministic(self):
         source, _ = generate(small_spec(seed=12))
