@@ -29,7 +29,7 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -50,7 +50,9 @@ UNLABELED_MARK = "?"
 _HEADERS = ("#vocab", "#classes", "#mode", "#split")
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 # the parser converts and checks the numbers of its detection lines in chunks
-# of about this many tokens, which bounds the string objects it holds at once
+# of about this many tokens, which bounds the string objects it holds at once:
+# without chunks, peak RSS after parsing the soft-paper benchmark's training
+# text and fitting on it is 470 MB instead of 438 MB
 _CHUNK_TOKENS = 1 << 16
 
 
@@ -60,62 +62,55 @@ def _is_token(value, allow_empty=False) -> bool:
                                        or (allow_empty and value == ""))
 
 
-def _check_names(names, what):
-    if not names:
-        raise FormatError(f"{what} is empty")
-    seen = set()
-    for n in names:
-        if not _is_token(n):
-            raise FormatError(f"{what} name {n!r} is empty or contains whitespace")
-        if n.startswith("#") or n == UNLABELED_MARK:
-            raise FormatError(f"{what} name {n!r} is reserved")
-        if n in seen:
-            raise FormatError(f"duplicate {what} name {n!r}")
-        seen.add(n)
-
-
 @dataclass(frozen=True)
-class ObjectVocabulary:
+class _NameSet:
+    """Ordered, distinct, one-token names; a name's index is its position.
+
+    A subclass sets only the wording of its messages: `_what` names the set
+    and `_item` one of its names.
+    """
+
+    names: tuple[str, ...]
+
+    def __post_init__(self):
+        names = tuple(self.names)
+        object.__setattr__(self, "names", names)
+        if not names:
+            raise FormatError(f"{self._what} is empty")
+        lookup = {}
+        for n in names:
+            if not _is_token(n):
+                raise FormatError(f"{self._what} name {n!r} is empty or contains whitespace")
+            if n.startswith("#") or n == UNLABELED_MARK:
+                raise FormatError(f"{self._what} name {n!r} is reserved")
+            if n in lookup:
+                raise FormatError(f"duplicate {self._what} name {n!r}")
+            lookup[n] = len(lookup)
+        object.__setattr__(self, "_lookup", lookup)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def index(self, name: str) -> int:
+        try:
+            return self._lookup[name]
+        except KeyError:
+            raise VocabularyError(f"unknown {self._item} name {name!r}") from None
+
+
+# siblings, not parent and child: a bundle must not pass one off as the other
+@dataclass(frozen=True)
+class ObjectVocabulary(_NameSet):
     """Ordered object-category names; index positions are stable for a run."""
 
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
-        _check_names(names, "object vocabulary")
-        object.__setattr__(self, "_lookup", {n: i for i, n in enumerate(names)})
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self._lookup[name]
-        except KeyError:
-            raise VocabularyError(f"unknown object name {name!r}") from None
+    _what, _item = "object vocabulary", "object"
 
 
 @dataclass(frozen=True)
-class SceneClassSet:
+class SceneClassSet(_NameSet):
     """Ordered scene-class names."""
 
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
-        _check_names(names, "scene class set")
-        object.__setattr__(self, "_lookup", {n: i for i, n in enumerate(names)})
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self._lookup[name]
-        except KeyError:
-            raise VocabularyError(f"unknown scene class name {name!r}") from None
+    _what, _item = "scene class set", "scene class"
 
 
 def _box_fault(box) -> Optional[str]:
@@ -133,6 +128,7 @@ def _normalized(box: np.ndarray) -> np.ndarray:
     return (0.0 <= x0) & (x0 < x1) & (x1 <= 1.0) & (0.0 <= y0) & (y0 < y1) & (y1 <= 1.0)
 
 
+# The record types are plain data: `DatasetManifest` checks what they hold.
 @dataclass(frozen=True, slots=True)
 class HardDetection:
     """One detector hit: object index, confidence score, normalized box."""
@@ -141,17 +137,6 @@ class HardDetection:
     score: float
     box: tuple[float, float, float, float]
 
-    def __post_init__(self):
-        object.__setattr__(self, "box", tuple(map(float, self.box)))
-        object.__setattr__(self, "score", float(self.score))
-        fault = _box_fault(self.box)
-        if fault:
-            raise FormatError(fault)
-        if self.object_index < 0:
-            raise FormatError("object index must be non-negative")
-        if not math.isfinite(self.score):
-            raise FormatError("detection score must be finite")
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class SoftPatch:
@@ -159,17 +144,6 @@ class SoftPatch:
 
     patch_id: int
     scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float)
-        object.__setattr__(self, "scores", scores)
-        if not (isinstance(self.patch_id, (int, np.integer))
-                and _INT64_MIN <= self.patch_id <= _INT64_MAX):
-            raise FormatError(f"patch id {self.patch_id!r} is not a 64-bit integer")
-        if scores.ndim != 1:
-            raise FormatError("patch scores must be a flat vector")
-        if not np.isfinite(scores).all():
-            raise FormatError("patch scores must be finite")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -182,20 +156,39 @@ class ImageRecord:
     mode: str
     domain_tag: Optional[str] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "detections", tuple(self.detections))
-        if self.mode not in (HARD, SOFT):
-            raise FormatError(f"unknown record mode {self.mode!r}")
-        want = HardDetection if self.mode == HARD else SoftPatch
-        for det in self.detections:
-            if not isinstance(det, want):
-                raise FormatError(
-                    f"record {self.image_id!r} mixes hard and soft detections"
-                )
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
+    return array
+
+
+def _numbers(values, what, dtype=None) -> np.ndarray:
+    """`values` as a new array of `dtype`; without one, as int64, refusing
+    any value that is not an integer in the int64 range rather than
+    truncating or wrapping it.  A `FormatError` names `what`."""
+    try:
+        array = np.array(values, dtype=dtype)
+        if array.dtype == object:  # say, Python ints beyond int64
+            array = np.array(array.tolist())
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{what}: {exc}") from None
+    if dtype is not None:
+        return array
+    kind = array.dtype.kind
+    if array.size and not (kind in "bi" or kind == "u" and array.max() <= _INT64_MAX):
+        value = next(v for v in array.reshape(-1).tolist()
+                     if not (isinstance(v, int) and _INT64_MIN <= v <= _INT64_MAX))
+        raise FormatError(f"{what} {value!r} is not a 64-bit integer")
+    return array.astype(np.int64, copy=False)
+
+
+def _rows(values, what, width) -> np.ndarray:
+    """`values` as a new float [n, width] array; any empty input is [0, width]."""
+    array = _numbers(values, what, float)
+    if not array.size:
+        return array.reshape(0, width)
+    if array.ndim != 2 or array.shape[1] != width:
+        raise DimensionError(f"{what} have shape {array.shape}, expected [n, {width}]")
     return array
 
 
@@ -211,28 +204,33 @@ class DatasetManifest:
     Record i's detections are rows `bounds[i]:bounds[i + 1]`.
 
     `DatasetManifest(vocabulary, classes, records, split_tag, mode)` builds a
-    manifest from `ImageRecord`s and `from_arrays` from the arrays.
+    manifest from `ImageRecord`s and `from_arrays` from the arrays.  Both
+    convert; `_set` checks every value, so each rule is stated once.  The
+    record constructor checks only what needs the record objects: each
+    record's mode, each detection's type and each patch's score width.
     `records` gives the manifest back as `ImageRecord`s, built on first use.
     """
 
     def __init__(self, vocabulary: ObjectVocabulary, classes: SceneClassSet,
                  records, split_tag: str, mode: str):
         records = tuple(records)
+        # any detection passes in another mode, which `_set` refuses
+        kind = {HARD: HardDetection, SOFT: SoftPatch}.get(mode, object)
         for rec in records:
             if rec.mode != mode:
                 raise FormatError(
                     f"record {rec.image_id!r} is {rec.mode}-mode in a {mode} manifest"
                 )
-            if rec.scene_class is not None and not 0 <= rec.scene_class < len(classes):
-                raise FormatError(
-                    f"record {rec.image_id!r} has out-of-range class index {rec.scene_class}"
-                )
+            if not all(map(isinstance, rec.detections, repeat(kind))):
+                raise FormatError(f"record {rec.image_id!r} mixes hard and soft detections")
         counts = np.fromiter((len(r.detections) for r in records), np.intp, len(records))
         image = np.repeat(np.arange(len(records)), counts)
         dets = [d for r in records for d in r.detections]
+        columns = {}
         if mode == SOFT:
             n_obj = len(vocabulary)
-            widths = np.fromiter((p.scores.size for p in dets), np.intp, len(dets))
+            widths = np.fromiter(map(np.size, map(attrgetter("scores"), dets)), np.intp,
+                                 len(dets))
             bad = np.flatnonzero(widths != n_obj)
             if bad.size:
                 k = bad[0]
@@ -240,16 +238,11 @@ class DatasetManifest:
                     f"record {records[image[k]].image_id!r}: patch {dets[k].patch_id} has "
                     f"{widths[k]} scores, expected {n_obj}"
                 )
-            columns = dict(
-                patch_id=np.fromiter(map(attrgetter("patch_id"), dets), np.int64, len(dets)),
-                scores=np.array([p.scores for p in dets], dtype=float).reshape(-1, n_obj))
-        else:
-            columns = dict(
-                object_index=np.fromiter(map(attrgetter("object_index"), dets), np.intp,
-                                         len(dets)),
-                score=np.fromiter(map(attrgetter("score"), dets), float, len(dets)),
-                box=np.fromiter(chain.from_iterable(map(attrgetter("box"), dets)), float,
-                                4 * len(dets)).reshape(-1, 4))
+            columns = dict(patch_id=[p.patch_id for p in dets],
+                           scores=[p.scores for p in dets])
+        elif mode == HARD:
+            columns = dict(object_index=[d.object_index for d in dets],
+                           score=[d.score for d in dets], box=[d.box for d in dets])
         self._set(vocabulary, classes, split_tag, mode,
                   tuple(r.image_id for r in records),
                   [-1 if r.scene_class is None else r.scene_class for r in records],
@@ -269,6 +262,7 @@ class DatasetManifest:
 
     def _set(self, vocabulary, classes, split_tag, mode, image_ids, labels, domain_tags,
              image, object_index=None, score=None, box=None, patch_id=None, scores=None):
+        """Convert and check every value, then store the arrays read-only."""
         if mode not in (HARD, SOFT):
             raise FormatError(f"unknown manifest mode {mode!r}")
         n, n_obj, n_cls = len(image_ids), len(vocabulary), len(classes)
@@ -276,15 +270,17 @@ class DatasetManifest:
             raise FormatError("empty manifest")
         if not _is_token(split_tag):
             raise FormatError(f"split tag {split_tag!r} is empty or contains whitespace")
-        for i, (rid, tag) in enumerate(zip(image_ids, domain_tags, strict=True)):
+        if len(domain_tags) != n:
+            raise DimensionError(f"{len(domain_tags)} domain tags for {n} records")
+        for i, (rid, tag) in enumerate(zip(image_ids, domain_tags)):
             if not _is_token(rid):
                 raise FormatError(f"record {i}: image id {rid!r} is not a non-empty "
                                   f"string without whitespace")
             if tag is not None and not _is_token(tag, allow_empty=True):
                 raise FormatError(f"record {rid!r}: domain tag {tag!r} is not a string "
                                   f"without whitespace")
-        labels = np.array(labels, dtype=np.intp).reshape(-1)
-        image = np.array(image, dtype=np.intp).reshape(-1)
+        labels = _numbers(labels, "class index").reshape(-1)
+        image = _numbers(image, "record index").reshape(-1)
         if labels.size != n:
             raise DimensionError(f"{labels.size} labels for {n} records")
         bad = np.flatnonzero((labels < -1) | (labels >= n_cls))
@@ -295,9 +291,9 @@ class DatasetManifest:
         if m and (image[0] < 0 or image[-1] >= n or np.any(image[1:] < image[:-1])):
             raise FormatError("detections must be grouped by record, in record order")
         if mode == HARD:
-            object_index = np.array(object_index, dtype=np.intp).reshape(-1)
-            score = np.array(score, dtype=float).reshape(-1)
-            box = np.array(box, dtype=float).reshape(-1, 4)
+            object_index = _numbers(object_index, "object index").reshape(-1)
+            score = _numbers(score, "detection scores", float).reshape(-1)
+            box = _rows(box, "boxes", 4)
             if not object_index.size == score.size == len(box) == m:
                 raise DimensionError("hard detection arrays differ in length")
             bad = np.flatnonzero((object_index < 0) | (object_index >= n_obj))
@@ -311,11 +307,8 @@ class DatasetManifest:
                 raise FormatError(f"record {image_ids[image[k]]!r}: {fault}")
             columns = (object_index, score, box, None, None)
         else:
-            patch_id = np.array(patch_id, dtype=np.int64).reshape(-1)
-            scores = np.array(scores, dtype=float)
-            if scores.ndim != 2 or scores.shape[1] != n_obj:
-                raise DimensionError(f"patch scores have shape {scores.shape}, expected "
-                                     f"[n_patches, {n_obj}]")
+            patch_id = _numbers(patch_id, "patch id").reshape(-1)
+            scores = _rows(scores, "patch scores", n_obj)
             if not patch_id.size == len(scores) == m:
                 raise DimensionError("soft patch arrays differ in length")
             bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
@@ -353,7 +346,7 @@ class DatasetManifest:
         """The manifest as `ImageRecord`s, for code that works a record at a time."""
         if self.mode == HARD:
             dets = list(map(HardDetection, self.object_index.tolist(),
-                            self.score.tolist(), self.box.tolist()))
+                            self.score.tolist(), map(tuple, self.box.tolist())))
         else:
             dets = list(map(SoftPatch, self.patch_id.tolist(), self.scores))
         bounds = self.bounds.tolist()

@@ -45,10 +45,6 @@ class DomainShift:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.score_offset == 0.0 and self.score_scale == 1.0 and self.dropout == 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class ScoreModel:
@@ -152,10 +148,13 @@ def planted_spec(n_classes: int, n_objects: int, n_topics: int,
 
 
 def _random_box(rng) -> tuple[float, float, float, float]:
-    w = rng.uniform(0.05, 0.3)
-    h = rng.uniform(0.05, 0.3)
-    x0 = rng.uniform(0.0, 1.0 - w)
-    y0 = rng.uniform(0.0, 1.0 - h)
+    # one draw of four uniforms; the same numbers, in the same order, as
+    # rng.uniform(0.05, 0.3) twice and then rng.uniform(0, 1 - w), (0, 1 - h)
+    a, b, c, d = rng.random(4).tolist()
+    w = 0.05 + 0.25 * a
+    h = 0.05 + 0.25 * b
+    x0 = (1.0 - w) * c
+    y0 = (1.0 - h) * d
     return (x0, y0, min(1.0, x0 + w), min(1.0, y0 + h))
 
 

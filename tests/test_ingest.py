@@ -12,9 +12,11 @@ from oomscene import (
     FormatError,
     HardDetection,
     ImageRecord,
+    ObjectVocabulary,
     ParseError,
     PipelineConfig,
     PipelineError,
+    SceneClassSet,
     SoftPatch,
     VocabularyError,
     evaluate_bundle,
@@ -78,6 +80,9 @@ class TestParsing:
         assert m.records[1].domain_tag is None
         assert m.records[0].scene_class == 0
         assert m.split_tag == "train"
+        det = m.records[0].detections[1]
+        assert (det.object_index, det.score, det.box) == (1, 0.4, (0.2, 0.2, 0.8, 0.9))
+        assert type(det.box) is tuple and {type(v) for v in det.box} == {float}
 
     def test_soft_parsing(self):
         m = parse_manifest_text(SOFT_TEXT)
@@ -313,6 +318,60 @@ class TestColumns:
         parsed = parse_manifest_text(text)
         assert to_text(parsed) == text
         assert_same_columns(parsed, m)
+
+
+def test_name_sets_keep_their_own_type_and_wording():
+    vocab, classes = ObjectVocabulary(("a",)), SceneClassSet(("a",))
+    assert vocab != classes
+    assert not isinstance(vocab, SceneClassSet) and not isinstance(classes, ObjectVocabulary)
+    with pytest.raises(VocabularyError, match="^unknown object name 'b'$"):
+        vocab.index("b")
+    with pytest.raises(VocabularyError, match="^unknown scene class name 'b'$"):
+        classes.index("b")
+    with pytest.raises(FormatError, match="^duplicate object vocabulary name 'a'$"):
+        ObjectVocabulary(("a", "a"))
+    with pytest.raises(FormatError, match="^scene class set name 'b c' is empty"):
+        SceneClassSet(("a", "b c"))
+
+BOX = (0.1, 0.1, 0.2, 0.2)
+# from_arrays arguments of a one-record hard manifest with one detection
+ONE_DETECTION = dict(split_tag="test", mode="hard", image_ids=["a"], labels=[0],
+                     domain_tags=[None], image=[0], object_index=[0], score=[0.5], box=[BOX])
+TWO_DETECTIONS = dict(image=[0, 0], object_index=[0, 0], score=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("change, record, error, match", [
+    (dict(object_index=[1.5]), hard_record([HardDetection(1.5, 0.5, BOX)]),
+     FormatError, "object index 1.5 is not a 64-bit integer"),
+    (dict(labels=[0.7]), hard_record([], scene_class=0.7),
+     FormatError, "class index 0.7 is not a 64-bit integer"),
+    (dict(labels=["1"]), hard_record([], scene_class="1"),
+     FormatError, "class index '1' is not a 64-bit integer"),
+    (dict(image=[0.5]), None, FormatError, "record index 0.5 is not a 64-bit integer"),
+    (dict(mode="soft", object_index=None, score=None, box=None, patch_id=[2**64],
+          scores=[[0.5, 0.5]]), soft_record([SoftPatch(2**64, [0.5, 0.5])]),
+     FormatError, f"patch id {2**64} is not a 64-bit integer"),
+    # reshape(-1, 4) would regroup these twelve numbers into three boxes
+    (dict(image=[0, 0, 0], object_index=[0, 0, 0], score=[0.5] * 3,
+          box=np.full((4, 3), 0.5)), None,
+     DimensionError, r"boxes have shape \(4, 3\), expected \[n, 4\]"),
+    (dict(box=[BOX[:3]]), hard_record([HardDetection(0, 0.5, BOX[:3])]),
+     DimensionError, r"boxes have shape \(1, 3\)"),
+    # three numbers and five: eight in all, which make two boxes when chained
+    (dict(TWO_DETECTIONS, box=[BOX[:3], BOX + (0.3,)]),
+     hard_record([HardDetection(0, 0.5, BOX[:3]), HardDetection(0, 0.5, BOX + (0.3,))]),
+     FormatError, "boxes: "),
+    (dict(domain_tags=[None, None]), None, DimensionError, "2 domain tags for 1 records"),
+], ids=["fractional-object", "fractional-label", "string-label", "fractional-image",
+        "patch-id-beyond-int64", "box-array-4x3", "three-number-box", "ragged-boxes",
+        "domain-tags-length"])
+def test_values_that_convert_badly_are_refused(change, record, error, match):
+    args = {**ONE_DETECTION, **change}
+    with pytest.raises(error, match=match):
+        DatasetManifest.from_arrays(make_vocab(2), make_classes(1), **args)
+    if record is not None:
+        with pytest.raises(error, match=match):
+            DatasetManifest(make_vocab(2), make_classes(1), (record,), "test", record.mode)
 
 
 def threshold_indicator(record, object_index, theta):

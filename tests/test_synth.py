@@ -25,6 +25,7 @@ from oomscene import (
     to_text,
 )
 from oomscene.ingest import ImageRecord, SoftPatch
+from oomscene.synth import _random_box
 from helpers import (
     hard_record,
     one_record_manifest,
@@ -85,6 +86,19 @@ class TestGenerate:
         assert source.split_tag == "train"
         for c in range(3):
             assert np.sum(source.labels == c) == 20
+
+
+def test_random_box_matches_four_uniform_draws():
+    # the same boxes and the same next draw as the four-call formula
+    for seed in range(20):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            w = theirs.uniform(0.05, 0.3)
+            h = theirs.uniform(0.05, 0.3)
+            x0 = theirs.uniform(0.0, 1.0 - w)
+            y0 = theirs.uniform(0.0, 1.0 - h)
+            assert _random_box(ours) == (x0, y0, min(1.0, x0 + w), min(1.0, y0 + h))
+        assert ours.random() == theirs.random()
 
 
 class TestApplyShift:
