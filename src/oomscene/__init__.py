@@ -31,12 +31,9 @@ from .descriptor_soft import (
     vlad,
 )
 from .ensemble import (
-    LinearClassifier,
     SgdConfig,
     TopicEnsemble,
-    hinge_objective,
     predict_batch,
-    train_binary,
     train_ensemble,
     train_one_vs_rest,
 )

@@ -167,6 +167,7 @@ def cmd_select_objects(args) -> int:
     selection = select_objects(bundle.posterior, args.count,
                                bundle.config.phi_aggregation)
     bundle.selection = selection
+    bundle.config = replace(bundle.config, object_count=args.count)
     # descriptor space changed: everything fitted on it is stale
     bundle.pca = bundle.codebook = bundle.topics = bundle.ensemble = None
     save_bundle(bundle, args.out)
@@ -201,6 +202,7 @@ def cmd_cluster(args) -> int:
     X = encode_with_bundle(bundle, manifest)
     topics = fit_topics(X, args.topics, bundle.config.seed)
     bundle.topics = topics
+    bundle.config = replace(bundle.config, topic_count=args.topics)
     bundle.ensemble = None  # stale against new topics
     save_bundle(bundle, args.out)
     if args.csv:

@@ -45,23 +45,6 @@ class SgdConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True, eq=False)
-class LinearClassifier:
-    """One binary classifier, as ``train_binary`` returns it."""
-
-    weights: np.ndarray
-    bias: float
-
-
-def hinge_objective(clf: LinearClassifier, X, y, lam: float) -> float:
-    """(lam/2)||w||^2 + mean hinge loss of the classifier on (X, y)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    margins = y * (X @ clf.weights + clf.bias)
-    reg = 0.5 * lam * float(clf.weights @ clf.weights)
-    return reg + float(np.maximum(0.0, 1.0 - margins).mean())
-
-
 # A scale below this is folded into its coefficient row before the next update.
 _TINY_SCALE = 1e-9
 
@@ -133,27 +116,21 @@ def _sgd_lockstep(K, Y, active, lam, eta0, epochs: int, rng):
     return A, b
 
 
-def train_binary(positives, negatives, cfg: SgdConfig) -> LinearClassifier:
-    """Stochastic subgradient descent on the regularized hinge loss.
-
-    Deterministic for a fixed config: the epoch shuffles of the stacked
-    positives-then-negatives come from a generator seeded with cfg.seed.
-    Returns the final iterate.
-    """
-    P, N = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (positives, negatives))
-    if P.size == 0 or N.size == 0:
-        raise ValueError("training needs at least one positive and one negative sample")
-    X = np.vstack([P, N])
-    y = np.concatenate([np.ones(len(P)), -np.ones(len(N))])
-    A, b = _sgd_lockstep(_gram(X), y[None, :], np.ones((1, len(X)), dtype=bool),
-                         [cfg.lam], [cfg.eta0], cfg.epochs,
-                         np.random.default_rng(cfg.seed))
-    return LinearClassifier(weights=A[0] @ X, bias=float(b[0]))
-
-
 def _derive_seed(base_seed: int, *parts: int) -> int:
     ss = np.random.SeedSequence([abs(int(base_seed))] + [abs(int(p)) for p in parts])
     return int(ss.generate_state(1, np.uint32)[0])
+
+
+def _checked_labels(labels, n_samples: int, n_classes: int) -> np.ndarray:
+    """The labels as ints, one per sample and each in [0, n_classes)."""
+    y = np.asarray(labels, dtype=int)
+    if y.shape != (n_samples,):
+        raise DimensionError(f"{y.size} labels for {n_samples} samples")
+    bad = np.flatnonzero((y < 0) | (y >= n_classes))
+    if bad.size:
+        raise ModelError(f"label {y[bad[0]]} of sample {bad[0]} is outside "
+                         f"[0, {n_classes})")
+    return y
 
 
 def _validation_masks(labels: np.ndarray, folds: int) -> list[np.ndarray]:
@@ -181,6 +158,8 @@ def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
     grid, or samples too few to hold out a fold, skip the first pass and
     take ``grid[0]``.  Within a training set, a class with no positives
     decides -1 everywhere and one with no negatives +1, with zero weights.
+    A binary SVM is a two-class call: label the positives 1, the negatives 0,
+    and read row 1 (row 0 is its negation).
 
     Returns (chosen config, weights [C, dim], biases [C]).
     """
@@ -190,8 +169,8 @@ def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
     if len({(cfg.seed, cfg.epochs) for cfg in grid}) > 1:
         raise ValueError("grid entries must share one seed and one epoch count")
     X = np.asarray(descriptors, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    n = len(y)
+    n = len(X)
+    y = _checked_labels(labels, n, n_classes)
     vals = []
     if len(grid) > 1:
         if folds < 2:
@@ -261,15 +240,16 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
     hyperparameters by cross-validation on the topic's samples; topics too
     small to validate take the first grid entry.  A class
     with no positives in a topic decides -1 everywhere there, one with no
-    negatives +1, which keeps pooled sums well-defined on any partition.  A
-    topic with more than ``_GRAM_MAX_SAMPLES`` samples raises a ModelError
-    before any topic trains.
+    negatives +1, which keeps pooled sums well-defined on any partition.
+    Labels other than one per descriptor in [0, n_classes), and a topic with
+    more than ``_GRAM_MAX_SAMPLES`` samples, are refused before any topic
+    trains.
     """
     X = np.asarray(descriptors, dtype=float)
-    y = np.asarray(labels, dtype=int)
     grid = list(grid)
     if X.ndim != 2 or X.shape[1] != topics.dim:
         raise DimensionError("descriptors do not match the topic model dimension")
+    y = _checked_labels(labels, len(X), n_classes)
     topic_of, _ = assign_topics_batch(topics, X)
     topic_sizes = np.bincount(topic_of, minlength=topics.n_topics)
     if topic_sizes.max(initial=0) > _GRAM_MAX_SAMPLES:

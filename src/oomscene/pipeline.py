@@ -25,7 +25,7 @@ from .descriptor_soft import (
     training_patch_samples,
 )
 from .ensemble import predict_batch, train_ensemble
-from .errors import CompatibilityError, PipelineError
+from .errors import CompatibilityError
 from .ingest import HARD, SOFT, DatasetManifest
 from .occurrence import (
     ClassPrior,
@@ -71,14 +71,6 @@ def _build_prior(manifest: DatasetManifest, config: PipelineConfig) -> ClassPrio
     return ClassPrior.uniform(len(manifest.classes))
 
 
-def _train_labels(manifest: DatasetManifest) -> np.ndarray:
-    labels = manifest.labels
-    if np.any(labels < 0):
-        bad = [manifest.image_ids[i] for i in np.flatnonzero(labels < 0)]
-        raise PipelineError(f"training manifest has unlabeled records: {bad[:3]}...")
-    return labels
-
-
 def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.ndarray:
     """Encode a manifest with the bundle's frozen components."""
     if manifest.vocabulary.names != bundle.vocabulary.names:
@@ -122,7 +114,6 @@ def fit_encoder(train: DatasetManifest, config: PipelineConfig,
     grid.
     """
     stage = _stage_logger(log)
-    labels = _train_labels(train)  # rejects unlabeled records before any fitting
     occurrence = build_occurrence_model(train, config.threshold_grid())
     stage("occurrence model", f"{occurrence.n_objects} objects x {occurrence.n_classes} classes")
     posterior = build_posterior_model(occurrence, _build_prior(train, config),
@@ -148,7 +139,7 @@ def fit_encoder(train: DatasetManifest, config: PipelineConfig,
         stage("pca + codebook", f"{samples.shape[0]} patches")
     X = encode_with_bundle(bundle, train)
     stage("encoding", f"{X.shape[0]} descriptors of dim {X.shape[1]}")
-    return bundle, X, labels
+    return bundle, X, train.labels
 
 
 def fit_classifier(bundle: ModelBundle, X, labels,

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from oomscene import (
     ObjectVocabulary,
     SceneClassSet,
     SoftPatch,
+    train_one_vs_rest,
 )
 
 
@@ -92,7 +94,23 @@ def single_class_manifest(records, n_objects, n_classes=1, split_tag="train"):
                            tuple(records), split_tag, "hard")
 
 
+def binary_svm(positives, negatives, cfg):
+    """The binary SVM of positives against negatives, as the library trains it:
+    class 1's row of a two-class ``train_one_vs_rest`` call with the
+    positives labeled 1, the negatives 0 and the one-entry grid ``[cfg]``."""
+    X = np.vstack([positives, negatives])
+    y = np.repeat([1, 0], [len(positives), len(negatives)])
+    _, W, b = train_one_vs_rest(X, y, 2, [cfg], folds=2)
+    return SimpleNamespace(weights=W[1], bias=b[1])
+
+
 # ----------------------------------------------------------------- oracles
+
+def hinge_objective(w, b, X, y, lam):
+    """(lam/2)||w||^2 + mean hinge loss of the classifier (w, b) on (X, y)."""
+    margins = y * (X @ w + b)
+    return 0.5 * lam * float(w @ w) + float(np.maximum(0.0, 1.0 - margins).mean())
+
 
 def oracle_occurrence(manifest, grid):
     """Brute-force recount: triple loop over (object, class, threshold)."""

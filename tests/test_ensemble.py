@@ -9,9 +9,7 @@ from oomscene import (
     SgdConfig,
     fit_topics,
     assign_topics_batch,
-    hinge_objective,
     predict_batch,
-    train_binary,
     train_ensemble,
     train_one_vs_rest,
 )
@@ -19,7 +17,7 @@ from oomscene import ensemble as ensemble_module
 from oomscene.ensemble import TopicEnsemble, _derive_seed, _gram, _sgd_lockstep
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_batch_subgradient, oracle_sgd
+from helpers import binary_svm, hinge_objective, oracle_batch_subgradient, oracle_sgd
 
 
 def assert_close_to_oracle(w, b, w_oracle, b_oracle, rtol=1e-12):
@@ -40,7 +38,7 @@ CFG = SgdConfig(lam=1e-4, eta0=0.5, epochs=40, seed=0)
 
 class TestTrainBinary:
     def test_two_point_problem(self):
-        clf = train_binary([[1.0]], [[-1.0]], CFG)
+        clf = binary_svm([[1.0]], [[-1.0]], CFG)
         assert clf.weights @ [1.0] + clf.bias > 0
         assert clf.weights @ [-1.0] + clf.bias < 0
 
@@ -49,17 +47,17 @@ class TestTrainBinary:
         pos = np.repeat(X, 3, axis=0)
         neg = np.repeat(X, 2, axis=0)
         cfg = SgdConfig(lam=0.05, eta0=0.2, epochs=60, seed=0)
-        clf = train_binary(pos, neg, cfg)
+        clf = binary_svm(pos, neg, cfg)
         data = np.vstack([pos, neg])
         y = np.array([1, 1, 1, -1, -1])
         # objective at w=0, b=0 is exactly 1; training must not do worse
-        assert hinge_objective(clf, data, y, cfg.lam) <= 1.0
+        assert hinge_objective(clf.weights, clf.bias, data, y, cfg.lam) <= 1.0
 
     def test_separable_reaches_zero_hinge_loss(self):
         rng = np.random.default_rng(60)
         pos, neg = separable_2d(rng)
         cfg = SgdConfig(lam=1e-5, eta0=0.5, epochs=60, seed=1)
-        clf = train_binary(pos, neg, cfg)
+        clf = binary_svm(pos, neg, cfg)
         X = np.vstack([pos, neg])
         y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
         margins = y * (X @ clf.weights + clf.bias)
@@ -70,26 +68,27 @@ class TestTrainBinary:
         pos = rng.standard_normal((30, 2)) + np.array([0.7, 0.7])
         neg = rng.standard_normal((30, 2)) - np.array([0.7, 0.7])
         cfg = SgdConfig(lam=0.01, eta0=0.5, epochs=100, seed=1)
-        clf = train_binary(pos, neg, cfg)
+        clf = binary_svm(pos, neg, cfg)
         X = np.vstack([pos, neg])
         y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
-        obj = hinge_objective(clf, X, y, cfg.lam)
+        obj = hinge_objective(clf.weights, clf.bias, X, y, cfg.lam)
         oracle_obj, _, _ = oracle_batch_subgradient(X, y, cfg.lam, iters=20000)
         assert obj <= 1.05 * oracle_obj
 
     def test_deterministic(self):
         rng = np.random.default_rng(61)
         pos, neg = separable_2d(rng, n=10)
-        a = train_binary(pos, neg, CFG)
-        b = train_binary(pos, neg, CFG)
+        a = binary_svm(pos, neg, CFG)
+        b = binary_svm(pos, neg, CFG)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
-    def test_needs_both_sides(self):
-        with pytest.raises(ValueError):
-            train_binary([], [[1.0]], CFG)
-        with pytest.raises(ValueError):
-            train_binary([[1.0]], [], CFG)
+    def test_class_zero_row_is_the_negation(self):
+        # the two one-vs-rest problems see the same samples with swapped labels
+        pos, neg = separable_2d(np.random.default_rng(63), n=10)
+        _, W, b = train_one_vs_rest(np.vstack([pos, neg]), [1] * 10 + [0] * 10, 2,
+                                    [CFG], folds=2)
+        assert np.array_equal(W[1], -W[0]) and b[1] == -b[0]
 
     def test_best_epoch_objective_not_above_initial(self):
         rng = np.random.default_rng(62)
@@ -100,7 +99,8 @@ class TestTrainBinary:
         objs = []
         for epochs in range(1, 12):
             cfg = SgdConfig(lam=1e-3, eta0=0.5, epochs=epochs, seed=4)
-            objs.append(hinge_objective(train_binary(pos, neg, cfg), X, y, cfg.lam))
+            clf = binary_svm(pos, neg, cfg)
+            objs.append(hinge_objective(clf.weights, clf.bias, X, y, cfg.lam))
         assert all(np.isfinite(objs))
         assert min(objs) <= 1.0  # objective at the zero classifier
 
@@ -121,7 +121,7 @@ class TestTrainBinary:
             SgdConfig(lam=1.0, eta0=bad, epochs=1, seed=0)
 
     def test_config_rejects_negative_seed(self):
-        # train_one_vs_rest would train seed 1's classifiers, train_binary fail in numpy
+        # _derive_seed's abs would train seed 1's classifiers
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             SgdConfig(lam=1.0, eta0=1.0, epochs=1, seed=-1)
 
@@ -423,6 +423,33 @@ class TestTrainEnsemble:
                             lambda *args: calls.append(args))
         with pytest.raises(ModelError, match=f"topic {big} has 20 training samples"):
             train_ensemble(X, y, 2, topics, [CFG, CFG], folds=2)
+        assert calls == []
+
+
+def train_through(entry, X, y, n_classes):
+    if entry == "one_vs_rest":
+        return train_one_vs_rest(X, y, n_classes, [CFG, CFG], folds=2)
+    return train_ensemble(X, y, n_classes, fit_topics(X, 2, seed=0), [CFG, CFG], folds=2)
+
+
+class TestLabelChecks:
+    @pytest.mark.parametrize("entry", ["one_vs_rest", "ensemble"])
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda y: y[:18], DimensionError, "18 labels for 20 samples"),
+        (lambda y: np.r_[y[:19], 5], ModelError, "label 5 of sample 19"),
+        (lambda y: np.r_[-1, y[1:]], ModelError, "label -1 of sample 0"),
+    ], ids=["count", "too_large", "negative"])
+    def test_refused_before_any_training(self, entry, change, error, message,
+                                         monkeypatch):
+        rng = np.random.default_rng(73)
+        X = rng.standard_normal((20, 2))
+        y = np.arange(20) % 2
+        calls = []
+        monkeypatch.setattr(ensemble_module, "_gram", lambda *args: calls.append(args))
+        monkeypatch.setattr(ensemble_module, "_sgd_lockstep",
+                            lambda *args: calls.append(args))
+        with pytest.raises(error, match=message):
+            train_through(entry, X, change(y), 2)
         assert calls == []
 
 
