@@ -42,6 +42,13 @@ class PcaTransform:
     mean: np.ndarray
     basis: np.ndarray  # [input_dim, out_dim]
 
+    def __post_init__(self):
+        for name in ("mean", "basis"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, value)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"PCA {name} must be finite")
+
     @property
     def out_dim(self) -> int:
         return self.basis.shape[1]
@@ -53,8 +60,24 @@ class PcaTransform:
         return self.mean + np.asarray(Y, dtype=float) @ self.basis.T
 
 
+# Column-block width of fit_pca's first step: each block's Gram matrix is
+# this wide, so its eigh is cheap, and the blocks stay independent of how the
+# caller lays out its features.
+_PCA_BLOCK = 64
+
+
 def fit_pca(samples, out_dim: int) -> PcaTransform:
     """Top principal directions of the sample covariance.
+
+    The d x d covariance is never formed.  Each 64-column block of the
+    centred samples is reduced to the eigenvectors of its own Gram matrix
+    whose eigenvalues pass a rank tolerance relative to the block's largest.
+    The centred samples' row space lies in the direct sum of those spans, so
+    one eigh of the covariance of the samples' coordinates in them (m x m, m
+    the sum of the block ranks) gives the principal directions; only
+    directions of numerically zero variance are dropped.  If m < out_dim,
+    the remaining columns are the blocks' dropped eigenvectors, in block
+    order.
 
     Column signs are fixed by making each column's first non-negligible entry
     positive, so the fit is deterministic.
@@ -69,12 +92,32 @@ def fit_pca(samples, out_dim: int) -> PcaTransform:
         raise ValueError(f"need at least {out_dim} samples to fit PCA, got {n}")
     if out_dim > dim:
         raise ValueError(f"out_dim {out_dim} exceeds the input dimension {dim}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("PCA samples must be finite, not NaN or infinite")
     mean = X.mean(axis=0)
     Xc = X - mean
-    cov = Xc.T @ Xc / max(n - 1, 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(-eigvals, kind="stable")[:out_dim]
-    basis = eigvecs[:, order].copy()
+    blocks = [slice(s, min(s + _PCA_BLOCK, dim)) for s in range(0, dim, _PCA_BLOCK)]
+    kept, dropped = [], []
+    for cols in blocks:
+        w, v = np.linalg.eigh(Xc[:, cols].T @ Xc[:, cols])
+        # smaller eigenvalues are rounding noise of zero-variance directions
+        keep = w > w[-1] * w.size * np.finfo(float).eps * 10
+        kept.append(v[:, keep])
+        dropped.append(v[:, ~keep])
+    Y = np.hstack([Xc[:, cols] @ q for cols, q in zip(blocks, kept)])
+    del Xc
+    eigvals, eigvecs = np.linalg.eigh(Y.T @ Y / max(n - 1, 1))
+    top = eigvecs[:, np.argsort(-eigvals, kind="stable")[:out_dim]]
+    basis = np.zeros((dim, out_dim))
+    row = 0
+    for cols, q in zip(blocks, kept):
+        basis[cols, :top.shape[1]] = q @ top[row:row + q.shape[1]]
+        row += q.shape[1]
+    col = top.shape[1]
+    for cols, z in zip(blocks, dropped):
+        take = min(z.shape[1], out_dim - col)
+        basis[cols, col:col + take] = z[:, :take]
+        col += take
     for j in range(basis.shape[1]):
         nz = np.flatnonzero(np.abs(basis[:, j]) > 1e-12)
         if nz.size and basis[nz[0], j] < 0:

@@ -134,9 +134,11 @@ def fit_encoder(train: DatasetManifest, config: PipelineConfig,
     if config.mode == SOFT:
         samples = training_patch_samples(train, posterior, selection)
         bundle.pca = fit_pca(samples, config.pca_dim)
+        stage("pca", f"{samples.shape[0]} patches, dim {samples.shape[1]} -> "
+                     f"{config.pca_dim}")
         bundle.codebook = fit_codebook(bundle.pca.project(samples),
                                        config.codebook_size, config.seed)
-        stage("pca + codebook", f"{samples.shape[0]} patches")
+        stage("codebook", f"{config.codebook_size} words")
     X = encode_with_bundle(bundle, train)
     stage("encoding", f"{X.shape[0]} descriptors of dim {X.shape[1]}")
     return bundle, X, train.labels

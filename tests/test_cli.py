@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import struct
 
 import numpy as np
@@ -467,8 +468,9 @@ class TestAblate:
 
 
 class TestSoftPipeline:
-    def test_soft_train_eval(self, tmp_path):
-        # soft manifest derived from a hard one: detections become patches
+    def train(self, tmp_path):
+        """Train a soft bundle on manifests derived from a hard one (detections
+        become patches); returns the bundle path and the target manifest path."""
         spec = planted_spec(3, 10, 2, 10, seed=6)
         source, target = generate(spec)
         src_path, tgt_path = tmp_path / "soft_src.txt", tmp_path / "soft_tgt.txt"
@@ -481,6 +483,10 @@ class TestSoftPipeline:
                    "--set", "topic_count=2", "--set", "sgd_lambdas=1e-4",
                    "--set", "sgd_eta0s=0.5", "--set", "sgd_epochs=6"])
         assert rc == 0
+        return out, tgt_path
+
+    def test_soft_train_eval(self, tmp_path):
+        out, tgt_path = self.train(tmp_path)
         bundle = load_bundle(out)
         assert bundle.pca is not None and bundle.codebook is not None
         assert bundle.ensemble.dim == 4 * 10
@@ -488,6 +494,14 @@ class TestSoftPipeline:
         rc = main(["eval", "--bundle", str(out), "--test", str(tgt_path),
                    "--out-prefix", str(prefix)])
         assert rc == 0
+
+    def test_soft_train_logs_pca_and_codebook_stages(self, tmp_path, capsys):
+        self.train(tmp_path)
+        lines = capsys.readouterr().out.splitlines()
+        assert any(re.fullmatch(r"\[train\] pca: \d+\.\d{3}s "
+                                r"\(\d+ patches, dim 18 -> 10\)", line) for line in lines)
+        assert any(re.fullmatch(r"\[train\] codebook: \d+\.\d{3}s \(4 words\)", line)
+                   for line in lines)
 
 
 class TestDeterminismAndPersistence:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,26 @@ def soft_model(rng, n_classes=2, n_objects=3, n_images=10):
                                  ClassPrior.uniform(n_classes))
     sel = select_objects(post, n_objects)
     return m, post, sel
+
+
+def covariance_oracle(X):
+    """Descending eigenvalues and eigenvectors of the dense sample covariance."""
+    Xc = X - X.mean(axis=0)
+    w, v = np.linalg.eigh(Xc.T @ Xc / (len(X) - 1))
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
+
+
+def assert_matches_covariance_oracle(X, out_dim):
+    """fit_pca's basis is the oracle's, column by column up to sign."""
+    pca = fit_pca(X, out_dim)
+    w, v = covariance_oracle(X)
+    assert np.all(-np.diff(w[:out_dim + 1]) > 1e-3 * w[0])  # distinct directions
+    np.testing.assert_allclose(pca.basis.T @ pca.basis, np.eye(out_dim), atol=1e-9)
+    np.testing.assert_allclose(pca.project(X).var(axis=0, ddof=1), w[:out_dim],
+                               rtol=1e-9, atol=1e-12 * w[0])
+    cos = np.abs(np.sum(pca.basis * v[:, :out_dim], axis=0))
+    np.testing.assert_allclose(cos, 1.0, atol=1e-9)
 
 
 def patch_matrices(rec, post, sel):
@@ -164,6 +186,58 @@ class TestFitPca:
     def test_out_dim_exceeds_input_dim(self):
         with pytest.raises(ValueError):
             fit_pca(np.zeros((10, 3)), 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_samples_refused(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            fit_pca(np.full((10, 3), value), 2)
+
+    def test_patch_samples_match_covariance_oracle(self):
+        # 30 selected objects x 4 classes: d = 120 crosses a block boundary
+        # inside an object's posterior row
+        m, post, sel = soft_model(np.random.default_rng(44), 4, 30, 60)
+        X = training_patch_samples(m, post, sel)
+        assert_matches_covariance_oracle(X, 20)
+
+    @pytest.mark.parametrize("dim", [40, 150])
+    def test_block_low_rank_data_matches_covariance_oracle(self, dim):
+        # each block's columns mix 3 shared and 4 block-own latent factors
+        rng = np.random.default_rng(45)
+        shared = rng.standard_normal((90, 3))
+        X = np.hstack([np.hstack([shared, rng.standard_normal((90, 4))])
+                       @ rng.standard_normal((7, width))
+                       for width in np.diff(np.r_[0:dim:64, dim])])
+        X = X * rng.uniform(0.5, 2.0, size=dim) + rng.standard_normal(dim)
+        assert_matches_covariance_oracle(X, 6)
+
+    def test_rank_below_out_dim_pads_an_orthonormal_basis(self):
+        rng = np.random.default_rng(46)
+        X = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 100)) + 2.0
+        pca = fit_pca(X, 10)
+        np.testing.assert_allclose(pca.basis.T @ pca.basis, np.eye(10), atol=1e-9)
+        np.testing.assert_allclose(pca.reconstruct(pca.project(X)), X, atol=1e-9)
+        _, oracle = covariance_oracle(X)
+        # the first three columns span the oracle's: all principal cosines are 1
+        cosines = np.linalg.svd(oracle[:, :3].T @ pca.basis[:, :3], compute_uv=False)
+        np.testing.assert_allclose(cosines, 1.0, atol=1e-9)
+
+    def test_constant_samples_give_an_orthonormal_basis(self):
+        X = np.tile(np.linspace(-1.0, 1.0, 70), (20, 1))
+        pca = fit_pca(X, 5)
+        np.testing.assert_allclose(pca.basis.T @ pca.basis, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(pca.project(X), 0.0, atol=1e-12)
+
+    def test_no_square_covariance_for_low_rank_blocks(self):
+        # a d x d float64 matrix would take 72 MB
+        rng = np.random.default_rng(47)
+        X = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 3000))
+        tracemalloc.start()
+        try:
+            fit_pca(X, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 3000 * 8 / 10
 
 
 class TestFitCodebook:
