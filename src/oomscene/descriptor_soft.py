@@ -60,23 +60,27 @@ class PcaTransform:
         return self.mean + np.asarray(Y, dtype=float) @ self.basis.T
 
 
-# Column-block width of fit_pca's first step: each block's Gram matrix is
-# this wide, so its eigh is cheap, and the blocks stay independent of how the
-# caller lays out its features.
+# Column-block width of fit_pca's first step: each block's R factor is at
+# most this wide, so its SVD is cheap, and the blocks stay independent of how
+# the caller lays out its features.
 _PCA_BLOCK = 64
 
 
 def fit_pca(samples, out_dim: int) -> PcaTransform:
     """Top principal directions of the sample covariance.
 
-    The d x d covariance is never formed.  Each 64-column block of the
-    centred samples is reduced to the eigenvectors of its own Gram matrix
-    whose eigenvalues pass a rank tolerance relative to the block's largest.
-    The centred samples' row space lies in the direct sum of those spans, so
-    one eigh of the covariance of the samples' coordinates in them (m x m, m
-    the sum of the block ranks) gives the principal directions; only
-    directions of numerically zero variance are dropped.  If m < out_dim,
-    the remaining columns are the blocks' dropped eigenvectors, in block
+    Each 64-column block of the centred samples is reduced, through the SVD
+    of its QR factor R, to the right singular vectors whose singular values
+    exceed ``max(n, 64) * eps`` times the block's largest, the rank
+    tolerance of ``np.linalg.matrix_rank``.  The centred samples' row space lies, up to
+    the dropped directions, in the direct sum of those spans, so one eigh of
+    the covariance of the samples' coordinates in them (m x m, m the sum of
+    the block ranks) gives the principal directions.  Dropping the rest moves
+    the covariance by about that tolerance relative to its norm, the order
+    of the rounding error bound of the n-term sums that form it, so the
+    result matches the dense covariance eigh up to rounding.  An m x m
+    matrix is d x d only if every block has full rank.  If m < out_dim,
+    the remaining columns are the blocks' dropped singular vectors, in block
     order.
 
     Column signs are fixed by making each column's first non-negligible entry
@@ -99,11 +103,13 @@ def fit_pca(samples, out_dim: int) -> PcaTransform:
     blocks = [slice(s, min(s + _PCA_BLOCK, dim)) for s in range(0, dim, _PCA_BLOCK)]
     kept, dropped = [], []
     for cols in blocks:
-        w, v = np.linalg.eigh(Xc[:, cols].T @ Xc[:, cols])
-        # smaller eigenvalues are rounding noise of zero-variance directions
-        keep = w > w[-1] * w.size * np.finfo(float).eps * 10
-        kept.append(v[:, keep])
-        dropped.append(v[:, ~keep])
+        block = Xc[:, cols]
+        # the SVD of the block's R factor resolves small singular values to
+        # rounding, which the eigenvalues of its Gram matrix cannot
+        _, sv, vt = np.linalg.svd(np.linalg.qr(block, mode="r"))
+        rank = np.count_nonzero(sv > sv[0] * max(block.shape) * np.finfo(float).eps)
+        kept.append(vt[:rank].T)
+        dropped.append(vt[rank:].T)
     Y = np.hstack([Xc[:, cols] @ q for cols, q in zip(blocks, kept)])
     del Xc
     eigvals, eigvecs = np.linalg.eigh(Y.T @ Y / max(n - 1, 1))

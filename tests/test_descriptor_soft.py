@@ -210,6 +210,23 @@ class TestFitPca:
         X = X * rng.uniform(0.5, 2.0, size=dim) + rng.standard_normal(dim)
         assert_matches_covariance_oracle(X, 6)
 
+    def test_near_null_block_directions_are_kept(self):
+        # block b mixes 3 shared factors, its own factor b and, 1e-7 times
+        # weaker, the next block's own factor: a direction whose share of the
+        # covariance is first order in its singular value
+        rng = np.random.default_rng(48)
+        widths = np.diff(np.r_[0:150:64, 150])
+        latent = rng.standard_normal((90, 3 + widths.size))
+        X = np.hstack([latent[:, :3] @ rng.standard_normal((3, width))
+                       + np.outer(latent[:, 3 + b], rng.standard_normal(width))
+                       + 1e-7 * np.outer(latent[:, 3 + (b + 1) % widths.size],
+                                         rng.standard_normal(width))
+                       for b, width in enumerate(widths)])
+        pca = fit_pca(X, 6)
+        _, v = covariance_oracle(X)
+        signs = np.sign(np.sum(pca.basis * v[:, :6], axis=0))
+        np.testing.assert_allclose(pca.basis, v[:, :6] * signs, atol=1e-10)
+
     def test_rank_below_out_dim_pads_an_orthonormal_basis(self):
         rng = np.random.default_rng(46)
         X = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 100)) + 2.0
