@@ -15,7 +15,7 @@ import numpy as np
 from .errors import FormatError, VariantError
 from .ingest import SOFT, DatasetManifest
 from .occurrence import DiscriminantSelection, PosteriorModel, score_grid_indices
-from .topics import _squared_distances, fit_topics, nearest_centroids
+from .topics import _row_norms, _squared_distances, fit_topics, nearest_centroids
 
 
 def _patch_posteriors(manifest: DatasetManifest, post: PosteriorModel,
@@ -177,7 +177,7 @@ def fit_codebook(projected, k: int, seed: int) -> VladCodebook:
 def soft_assignments(cb: VladCodebook, V: np.ndarray) -> np.ndarray:
     """Per-row Gaussian assignment weights over centers (rows sum to one)."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    logw = -_squared_distances(V, cb.centers) / (2.0 * cb.sigma**2)
+    logw = -_squared_distances(V, cb.centers, _row_norms(V)) / (2.0 * cb.sigma**2)
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
     w /= w.sum(axis=1, keepdims=True)
@@ -203,8 +203,14 @@ def encode_soft_manifest(manifest: DatasetManifest, post: PosteriorModel,
     bounds, X = _patch_posteriors(manifest, post, sel)
     V = pca.project(X)
     del X  # the largest temporary: free it before the output is allocated
+    return encode_projected(bounds, V, cb)
+
+
+def encode_projected(bounds: np.ndarray, V: np.ndarray, cb: VladCodebook) -> np.ndarray:
+    """[len(bounds) - 1, k * p]: the soft-VLAD descriptor of every record
+    whose PCA-projected patches are the rows bounds[i]:bounds[i + 1] of V."""
     W = soft_assignments(cb, V)
-    out = np.empty((len(manifest), cb.centers.size))
+    out = np.empty((len(bounds) - 1, cb.centers.size))
     for i, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         vec = vlad(W[start:stop], V[start:stop], cb.centers).reshape(-1)
         vec = np.sign(vec) * np.sqrt(np.abs(vec))

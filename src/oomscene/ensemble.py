@@ -262,7 +262,8 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
     chosen = []
     for d in range(topics.n_topics):
         mask = topic_of == d
-        cfg, weights[:, d], biases[:, d] = train_one_vs_rest(X[mask], y[mask], n_classes,
+        Xd = X if topic_sizes[d] == len(X) else X[mask]  # no copy for a topic of every sample
+        cfg, weights[:, d], biases[:, d] = train_one_vs_rest(Xd, y[mask], n_classes,
                                                              grid, folds, salt=d)
         chosen.append(cfg)
     return TopicEnsemble(

@@ -5,8 +5,10 @@
 and codebook, training descriptors) and ``fit_classifier`` (topics and the
 ensemble).
 ``encode_with_bundle`` turns a manifest into descriptors with a bundle's
-frozen components; it is the only place that chooses between the hard and
-soft encoders.  ``evaluate_bundle`` encodes and predicts.
+frozen components, choosing the hard or soft encoder by the bundle's mode.
+``fit_encoder`` encodes the training set itself in soft mode, from the
+projected patches it fitted the codebook on, and gets the same descriptors
+bit for bit.  ``evaluate_bundle`` encodes and predicts.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .bundle import ModelBundle, PipelineConfig
 from .descriptor_hard import encode_hard_manifest
 from .descriptor_soft import (
+    encode_projected,
     encode_soft_manifest,
     fit_codebook,
     fit_pca,
@@ -136,10 +139,14 @@ def fit_encoder(train: DatasetManifest, config: PipelineConfig,
         bundle.pca = fit_pca(samples, config.pca_dim)
         stage("pca", f"{samples.shape[0]} patches, dim {samples.shape[1]} -> "
                      f"{config.pca_dim}")
-        bundle.codebook = fit_codebook(bundle.pca.project(samples),
-                                       config.codebook_size, config.seed)
+        # project once: the codebook and the training VLADs read the same V
+        V = bundle.pca.project(samples)
+        del samples
+        bundle.codebook = fit_codebook(V, config.codebook_size, config.seed)
         stage("codebook", f"{config.codebook_size} words")
-    X = encode_with_bundle(bundle, train)
+        X = encode_projected(train.bounds, V, bundle.codebook)
+    else:
+        X = encode_with_bundle(bundle, train)
     stage("encoding", f"{X.shape[0]} descriptors of dim {X.shape[1]}")
     return bundle, X, train.labels
 

@@ -3,6 +3,9 @@
 Clustering never reads scene labels.  Initialization is distance-weighted
 random seeding; empty clusters are re-seeded from the farthest point; the
 whole fit is deterministic for a fixed seed.
+
+The squared row norms are computed once per fit, a row block at a time, and
+every distance pass reads them; no pass makes an n x d temporary.
 """
 
 from __future__ import annotations
@@ -21,6 +24,12 @@ class KMeansModel:
     seed: int
     iterations_run: int
 
+    def __post_init__(self):
+        centroids = np.asarray(self.centroids, dtype=float)
+        object.__setattr__(self, "centroids", centroids)
+        if not np.all(np.isfinite(centroids)):
+            raise ValueError("topic centroids must be finite")
+
     @property
     def n_topics(self) -> int:
         return self.centroids.shape[0]
@@ -30,9 +39,30 @@ class KMeansModel:
         return self.centroids.shape[1]
 
 
-def _squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+# Elements per row block (1 MiB of float64) in the passes that would otherwise
+# make an n x d temporary.
+_BLOCK = 1 << 17
+
+
+def _row_blocks(n: int, dim: int):
+    step = max(1, _BLOCK // max(dim, 1))
+    return (slice(s, s + step) for s in range(0, n, step))
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Squared row norms, a row block at a time: each row's value is the same
+    sum as ``(X * X).sum(axis=1)`` gives, without its n x d temporary."""
+    xx = np.empty(len(X))
+    for rows in _row_blocks(*X.shape):
+        blk = X[rows]
+        xx[rows] = (blk * blk).sum(axis=1)
+    return xx
+
+
+def _squared_distances(X: np.ndarray, centers: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """[n, k] squared distances from the rows of X, whose squared norms are xx."""
     d2 = (
-        (X * X).sum(axis=1)[:, None]
+        xx[:, None]
         + (centers * centers).sum(axis=1)[None, :]
         - 2.0 * (X @ centers.T)
     )
@@ -43,24 +73,47 @@ def _squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def nearest_centroids(centroids: np.ndarray, X: np.ndarray):
     """Nearest centroid per row (lowest index on ties) and its distance."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d2 = _squared_distances(X, centroids)
+    d2 = _squared_distances(X, centroids, _row_norms(X))
     labels = d2.argmin(axis=1)
     return labels, np.sqrt(d2[np.arange(len(X)), labels])
 
 
-def _plus_plus_init(X, k, rng):
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]), dtype=float)
+def _direct_distances(X: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``((X[rows] - c) ** 2).sum(axis=1)``, a block of rows at a time."""
+    out = np.empty(len(rows))
+    for blk in _row_blocks(len(rows), X.shape[1]):
+        out[blk] = ((X[rows[blk]] - c) ** 2).sum(axis=1)
+    return out
+
+
+def _plus_plus_init(X, xx, k, rng):
+    """k-means++ seeding (Arthur and Vassilvitskii, 2007).
+
+    d2 holds each row's squared distance to its nearest pick in the direct
+    form ``((x - c) ** 2).sum()``.  After a pick c, the expanded form
+    ``xx + c·c - 2 x·c`` and the direct form each lie within about
+    (dim + 2)·eps·(xx + c·c) of the true distance.  A row whose expanded form
+    exceeds d2 by 4·(dim + 3)·eps·(xx + c·c), twice their sum, so keeps its
+    d2 exactly, and only the other rows are computed in the direct form.  The
+    picks are those of the direct form on every row, bit for bit.
+    """
+    n, dim = X.shape
+    centers = np.empty((k, dim), dtype=float)
     centers[0] = X[int(rng.integers(n))]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    d2 = np.full(n, np.inf)
+    slack = 4.0 * (dim + 3) * np.finfo(float).eps
     for j in range(1, k):
+        c = centers[j - 1]
+        cc = float(c @ c)
+        bound = xx + cc - 2.0 * (X @ c)
+        rows = np.flatnonzero(bound <= d2 + slack * (xx + cc))
+        d2[rows] = np.minimum(d2[rows], _direct_distances(X, rows, c))
         total = float(d2.sum())
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
         centers[j] = X[idx]
-        np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1), out=d2)
     return centers
 
 
@@ -71,6 +124,8 @@ def fit_topics(descriptors, d: int, seed: int, max_iter: int = 300,
     Stops at `max_iter` or once the relative inertia improvement drops below
     `tol`.  Empty clusters are re-seeded from the point farthest from its
     centroid.  The reported inertia is recomputed against the final centroids.
+    Descriptors that are not finite, or whose squared norms overflow, raise
+    a ValueError.
     """
     try:
         X = np.asarray(descriptors, dtype=float)
@@ -83,13 +138,18 @@ def fit_topics(descriptors, d: int, seed: int, max_iter: int = 300,
         raise ValueError("need at least one topic")
     if d > n:
         raise ValueError(f"cannot fit {d} topics from {n} descriptors")
+    with np.errstate(over="ignore"):
+        xx = _row_norms(X)
+    if not np.all(np.isfinite(xx)):
+        raise ValueError("descriptors must be finite, with squared norms below "
+                         "the float64 range")
     rng = np.random.default_rng(seed)
-    centers = _plus_plus_init(X, d, rng)
+    centers = _plus_plus_init(X, xx, d, rng)
 
     prev = None
     iterations = 0
     for it in range(max_iter):
-        d2 = _squared_distances(X, centers)
+        d2 = _squared_distances(X, centers, xx)
         labels = d2.argmin(axis=1)
         mind2 = d2[np.arange(n), labels]
         counts = np.bincount(labels, minlength=d)
@@ -105,10 +165,12 @@ def fit_topics(descriptors, d: int, seed: int, max_iter: int = 300,
         prev = inertia
         for j in range(d):
             members = labels == j
-            if members.any():
+            if members.all():
+                centers[j] = X.mean(axis=0)  # no copy of X for a cluster of every row
+            elif members.any():
                 centers[j] = X[members].mean(axis=0)
 
-    final_d2 = _squared_distances(X, centers)
+    final_d2 = _squared_distances(X, centers, xx)
     inertia = float(final_d2.min(axis=1).sum())
     return KMeansModel(
         centroids=centers.copy(),

@@ -112,6 +112,67 @@ def hinge_objective(w, b, X, y, lam):
     return 0.5 * lam * float(w @ w) + float(np.maximum(0.0, 1.0 - margins).mean())
 
 
+def oracle_plus_plus_init(X, k, rng):
+    """k-means++ seeding with every distance in the direct form
+    ``((X - c) ** 2).sum(axis=1)`` over all rows."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]), dtype=float)
+    centers[0] = X[int(rng.integers(n))]
+    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = X[idx]
+        np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1), out=d2)
+    return centers
+
+
+def _oracle_squared_distances(X, centers):
+    d2 = (
+        (X * X).sum(axis=1)[:, None]
+        + (centers * centers).sum(axis=1)[None, :]
+        - 2.0 * (X @ centers.T)
+    )
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def oracle_fit_topics(X, d, seed, max_iter=300, tol=1e-6):
+    """Lloyd's k-means as ``fit_topics`` runs it, with the row norms
+    recomputed at every step and every centroid averaged from a copy of its
+    members: (centroids, inertia, iterations run)."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = oracle_plus_plus_init(X, d, rng)
+    prev = None
+    iterations = 0
+    for it in range(max_iter):
+        d2 = _oracle_squared_distances(X, centers)
+        labels = d2.argmin(axis=1)
+        mind2 = d2[np.arange(n), labels]
+        counts = np.bincount(labels, minlength=d)
+        for j in np.flatnonzero(counts == 0):
+            far = int(mind2.argmax())
+            centers[j] = X[far]
+            labels[far] = j
+            mind2[far] = 0.0
+        inertia = float(mind2.sum())
+        iterations = it + 1
+        if prev is not None and prev - inertia <= tol * prev:
+            break
+        prev = inertia
+        for j in range(d):
+            members = labels == j
+            if members.any():
+                centers[j] = X[members].mean(axis=0)
+    inertia = float(_oracle_squared_distances(X, centers).min(axis=1).sum())
+    return centers, inertia, iterations
+
+
 def oracle_occurrence(manifest, grid):
     """Brute-force recount: triple loop over (object, class, threshold)."""
     n_obj, n_cls = len(manifest.vocabulary), len(manifest.classes)

@@ -257,6 +257,19 @@ def test_forged_nan_in_pca_basis_is_refused(workdir, trained):
         load_bundle(path)
 
 
+def test_forged_nan_in_topic_centroids_is_refused(workdir, trained):
+    # a NaN centroid would send every descriptor to topic 0 with a NaN distance
+    arrays = []
+    tree = _to_tree(trained, arrays)
+    index = next(i for i, a in enumerate(arrays) if a is trained.topics.centroids)
+    arrays[index] = arrays[index].copy()
+    arrays[index][0, 0] = np.nan
+    path = workdir / "forged.bundle"
+    _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
+    with pytest.raises(FormatError, match="bundle.topics: KMeansModel rejects its fields"):
+        load_bundle(path)
+
+
 def test_forged_pyramid_is_refused_before_encoding(workdir, trained):
     # without an ensemble no descriptor length bounds the layout; 3000 x 3000
     # regions would make every encoded image take gigabytes

@@ -6,11 +6,13 @@ import pytest
 from oomscene import (
     ClassPrior,
     FormatError,
+    PipelineConfig,
     ThresholdGrid,
     VariantError,
     VladCodebook,
     build_posterior_model,
     encode_soft_manifest,
+    encode_with_bundle,
     fit_codebook,
     fit_pca,
     select_objects,
@@ -19,6 +21,7 @@ from oomscene import (
     vlad,
 )
 from oomscene.ingest import HardDetection, SoftPatch
+from oomscene.pipeline import fit_encoder
 from helpers import (
     hard_record,
     one_record_manifest,
@@ -367,3 +370,13 @@ class TestEncodeSoft:
         m, post, sel, pca, cb = self._setup(rng)
         with pytest.raises(FormatError, match="empty bag: record 'img'"):
             encode_soft(soft_record([]), post, sel, pca, cb)
+
+    def test_training_descriptors_match_encode_with_bundle(self):
+        # fit_encoder encodes the training set from the projection it fits the
+        # codebook on; evaluation projects the patches again
+        train = random_soft_manifest(np.random.default_rng(51), 4, 9, 40, max_patches=6)
+        config = PipelineConfig(mode="soft", object_count=6, pca_dim=8, codebook_size=5,
+                                seed=3)
+        bundle, X, labels = fit_encoder(train, config)
+        assert X.tobytes() == encode_with_bundle(bundle, train).tobytes()
+        np.testing.assert_array_equal(labels, train.labels)

@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oomscene import (
     DimensionError,
+    KMeansModel,
     assign_topics_batch,
     fit_topics,
 )
+from oomscene.topics import _plus_plus_init, _row_norms
+from helpers import oracle_fit_topics, oracle_plus_plus_init
 
 
 def blobs(rng, centers, per_blob, spread=0.05):
@@ -82,6 +88,83 @@ class TestFitTopics:
         model = fit_topics(X, 3, seed=0)
         assert np.isfinite(model.inertia)
         assert model.centroids.shape == (3, 2)
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_descriptors_refused(self, value):
+        # 1e200 is finite, but its squared norm overflows
+        X = np.random.default_rng(14).random((6, 3))
+        X[4, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            fit_topics(X, 2, seed=0)
+
+    def test_non_finite_centroids_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            KMeansModel(np.array([[0.0, np.nan]]), 0.0, 0, 1)
+
+    def test_no_copy_of_the_descriptors(self):
+        # X * X or X[members] would each allocate X.nbytes (64 MB)
+        X = np.random.default_rng(15).random((400, 20000))
+        tracemalloc.start()
+        try:
+            model = fit_topics(X, 1, 0)
+            _, fit_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assign_topics_batch(model, X)
+            _, assign_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit_peak < X.nbytes / 2
+        assert assign_peak < X.nbytes / 2
+
+
+@st.composite
+def kmeans_problems(draw):
+    """(X, k, seed): up to 30 rows, some of them repeated, on a coarse grid
+    or not, scaled and shifted by a common offset as large as 1e6."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    distinct = draw(st.integers(1, n))  # fewer distinct rows than k forces repairs
+    step = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    offset = draw(st.sampled_from([0.0, -2.5, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((distinct, dim))
+    if step:
+        rows = np.round(rows / step) * step
+    X = rows[rng.integers(distinct, size=n)] * scale + offset
+    return X, k, draw(st.integers(0, 2**16))
+
+
+class TestDirectFormOracle:
+    """The pruned seeding and the Lloyd steps on row norms computed once give
+    the direct-form k-means bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kmeans_problems())
+    def test_seeding_matches_oracle(self, problem):
+        X, k, seed = problem
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers = _plus_plus_init(X, _row_norms(X), k, rng)
+        assert centers.tobytes() == oracle_plus_plus_init(X, k, oracle_rng).tobytes()
+        assert rng.integers(2**62) == oracle_rng.integers(2**62)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kmeans_problems())
+    def test_fit_matches_oracle(self, problem):
+        X, k, seed = problem
+        model = fit_topics(X, k, seed)
+        centroids, inertia, iterations = oracle_fit_topics(X, k, seed)
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.inertia == inertia
+        assert model.iterations_run == iterations
+
+    # blocks of one wide row, and blocks of many narrow rows
+    @pytest.mark.parametrize("shape", [(7, 200000), (5000, 50)])
+    def test_row_norms_match_the_whole_matrix_expression(self, shape):
+        X = np.random.default_rng(16).standard_normal(shape)
+        assert _row_norms(X).tobytes() == (X * X).sum(axis=1).tobytes()
 
 
 class TestAssignTopic:
