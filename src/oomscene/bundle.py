@@ -165,7 +165,7 @@ def config_file_pairs(path) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ModelBundle:
     config: PipelineConfig
     vocabulary: ObjectVocabulary
@@ -221,12 +221,12 @@ class ModelBundle:
                 raise CompatibilityError("topic model and ensemble dimensions differ")
 
     def descriptor_dim(self) -> int:
+        if self.selection is None:
+            raise CompatibilityError("bundle has no object selection; run select-objects")
         if self.config.mode == SOFT:
             if self.pca is None or self.codebook is None:
-                raise CompatibilityError("soft-mode bundle is missing PCA or codebook")
+                raise CompatibilityError("soft-mode bundle is missing PCA or codebook; run train")
             return self.codebook.size * self.pca.out_dim
-        if self.selection is None:
-            raise CompatibilityError("bundle has no object selection yet")
         return descriptor_length(len(self.selection.selected), len(self.classes), self.layout)
 
 

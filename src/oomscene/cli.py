@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import (
-    ModelBundle,
     PipelineConfig,
     config_file_pairs,
     config_from_pairs,
@@ -31,9 +30,7 @@ from .bundle import (
 from .ensemble import predict_batch
 from .errors import PipelineError
 from .ingest import parse_manifest, write_manifest
-from .occurrence import build_occurrence_model, build_posterior_model, select_objects
 from .pipeline import (
-    _build_prior,
     class_mean_accuracy,
     confusion_matrix,
     encode_with_bundle,
@@ -41,7 +38,10 @@ from .pipeline import (
     fit_classifier,
     fit_encoder,
     fit_pipeline,
+    fit_posterior,
     per_class_accuracy,
+    with_selection,
+    with_topics,
 )
 from .synth import (
     DomainShift,
@@ -49,7 +49,7 @@ from .synth import (
     hidden_topics,
     planted_spec,
 )
-from .topics import assign_topics_batch, fit_topics
+from .topics import assign_topics_batch
 
 
 # ------------------------------------------------------------ csv output
@@ -105,8 +105,13 @@ def _write_confusion(path, manifest, pred, y_true):
 def _config_from_args(args) -> PipelineConfig:
     # the file's pairs, then --set's, make one config
     pairs = config_file_pairs(args.config) if getattr(args, "config", None) else []
-    cfg = config_from_pairs(pairs + (getattr(args, "set", None) or []))
+    pairs += getattr(args, "set", None) or []
+    cfg = config_from_pairs(pairs)
     if getattr(args, "profile", None):
+        # the profile sets the object count: an explicit one would be lost
+        if any(pair.partition("=")[0].strip() == "object_count" for pair in pairs):
+            raise ValueError(f"--profile {args.profile} sets object_count; "
+                             f"give one or the other, not both")
         cfg = cfg.with_profile(args.profile)
     return cfg
 
@@ -131,19 +136,9 @@ def cmd_synth(args) -> int:
 
 def cmd_build_oom(args) -> int:
     config = _config_from_args(args)
-    train = parse_manifest(args.train, mode=config.mode)
-    occurrence = build_occurrence_model(train, config.threshold_grid())
-    posterior = build_posterior_model(occurrence, _build_prior(train, config),
-                                      config.fallback)
-    bundle = ModelBundle(
-        config=config,
-        vocabulary=train.vocabulary,
-        classes=train.classes,
-        occurrence=occurrence,
-        posterior=posterior,
-        layout=config.pyramid_layout(),
-    )
+    bundle = fit_posterior(parse_manifest(args.train, mode=config.mode), config)
     save_bundle(bundle, args.out)
+    occurrence = bundle.occurrence
     print(f"wrote {args.out}: occurrence model over {occurrence.n_objects} objects, "
           f"{occurrence.n_classes} classes, {len(occurrence.grid)} thresholds")
     return 0
@@ -163,14 +158,9 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_select_objects(args) -> int:
-    bundle = load_bundle(args.bundle)
-    selection = select_objects(bundle.posterior, args.count,
-                               bundle.config.phi_aggregation)
-    bundle.selection = selection
-    bundle.config = replace(bundle.config, object_count=args.count)
-    # descriptor space changed: everything fitted on it is stale
-    bundle.pca = bundle.codebook = bundle.topics = bundle.ensemble = None
+    bundle = with_selection(load_bundle(args.bundle), args.count)
     save_bundle(bundle, args.out)
+    selection = bundle.selection
     if args.csv:
         rows = [
             [bundle.vocabulary.names[i], _fmt(selection.scores[i]), rank]
@@ -200,11 +190,9 @@ def cmd_cluster(args) -> int:
     bundle = load_bundle(args.bundle)
     manifest = parse_manifest(args.manifest, mode=bundle.config.mode)
     X = encode_with_bundle(bundle, manifest)
-    topics = fit_topics(X, args.topics, bundle.config.seed)
-    bundle.topics = topics
-    bundle.config = replace(bundle.config, topic_count=args.topics)
-    bundle.ensemble = None  # stale against new topics
+    bundle = with_topics(bundle, X, args.topics)
     save_bundle(bundle, args.out)
+    topics = bundle.topics
     if args.csv:
         labels, dists = assign_topics_batch(topics, X)
         rows = [

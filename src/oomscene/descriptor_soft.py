@@ -222,7 +222,4 @@ def encode_projected(bounds: np.ndarray, V: np.ndarray, cb: VladCodebook) -> np.
 def training_patch_samples(manifest: DatasetManifest, post: PosteriorModel,
                            sel: DiscriminantSelection) -> np.ndarray:
     """Flattened patch posterior matrices of every record, stacked for PCA fitting."""
-    _, X = _patch_posteriors(manifest, post, sel)
-    if not len(X):
-        raise FormatError("manifest has no records to fit on")
-    return X
+    return _patch_posteriors(manifest, post, sel)[1]

@@ -1,9 +1,9 @@
 """The training and evaluation pipeline as library calls.
 
 ``fit_pipeline`` runs the whole chain on a labeled manifest in two stages:
-``fit_encoder`` (occurrence and posterior models, object selection, soft PCA
-and codebook, training descriptors) and ``fit_classifier`` (topics and the
-ensemble).
+``fit_encoder`` (``fit_posterior``, ``with_selection``, soft PCA and codebook,
+training descriptors) and ``fit_classifier`` (``with_topics`` and the
+ensemble).  The staged commands run those three bundle stages one at a time.
 ``encode_with_bundle`` turns a manifest into descriptors with a bundle's
 frozen components, choosing the hard or soft encoder by the bundle's mode.
 ``fit_encoder`` encodes the training set itself in soft mode, from the
@@ -68,10 +68,35 @@ def class_mean_accuracy(y_true, y_pred, n_classes: int) -> float:
 
 # ------------------------------------------------------------- pipeline
 
-def _build_prior(manifest: DatasetManifest, config: PipelineConfig) -> ClassPrior:
-    if config.prior == "empirical":
-        return ClassPrior.empirical(manifest)
-    return ClassPrior.uniform(len(manifest.classes))
+def fit_posterior(train: DatasetManifest, config: PipelineConfig) -> ModelBundle:
+    """The first stage: a bundle holding the occurrence and posterior models
+    of a labeled manifest, and no selection yet."""
+    occurrence = build_occurrence_model(train, config.threshold_grid())
+    prior = (ClassPrior.empirical(train) if config.prior == "empirical"
+             else ClassPrior.uniform(len(train.classes)))
+    posterior = build_posterior_model(occurrence, prior, config.fallback)
+    return ModelBundle(config=config, vocabulary=train.vocabulary, classes=train.classes,
+                       occurrence=occurrence, posterior=posterior,
+                       layout=config.pyramid_layout())
+
+
+def with_selection(bundle: ModelBundle, count: int) -> ModelBundle:
+    """The bundle with its ``count`` most discriminative objects selected and
+    ``object_count`` set to ``count``.  The descriptor space changes, so the
+    PCA, codebook, topics and ensemble are dropped."""
+    selection = select_objects(bundle.posterior, count, bundle.config.phi_aggregation)
+    return replace(bundle, config=replace(bundle.config, object_count=count),
+                   selection=selection, pca=None, codebook=None, topics=None,
+                   ensemble=None)
+
+
+def with_topics(bundle: ModelBundle, X, count: int) -> ModelBundle:
+    """The bundle with ``count`` topics clustered from the descriptors ``X``
+    and ``topic_count`` set to ``count``.  The ensemble is dropped: it was
+    trained per topic."""
+    topics = fit_topics(X, count, bundle.config.seed)
+    return replace(bundle, config=replace(bundle.config, topic_count=count),
+                   topics=topics, ensemble=None)
 
 
 def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.ndarray:
@@ -80,8 +105,7 @@ def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.nda
         raise CompatibilityError("manifest vocabulary differs from the bundle's")
     if manifest.classes.names != bundle.classes.names:
         raise CompatibilityError("manifest classes differ from the bundle's")
-    if bundle.selection is None:
-        raise CompatibilityError("bundle has no object selection; run select-objects")
+    bundle.descriptor_dim()  # refuses a bundle whose encoder is not fitted
     if manifest.mode != bundle.config.mode:
         raise CompatibilityError(
             f"manifest is {manifest.mode}-mode, bundle expects {bundle.config.mode}"
@@ -89,8 +113,6 @@ def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.nda
     if bundle.config.mode == HARD:
         return encode_hard_manifest(manifest, bundle.posterior, bundle.selection,
                                     bundle.layout)
-    if bundle.pca is None or bundle.codebook is None:
-        raise CompatibilityError("soft-mode bundle is missing PCA or codebook; run train")
     return encode_soft_manifest(manifest, bundle.posterior, bundle.selection,
                                 bundle.pca, bundle.codebook)
 
@@ -117,34 +139,24 @@ def fit_encoder(train: DatasetManifest, config: PipelineConfig,
     grid.
     """
     stage = _stage_logger(log)
-    occurrence = build_occurrence_model(train, config.threshold_grid())
-    stage("occurrence model", f"{occurrence.n_objects} objects x {occurrence.n_classes} classes")
-    posterior = build_posterior_model(occurrence, _build_prior(train, config),
-                                      config.fallback)
-    stage("posterior model")
-    selection = select_objects(posterior, config.object_count, config.phi_aggregation)
-    stage("object selection", f"kept {len(selection.selected)}")
-    bundle = ModelBundle(
-        config=config,
-        vocabulary=train.vocabulary,
-        classes=train.classes,
-        occurrence=occurrence,
-        posterior=posterior,
-        layout=config.pyramid_layout(),
-        selection=selection,
-    )
+    bundle = fit_posterior(train, config)
+    stage("occurrence and posterior models",
+          f"{bundle.occurrence.n_objects} objects x {bundle.occurrence.n_classes} classes")
+    bundle = with_selection(bundle, config.object_count)
+    stage("object selection", f"kept {len(bundle.selection.selected)}")
 
     if config.mode == SOFT:
-        samples = training_patch_samples(train, posterior, selection)
-        bundle.pca = fit_pca(samples, config.pca_dim)
+        samples = training_patch_samples(train, bundle.posterior, bundle.selection)
+        pca = fit_pca(samples, config.pca_dim)
         stage("pca", f"{samples.shape[0]} patches, dim {samples.shape[1]} -> "
                      f"{config.pca_dim}")
         # project once: the codebook and the training VLADs read the same V
-        V = bundle.pca.project(samples)
+        V = pca.project(samples)
         del samples
-        bundle.codebook = fit_codebook(V, config.codebook_size, config.seed)
+        codebook = fit_codebook(V, config.codebook_size, config.seed)
         stage("codebook", f"{config.codebook_size} words")
-        X = encode_projected(train.bounds, V, bundle.codebook)
+        bundle = replace(bundle, pca=pca, codebook=codebook)
+        X = encode_projected(train.bounds, V, codebook)
     else:
         X = encode_with_bundle(bundle, train)
     stage("encoding", f"{X.shape[0]} descriptors of dim {X.shape[1]}")
@@ -160,12 +172,12 @@ def fit_classifier(bundle: ModelBundle, X, labels,
     """
     stage = _stage_logger(log)
     config = bundle.config
-    topics = fit_topics(X, config.topic_count, config.seed)
+    bundle = with_topics(bundle, X, config.topic_count)
     stage("topic clustering", f"{config.topic_count} topics")
-    ensemble = train_ensemble(X, labels, len(bundle.classes), topics,
+    ensemble = train_ensemble(X, labels, len(bundle.classes), bundle.topics,
                               config.sgd_grid(), config.folds)
     stage("ensemble training", f"{ensemble.n_classes} classes x {ensemble.n_topics} topics")
-    return replace(bundle, topics=topics, ensemble=ensemble)
+    return replace(bundle, ensemble=ensemble)
 
 
 def fit_pipeline(train: DatasetManifest, config: PipelineConfig,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import struct
@@ -8,6 +9,7 @@ import pytest
 
 from oomscene import (
     DomainShift,
+    fit_pipeline,
     generate,
     load_bundle,
     planted_spec,
@@ -175,6 +177,22 @@ class TestConfig:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_profile_with_explicit_object_count_refused(self, source, synth_files,
+                                                        tmp_path, capsys):
+        # the profile used to override the explicit count without a word
+        path = tmp_path / "cfg.txt"
+        path.write_text("object_count=12\n")
+        given = (["--set", "object_count=12"] if source == "set"
+                 else ["--config", str(path)])
+        out = tmp_path / "m.bundle"
+        rc = main(["train", "--train", str(synth_files / "source.txt"),
+                   "--out", str(out), "--profile", "mit67"] + given)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--profile" in captured.err and "object_count" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("pair, key", [("object_count=abc", "object_count"),
                                            ("pyramid=1x1,2y2", "pyramid"),
@@ -397,6 +415,28 @@ class TestStagedCommands:
         assert load_bundle(sel).config.object_count == 5
         config = load_bundle(clustered).config
         assert (config.object_count, config.topic_count) == (5, 2)
+
+    def test_staged_commands_rebuild_train_stages(self, synth_files, tmp_path):
+        source = str(synth_files / "source.txt")
+        oom, sel, clustered = (tmp_path / name for name in ("oom.bin", "sel.bin", "cl.bin"))
+        assert main(["build-oom", "--train", source, "--out", str(oom)]) == 0
+        assert main(["select-objects", "--bundle", str(oom), "--count", "7",
+                     "--out", str(sel)]) == 0
+        assert main(["cluster", "--bundle", str(sel), "--manifest", source,
+                     "--topics", "2", "--out", str(clustered)]) == 0
+        staged = load_bundle(clustered)
+        trained = fit_pipeline(parse_manifest(source), PipelineConfig(
+            object_count=7, topic_count=2, sgd_lambdas=(1e-4,), sgd_eta0s=(0.5,),
+            sgd_epochs=2))
+        for got, want in ((staged.posterior.posteriors, trained.posterior.posteriors),
+                          (staged.posterior.fallback_mask, trained.posterior.fallback_mask),
+                          (staged.selection.scores, trained.selection.scores),
+                          (staged.topics.centroids, trained.topics.centroids)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert staged.selection.selected == trained.selection.selected
+        assert staged.ensemble is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            staged.ensemble = trained.ensemble
 
     def test_unlabeled_training_record_refused(self, synth_files, tmp_path, capsys):
         # build-oom and train run the same first stage, so both refuse the file

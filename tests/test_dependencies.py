@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -26,3 +27,17 @@ def test_numpy_is_the_only_runtime_dependency():
     added = set(json.loads(out))
     assert "oomscene" in added
     assert added - sys.stdlib_module_names <= {"numpy", "oomscene"}
+
+
+def test_cli_imports_no_private_name():
+    # cli.py parses arguments and writes files; a private name it needs from
+    # the library is library logic that belongs behind a public stage
+    cli = Path(oomscene.__file__).with_name("cli.py")
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "oomscene")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
