@@ -341,6 +341,24 @@ class DatasetManifest:
         """[n_records + 1]: record i's detections are rows bounds[i]:bounds[i + 1]."""
         return _read_only(np.searchsorted(self.image, np.arange(len(self) + 1)))
 
+    def _block(self, start: int, stop: int) -> "DatasetManifest":
+        """Records [start, stop) as a manifest whose arrays are views of this
+        one's, with `image` rebased to the block.  Nothing is checked again: a
+        contiguous range of a checked manifest keeps every `_set` rule except
+        a training split's class coverage, which a block need not meet."""
+        a, b = self.bounds[start], self.bounds[stop]
+        dets = {name: None if array is None else array[a:b]
+                for name, array in (("object_index", self.object_index),
+                                    ("score", self.score), ("box", self.box),
+                                    ("patch_id", self.patch_id), ("scores", self.scores))}
+        block = DatasetManifest.__new__(DatasetManifest)
+        block.__dict__.update(
+            vocabulary=self.vocabulary, classes=self.classes, split_tag=self.split_tag,
+            mode=self.mode, image_ids=self.image_ids[start:stop],
+            labels=self.labels[start:stop], domain_tags=self.domain_tags[start:stop],
+            image=_read_only(self.image[a:b] - start), **dets)
+        return block
+
     @cached_property
     def records(self) -> tuple[ImageRecord, ...]:
         """The manifest as `ImageRecord`s, for code that works a record at a time."""

@@ -8,7 +8,14 @@ ensemble).  The staged commands run those three bundle stages one at a time.
 frozen components, choosing the hard or soft encoder by the bundle's mode.
 ``fit_encoder`` encodes the training set itself in soft mode, from the
 projected patches it fitted the codebook on, and gets the same descriptors
-bit for bit.  ``evaluate_bundle`` encodes and predicts.
+bit for bit.  ``evaluate_bundle`` encodes and predicts in blocks of whole
+images, at most 32 MiB of descriptors each, so its memory does not grow with
+the test manifest; ``encode_with_bundle`` returns the full matrix.  A manifest
+that fits one block gets the scores of ``predict_batch(encode_with_bundle(...))``
+bit for bit.  Over several blocks, hard descriptors stay bit-identical, but
+the soft PCA projection and the prediction product are matrix products whose
+rounding depends on their row count, so scores can differ from the full
+matrix's in the last bits.
 """
 
 from __future__ import annotations
@@ -38,14 +45,19 @@ from .occurrence import (
 )
 from .topics import fit_topics
 
+# The most descriptor bytes evaluate_bundle holds at once: 83 images at the
+# soft paper shape's 50000 dims, 208 at the hard paper shape's 20160.
+_EVAL_BLOCK_BYTES = 32 << 20
+
 
 # ---------------------------------------------------------------- metrics
 
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
+    """[true class, predicted class] counts; unlabeled (-1) samples are skipped."""
+    y_true, y_pred = np.asarray(y_true, int), np.asarray(y_pred, int)
+    labeled = y_true >= 0
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(np.asarray(y_true, int), np.asarray(y_pred, int)):
-        if t >= 0:
-            cm[t, p] += 1
+    np.add.at(cm, (y_true[labeled], y_pred[labeled]), 1)
     return cm
 
 
@@ -80,10 +92,17 @@ def fit_posterior(train: DatasetManifest, config: PipelineConfig) -> ModelBundle
                        layout=config.pyramid_layout())
 
 
+def _check_object_count(count: int, n_objects: int) -> None:
+    if not 1 <= count <= n_objects:
+        raise ValueError(f"object_count must be in [1, {n_objects}], the vocabulary "
+                         f"size, got {count}")
+
+
 def with_selection(bundle: ModelBundle, count: int) -> ModelBundle:
     """The bundle with its ``count`` most discriminative objects selected and
     ``object_count`` set to ``count``.  The descriptor space changes, so the
     PCA, codebook, topics and ensemble are dropped."""
+    _check_object_count(count, len(bundle.vocabulary))
     selection = select_objects(bundle.posterior, count, bundle.config.phi_aggregation)
     return replace(bundle, config=replace(bundle.config, object_count=count),
                    selection=selection, pca=None, codebook=None, topics=None,
@@ -138,6 +157,7 @@ def fit_encoder(train: DatasetManifest, config: PipelineConfig,
     and their labels.  Nothing here depends on the topic count or the SGD
     grid.
     """
+    _check_object_count(config.object_count, len(train.vocabulary))
     stage = _stage_logger(log)
     bundle = fit_posterior(train, config)
     stage("occurrence and posterior models",
@@ -188,9 +208,22 @@ def fit_pipeline(train: DatasetManifest, config: PipelineConfig,
 
 
 def evaluate_bundle(bundle: ModelBundle, test: DatasetManifest, pooling="average"):
-    """Returns (labels_pred, scores, labels_true)."""
+    """Returns (labels_pred, scores, labels_true).
+
+    Encodes and predicts a block of whole images at a time, each block's
+    descriptors at most ``_EVAL_BLOCK_BYTES`` (one image if a single one is
+    larger), so memory does not grow with the manifest.
+    """
     if bundle.ensemble is None:
         raise CompatibilityError("bundle has no trained ensemble")
-    X = encode_with_bundle(bundle, test)
-    pred, scores = predict_batch(bundle.ensemble, X, pooling=pooling)
+    step = max(1, _EVAL_BLOCK_BYTES // (8 * bundle.descriptor_dim()))
+    n = len(test)
+    pred = np.empty(n, dtype=np.intp)
+    scores = np.empty((n, bundle.ensemble.n_classes))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        X = encode_with_bundle(bundle, test._block(start, stop))
+        pred[start:stop], scores[start:stop] = predict_batch(bundle.ensemble, X,
+                                                             pooling=pooling)
+        del X  # free the block before the next one is encoded
     return pred, scores, test.labels

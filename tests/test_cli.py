@@ -24,6 +24,7 @@ from oomscene.bundle import (
     config_from_pairs,
     read_descriptor_file,
 )
+from oomscene import pipeline
 from oomscene.cli import main
 from oomscene.ingest import (
     SOFT,
@@ -317,7 +318,36 @@ class TestTrainEvalPredict:
                    "--out", str(tmp_path / "x.bin"),
                    "--set", "object_count=99", "--set", "topic_count=2"])
         assert rc == 1
-        assert "count" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "object_count must be in [1, 12]" in captured.err and "99" in captured.err
+        assert "[train]" not in captured.out  # refused before the first stage
+
+    def test_select_objects_count_too_large_names_object_count(self, synth_files,
+                                                               tmp_path, capsys):
+        oom = tmp_path / "oom.bin"
+        assert main(["build-oom", "--train", str(synth_files / "source.txt"),
+                     "--out", str(oom)]) == 0
+        rc = main(["select-objects", "--bundle", str(oom), "--count", "13",
+                   "--out", str(tmp_path / "sel.bin")])
+        assert rc == 1
+        assert "object_count must be in [1, 12]" in capsys.readouterr().err
+        assert not (tmp_path / "sel.bin").exists()
+
+    def test_eval_csvs_do_not_depend_on_the_block_size(self, mode_files, tmp_path,
+                                                       monkeypatch):
+        source, target, args = mode_files
+        bundle = tmp_path / "m.bin"
+        assert main(["train", "--train", str(source), "--out", str(bundle)]
+                    + SMALL + args) == 0
+        outputs = []
+        for budget in (pipeline._EVAL_BLOCK_BYTES, 1):  # one block; one image each
+            monkeypatch.setattr(pipeline, "_EVAL_BLOCK_BYTES", budget)
+            prefix = tmp_path / f"eval{budget}"
+            assert main(["eval", "--bundle", str(bundle), "--test", str(target),
+                         "--out-prefix", str(prefix)]) == 0
+            outputs.append([(tmp_path / f"eval{budget}_{name}.csv").read_bytes()
+                            for name in ("predictions", "metrics", "confusion")])
+        assert outputs[0] == outputs[1]
 
     def test_default_topics_on_tiny_data_fails_cleanly(self, tmp_path, capsys):
         spec = planted_spec(2, 8, 2, 2, seed=4)  # 4 descriptors total
