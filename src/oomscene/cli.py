@@ -31,6 +31,7 @@ from .ensemble import predict_batch
 from .errors import PipelineError
 from .ingest import parse_manifest, write_manifest
 from .pipeline import (
+    check_counts,
     class_mean_accuracy,
     confusion_matrix,
     encode_with_bundle,
@@ -243,6 +244,7 @@ def cmd_ablate(args) -> int:
     test = parse_manifest(args.test, mode=config.mode)
     object_counts = args.objects_list or [config.object_count]
     topic_counts = args.topics_list or sorted({1, config.topic_count})
+    check_counts(train, object_counts, topic_counts)
     y_true = test.labels
 
     rows = []

@@ -8,9 +8,10 @@ as a scale times coefficients over the samples (lazy scaling, Bottou 2010;
 the kernelised Pegasos, Shalev-Shwartz et al. 2011, section 4), so the decay
 costs one multiply per problem, a margin is a row of coefficients times a
 column of the Gram matrix X X^T, and an update writes one coefficient.  On
-topic d, the cross-validation problems (grid entries, folds and classes),
-then the chosen entry's problems on all samples, train in two passes over one
-Gram matrix; each pass seeds its permutations with ``_derive_seed(seed, d)``.
+topic d, every grid entry's problems (one per class) on each fold's
+complement and on all samples train in one pass over one Gram matrix, its
+permutations seeded with ``_derive_seed(seed, d)``; the cross-validation
+winner's all-sample problems are the topic's classifiers.
 
 At prediction time a descriptor is scored by every topic's classifiers; the
 per-class decisions are pooled (sum by default, max for the ablation) and the
@@ -99,15 +100,19 @@ def _sgd_lockstep(K, Y, active, lam, eta0, epochs: int, rng):
         eta = eta0 / (1.0 + eta0_lam * t_at)
         decay = np.where(seen, 1.0 - eta * lam, 1.0)
         t += seen.sum(axis=0)
+        # with every decay in (0, 1) a scale only falls, so the epoch's last
+        # scale is its least; 2x covers the rounding of prod against the steps
+        can_fold = not ((decay > 0).all()
+                        and (s * decay.prod(axis=0)).min(initial=1.0) >= 2 * _TINY_SCALE)
         for k, i in enumerate(order):
             y = YT[i]
             violated = seen[k] & (y * (s * (A @ K[i]) + b) < 1.0)
             s *= decay[k]
-            if s.min(initial=1.0) < _TINY_SCALE:
+            if can_fold and s.min(initial=1.0) < _TINY_SCALE:
                 low = s < _TINY_SCALE
                 A[low] *= s[low, None]
                 s[low] = 1.0
-            upd = np.flatnonzero(violated)
+            upd = violated.nonzero()[0]
             if upd.size:
                 step = eta[k, upd] * y[upd]
                 b[upd] += step
@@ -149,15 +154,17 @@ def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
     """Pick a grid entry by cross-validation and train its one-vs-rest classifiers.
 
     Every grid entry must share one seed and epoch count.  K = X X^T is built
-    once.  A lockstep pass trains the (grid entry, fold, class) problems on
-    each fold's complement, and a fold's validation samples are scored from
-    the coefficients and the Gram columns ``K[:, val]``; the entry with the
-    best mean validation accuracy wins, ties to the earlier entry.  A second
-    pass on the same K trains the winner's problems on all samples.  Both
-    passes are seeded with ``_derive_seed(seed, salt)``.  A single-entry
-    grid, or samples too few to hold out a fold, skip the first pass and
-    take ``grid[0]``.  Within a training set, a class with no positives
-    decides -1 everywhere and one with no negatives +1, with zero weights.
+    once.  One lockstep pass, seeded with ``_derive_seed(seed, salt)``,
+    trains the G·(F+1)·C problems of every (grid entry, training set, class),
+    the training sets being the F folds' complements and all samples.  A
+    fold's validation samples are scored from the coefficients and the Gram
+    columns ``K[:, val]``; the entry with the best mean validation accuracy
+    wins, ties to the earlier entry, and its all-sample problems are
+    returned.  Problems in a pass are independent: each trains as it would
+    alone.  A single-entry grid, or samples too few to hold out a fold, train
+    only ``grid[0]``'s C problems on all samples and take it.  Within a
+    training set, a class with no positives decides -1 everywhere and one
+    with no negatives +1, with zero weights.
     A binary SVM is a two-class call: label the positives 1, the negatives 0,
     and read row 1 (row 0 is its negation).
 
@@ -199,16 +206,16 @@ def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
         b = np.where(trained, b.reshape(shape[:-1]), np.where(has_pos, 1.0, -1.0))
         return A.reshape(shape), b
 
+    # every entry's all-sample problems train alongside its fold problems
+    A, b = fit(grid if vals else grid[:1], [~v for v in vals] + [np.ones(n, dtype=bool)])
     best = 0
     if vals:
-        A, b = fit(grid, [~v for v in vals])
         accs = np.empty((len(grid), len(vals)))
         for m, val in enumerate(vals):
             scores = A[:, m] @ K[:, val] + b[:, m, :, None]                 # [G, C, n_val]
             accs[:, m] = (scores.argmax(axis=1) == y[val]).mean(axis=1)
         best = int(np.argmax(accs.mean(axis=1)))  # the first of tied entries
-    A, b = fit([grid[best]], [np.ones(n, dtype=bool)])
-    return grid[best], A[0, 0] @ X, b[0, 0]
+    return grid[best], A[best, -1] @ X, b[best, -1]
 
 
 @dataclass(frozen=True, eq=False)

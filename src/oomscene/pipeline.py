@@ -98,6 +98,18 @@ def _check_object_count(count: int, n_objects: int) -> None:
                          f"size, got {count}")
 
 
+def check_counts(train: DatasetManifest, object_counts=(), topic_counts=()) -> None:
+    """Refuse, before anything is fitted, an object count outside [1, the
+    vocabulary size] or a topic count outside [1, the number of training
+    images] of ``train``."""
+    for count in object_counts:
+        _check_object_count(count, len(train.vocabulary))
+    for count in topic_counts:
+        if not 1 <= count <= len(train):
+            raise ValueError(f"topic_count must be in [1, {len(train)}], the number of "
+                             f"training images, got {count}")
+
+
 def with_selection(bundle: ModelBundle, count: int) -> ModelBundle:
     """The bundle with its ``count`` most discriminative objects selected and
     ``object_count`` set to ``count``.  The descriptor space changes, so the

@@ -16,6 +16,7 @@ from oomscene import (
     SoftPatch,
     train_one_vs_rest,
 )
+from oomscene.ensemble import _derive_seed, _gram, _sgd_lockstep, _validation_masks
 
 
 def container(magic, header, payload=b""):
@@ -341,3 +342,74 @@ def oracle_sgd(X, y, lam, eta0, order):
             w += (eta * y[i]) * X[i]
             b += eta * y[i]
     return w, b
+
+
+def oracle_two_pass_one_vs_rest(X, y, n_classes, grid, folds, salt=0):
+    """One-vs-rest training in two lockstep passes over the same permutations:
+    the first trains every (grid entry, fold complement, class) problem and
+    picks the entry with the best mean validation accuracy (ties to the
+    earlier one), the second trains the chosen entry's classes on all
+    samples.  A one-entry grid, or no usable fold, skips the first pass and
+    takes ``grid[0]``.  Returns (chosen entry, weights [C, dim], biases [C])."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = len(X)
+    K = _gram(X)
+
+    def lockstep_pass(entries, masks):
+        """Coefficients [E, M, C, n] and biases [E, M, C] of one lockstep call;
+        a class without positives or negatives is the constant +1 or -1."""
+        problems = [(cfg, m, c) for cfg in entries for m in masks for c in range(n_classes)]
+        pos = [(m & (y == c)).any() for _, m, c in problems]
+        neg = [(m & (y != c)).any() for _, m, c in problems]
+        A, b = _sgd_lockstep(
+            K,
+            [np.where(y == c, 1.0, -1.0) for _, _, c in problems],
+            [m & p & q for (_, m, _), p, q in zip(problems, pos, neg)],
+            [cfg.lam for cfg, _, _ in problems],
+            [cfg.eta0 for cfg, _, _ in problems],
+            grid[0].epochs,
+            np.random.default_rng(_derive_seed(grid[0].seed, salt)),
+        )
+        b = [bp if p and q else (1.0 if p else -1.0) for bp, p, q in zip(b, pos, neg)]
+        shape = (len(entries), len(masks), n_classes)
+        return A.reshape(shape + (n,)), np.reshape(b, shape)
+
+    vals = _validation_masks(y, folds) if len(grid) > 1 else []
+    best = 0
+    if vals:
+        A, b = lockstep_pass(grid, [~v for v in vals])
+        accs = np.empty((len(grid), len(vals)))
+        for m, val in enumerate(vals):
+            scores = A[:, m] @ K[:, val] + b[:, m, :, None]
+            accs[:, m] = (scores.argmax(axis=1) == y[val]).mean(axis=1)
+        best = int(np.argmax(accs.mean(axis=1)))
+    A, b = lockstep_pass([grid[best]], [np.ones(n, dtype=bool)])
+    return grid[best], A[0, 0] @ X, b[0, 0]
+
+
+def oracle_lockstep_unguarded(K, Y, active, lam, eta0, epochs, rng, tiny):
+    """``_sgd_lockstep``'s loop with the tiny-scale check made at every step:
+    after each decay, a scale below ``tiny`` is folded into its coefficient
+    row.  Margins are the same ``A @ K[i]`` products, so the kernel agrees
+    with it bit for bit."""
+    n = len(K)
+    Y = np.asarray(Y, dtype=float)
+    active = np.asarray(active, dtype=bool)
+    lam, eta0 = np.asarray(lam, dtype=float), np.asarray(eta0, dtype=float)
+    A = np.zeros((lam.size, n))
+    s, b, t = np.ones(lam.size), np.zeros(lam.size), np.zeros(lam.size)
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            on = active[:, i]
+            eta = eta0 / (1.0 + eta0 * lam * t)
+            violated = on & (Y[:, i] * (s * (A @ K[i]) + b) < 1.0)
+            s *= np.where(on, 1.0 - eta * lam, 1.0)
+            low = s < tiny
+            A[low] *= s[low, None]
+            s[low] = 1.0
+            step = eta[violated] * Y[violated, i]
+            b[violated] += step
+            A[violated, i] += step / s[violated]
+            t += on
+    return A * s[:, None], b

@@ -512,6 +512,26 @@ class TestAblate:
         assert ("12", "1", "average") in combos
         assert ("6", "2", "max") in combos
 
+    @pytest.mark.parametrize("lists, message", [
+        (["--objects-list", "4,99", "--topics-list", "1,2"],
+         "object_count must be in [1, 12], the vocabulary size, got 99"),
+        (["--objects-list", "4,6", "--topics-list", "1,999"],
+         "topic_count must be in [1, 36], the number of training images, got 999"),
+        (["--objects-list", "4", "--topics-list", "0,1"],
+         "topic_count must be in [1, 36], the number of training images, got 0"),
+    ], ids=["objects", "topics", "zero-topics"])
+    def test_every_count_checked_before_the_first_fit(self, synth_files, tmp_path,
+                                                      capsys, lists, message):
+        out = tmp_path / "ablate.csv"
+        rc = main(["ablate", "--train", str(synth_files / "source.txt"),
+                   "--test", str(synth_files / "target.txt"),
+                   "--out", str(out)] + lists + SMALL)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "[ablate]" not in captured.out
+        assert not out.exists()
+
     def test_full_object_row_equals_no_selection_run(self, mode_files, tmp_path):
         # keeping all 12 objects is the identity selection: the ablate row
         # must match a plain train+eval at the same settings

@@ -17,7 +17,14 @@ from oomscene import ensemble as ensemble_module
 from oomscene.ensemble import TopicEnsemble, _derive_seed, _gram, _sgd_lockstep
 from hypothesis import given, settings, strategies as st
 
-from helpers import binary_svm, hinge_objective, oracle_batch_subgradient, oracle_sgd
+from helpers import (
+    binary_svm,
+    hinge_objective,
+    oracle_batch_subgradient,
+    oracle_lockstep_unguarded,
+    oracle_sgd,
+    oracle_two_pass_one_vs_rest,
+)
 
 
 def assert_close_to_oracle(w, b, w_oracle, b_oracle, rtol=1e-12):
@@ -155,13 +162,43 @@ class TestSgdLockstep:
         active = rng.random((len(problems), n)) < [[q] for _, q in problems]
         lam = [lam for (lam, _), _ in problems]
         eta0 = [eta0 for (_, eta0), _ in problems]
-        A, b = _sgd_lockstep(_gram(X), Y, active, lam, eta0, epochs,
-                             np.random.default_rng(perm_seed))
+        args = (_gram(X), Y, active, lam, eta0, epochs)
+        A, b = _sgd_lockstep(*args, np.random.default_rng(perm_seed))
+        # the per-epoch fold check changes no bit of the per-step one
+        A_ref, b_ref = oracle_lockstep_unguarded(*args, np.random.default_rng(perm_seed),
+                                                 ensemble_module._TINY_SCALE)
+        assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
         W = A @ X
         perm_rng = np.random.default_rng(perm_seed)
         order = np.concatenate([perm_rng.permutation(n) for _ in range(epochs)])
         for p in range(len(problems)):
             w, bias = oracle_sgd(X, Y[p], lam[p], eta0[p], order[active[p, order]])
+            assert_close_to_oracle(W[p], b[p], w, bias)
+
+    def test_fold_in_a_later_epoch(self):
+        # every decay is positive, and the fast problem's scale after t visits
+        # (eta0 = 1), (1 - lam) / (1 + lam (t - 1)), falls below _TINY_SCALE at
+        # t = 11, the third visit of the second epoch; the slow problem's
+        # scale stays far above it, so only the fast one can open an epoch's
+        # fold check.  The scale stays near _TINY_SCALE, so a missed fold
+        # would change only the last bits: compare bit for bit as well.
+        n, epochs = 8, 3
+        lam, eta0 = [1e-3, 1.0 - 1e-8], [0.5, 1.0]
+        scale = [(1 - lam[1]) / (1 + lam[1] * (t - 1)) for t in (n, n + 3)]
+        assert scale[0] > ensemble_module._TINY_SCALE > scale[1]
+        rng = np.random.default_rng(73)
+        X = rng.standard_normal((n, 2))
+        Y = rng.choice([-1.0, 1.0], size=(2, n))
+        args = (_gram(X), Y, np.ones((2, n), dtype=bool), lam, eta0, epochs)
+        A, b = _sgd_lockstep(*args, np.random.default_rng(74))
+        A_ref, b_ref = oracle_lockstep_unguarded(*args, np.random.default_rng(74),
+                                                 ensemble_module._TINY_SCALE)
+        assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+        perm_rng = np.random.default_rng(74)
+        order = np.concatenate([perm_rng.permutation(n) for _ in range(epochs)])
+        W = A @ X
+        for p in range(2):
+            w, bias = oracle_sgd(X, Y[p], lam[p], eta0[p], order)
             assert_close_to_oracle(W[p], b[p], w, bias)
 
     def test_gram_bound_refuses_before_allocating(self):
@@ -264,6 +301,39 @@ class TestCrossValidate:
                                                 np.ones(n, dtype=bool), salt)
         for c in range(n_classes):
             assert_close_to_oracle(W[c], b[c], W_oracle[c], b_oracle[c])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        class_sizes=st.lists(st.integers(0, 6), min_size=2, max_size=4).filter(any),
+        dim=st.integers(1, 3),
+        folds=st.integers(2, 4),
+        salt=st.integers(0, 3),
+        seed=st.integers(0, 1),
+        epochs=st.integers(1, 3),
+        steps=st.lists(st.tuples(st.sampled_from([1e-4, 1.0, 1e3]),
+                                 st.sampled_from([0.1, 0.5])),
+                       min_size=1, max_size=4),
+    )
+    def test_one_pass_matches_two_passes(self, data_seed, class_sizes, dim, folds,
+                                         salt, seed, epochs, steps):
+        # classes of 0 to 6 samples: small ones miss some folds' training or
+        # validation sets, and repeated entries tie on accuracy
+        rng = np.random.default_rng(data_seed)
+        n_classes = len(class_sizes)
+        y = rng.permutation(np.repeat(np.arange(n_classes), class_sizes))
+        X = rng.standard_normal((n_classes, dim))[y] + rng.standard_normal((len(y), dim))
+        grid = [SgdConfig(lam=lam, eta0=eta0, epochs=epochs, seed=seed)
+                for lam, eta0 in steps]
+        chosen, W, b = train_one_vs_rest(X, y, n_classes, grid, folds, salt=salt)
+        chosen_ref, W_ref, b_ref = oracle_two_pass_one_vs_rest(X, y, n_classes, grid,
+                                                               folds, salt)
+        assert chosen is chosen_ref
+        assert chosen is oracle_cross_validate(X, y, n_classes, grid, folds, salt)
+        # tolerances, not bits: gemv may round a row differently for another
+        # number of problems under another BLAS
+        np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(b, b_ref, rtol=1e-12, atol=1e-12)
 
     def test_no_usable_fold_keeps_first(self):
         # one sample per class: the only nonempty fold holds every sample
@@ -386,9 +456,9 @@ class TestTrainEnsemble:
         assert sum(ens.training_meta["topic_sizes"]) == len(X)
         assert len(ens.training_meta["configs"]) == 2
 
-    def test_one_gram_and_two_passes_per_topic(self, monkeypatch):
-        # a topic's cross-validation pass and the winner's final pass share
-        # one Gram matrix; the final pass trains only the winner's classes
+    def test_one_gram_and_one_pass_per_topic(self, monkeypatch):
+        # a topic trains every grid entry's classes on each fold's complement
+        # and on all samples in one lockstep pass over one Gram matrix
         rng = np.random.default_rng(72)
         X, y = make_blob_problem(rng, n_per=20)
         topics = fit_topics(X, 3, seed=0)
@@ -408,7 +478,11 @@ class TestTrainEnsemble:
         monkeypatch.setattr(ensemble_module, "_sgd_lockstep", lockstep)
         ens = train_ensemble(X, y, 3, topics, grid, folds=5)
         assert grams == list(ens.training_meta["topic_sizes"])
-        assert problems == [6 * 5 * 3, 3] * 3
+        assert problems == [6 * 6 * 3] * 3
+        # one sample per class holds out no usable fold: grid[0]'s classes only
+        problems.clear()
+        assert train_one_vs_rest(np.eye(3), [0, 1, 2], 3, grid, 5)[0] is grid[0]
+        assert problems == [3]
 
     def test_oversized_topic_refused_before_any_training(self, monkeypatch):
         # a small topic that would train first and a large one over the limit

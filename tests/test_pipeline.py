@@ -164,3 +164,19 @@ def test_confusion_matrix_matches_the_loop():
         cm = confusion_matrix(y_true, y_pred, n_classes)
         assert cm.dtype == np.int64 and np.array_equal(cm, expected)
     assert not confusion_matrix([-1, -1], [0, 1], 2).any()
+
+
+def test_check_counts_accepts_the_range_and_refuses_outside_it():
+    train = random_hard_manifest(np.random.default_rng(3), 2, 5, 9)
+    pipeline.check_counts(train, [1, 5], [1, 9])  # both ends of each range
+    pipeline.check_counts(train)
+    for counts, message in [
+        (dict(object_counts=[3, 6]),
+         r"object_count must be in \[1, 5\], the vocabulary size, got 6"),
+        (dict(object_counts=[0]), r"object_count must be in \[1, 5\].*got 0"),
+        (dict(topic_counts=[2, 10]),
+         r"topic_count must be in \[1, 9\], the number of training images, got 10"),
+        (dict(topic_counts=[0]), r"topic_count must be in \[1, 9\].*got 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            pipeline.check_counts(train, **counts)
