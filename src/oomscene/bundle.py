@@ -221,11 +221,11 @@ class ModelBundle:
                 raise CompatibilityError("topic model and ensemble dimensions differ")
 
     def descriptor_dim(self) -> int:
+        if self.config.mode == SOFT and (self.pca is None or self.codebook is None):
+            raise CompatibilityError("soft-mode bundle is missing PCA or codebook; run train")
         if self.selection is None:
             raise CompatibilityError("bundle has no object selection; run select-objects")
         if self.config.mode == SOFT:
-            if self.pca is None or self.codebook is None:
-                raise CompatibilityError("soft-mode bundle is missing PCA or codebook; run train")
             return self.codebook.size * self.pca.out_dim
         return descriptor_length(len(self.selection.selected), len(self.classes), self.layout)
 

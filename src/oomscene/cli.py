@@ -29,20 +29,20 @@ from .bundle import (
 )
 from .ensemble import predict_batch
 from .errors import PipelineError
-from .ingest import parse_manifest, write_manifest
+from .ingest import SOFT, parse_manifest, write_manifest
 from .pipeline import (
+    POSTERIOR,
+    SELECTION,
+    STAGES,
+    TOPICS,
     check_counts,
     class_mean_accuracy,
     confusion_matrix,
     encode_with_bundle,
     evaluate_bundle,
-    fit_classifier,
-    fit_encoder,
     fit_pipeline,
-    fit_posterior,
     per_class_accuracy,
-    with_selection,
-    with_topics,
+    run_stages,
 )
 from .synth import (
     DomainShift,
@@ -137,11 +137,11 @@ def cmd_synth(args) -> int:
 
 def cmd_build_oom(args) -> int:
     config = _config_from_args(args)
-    bundle = fit_posterior(parse_manifest(args.train, mode=config.mode), config)
+    train = parse_manifest(args.train, mode=config.mode)
+    bundle, _, made = POSTERIOR.fit(config, train, None, None)
     save_bundle(bundle, args.out)
-    occurrence = bundle.occurrence
-    print(f"wrote {args.out}: occurrence model over {occurrence.n_objects} objects, "
-          f"{occurrence.n_classes} classes, {len(occurrence.grid)} thresholds")
+    print(f"wrote {args.out}: occurrence model over {made['objects']} objects, "
+          f"{made['classes']} classes, {made['thresholds']} thresholds")
     return 0
 
 
@@ -159,7 +159,12 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_select_objects(args) -> int:
-    bundle = with_selection(load_bundle(args.bundle), args.count)
+    bundle = load_bundle(args.bundle)
+    if bundle.config.mode == SOFT:  # the PCA and codebook fit on a training manifest
+        raise ValueError("select-objects cannot refit a soft bundle's PCA and "
+                         "codebook; run train")
+    bundle, _, made = SELECTION.fit(replace(bundle.config, object_count=args.count),
+                                    None, bundle, None)
     save_bundle(bundle, args.out)
     selection = bundle.selection
     if args.csv:
@@ -168,7 +173,7 @@ def cmd_select_objects(args) -> int:
             for rank, i in enumerate(selection.selected)
         ]
         _write_csv(args.csv, ["object", "discriminability", "rank"], rows)
-    print(f"wrote {args.out}: selected {len(selection.selected)} objects")
+    print(f"wrote {args.out}: selected {made['kept']} objects")
     return 0
 
 
@@ -190,26 +195,34 @@ def cmd_encode(args) -> int:
 def cmd_cluster(args) -> int:
     bundle = load_bundle(args.bundle)
     manifest = parse_manifest(args.manifest, mode=bundle.config.mode)
+    check_counts(manifest, topic_counts=[args.topics])
     X = encode_with_bundle(bundle, manifest)
-    bundle = with_topics(bundle, X, args.topics)
+    bundle, _, made = TOPICS.fit(replace(bundle.config, topic_count=args.topics),
+                                 manifest, bundle, X)
     save_bundle(bundle, args.out)
-    topics = bundle.topics
     if args.csv:
-        labels, dists = assign_topics_batch(topics, X)
+        labels, dists = assign_topics_batch(bundle.topics, X)
         rows = [
             [rid, int(l), _fmt(d)]
             for rid, l, d in zip(manifest.image_ids, labels, dists)
         ]
         _write_csv(args.csv, ["image_id", "topic", "distance"], rows)
-    print(f"wrote {args.out}: {args.topics} topics "
-          f"(inertia {topics.inertia:.6f}, {topics.iterations_run} iterations)")
+    print(f"wrote {args.out}: {made['topics']} topics "
+          f"(inertia {made['inertia']:.6f}, {made['iterations']} iterations)")
     return 0
+
+
+def _print_stage(stage, seconds, diagnostics):
+    steps = diagnostics.get("steps", [])
+    rest = seconds - sum(secs for _, secs, _ in steps)
+    for name, secs, detail in [*steps, (stage.name, rest, stage.detail.format(**diagnostics))]:
+        print(f"[train] {name}: {secs:.3f}s ({detail})")
 
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     train = parse_manifest(args.train, mode=config.mode)
-    bundle = fit_pipeline(train, config, log=print)
+    bundle = fit_pipeline(train, config, log=_print_stage)
     save_bundle(bundle, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -248,13 +261,12 @@ def cmd_ablate(args) -> int:
     y_true = test.labels
 
     rows = []
-    for r in object_counts:
-        encoder, X_tr, y_tr = fit_encoder(train, replace(config, object_count=r))
+    for r in object_counts:  # the encoder depends on the object count alone
+        encoder, X_tr = run_stages(STAGES[:3], replace(config, object_count=r), train)
         X_te = encode_with_bundle(encoder, test)
         for d in topic_counts:
-            bundle = fit_classifier(
-                replace(encoder, config=replace(encoder.config, topic_count=d)),
-                X_tr, y_tr)
+            bundle, _ = run_stages(STAGES[3:], replace(encoder.config, topic_count=d),
+                                   train, encoder, X_tr)
             for pooling in ("average", "max"):
                 pred, _ = predict_batch(bundle.ensemble, X_te, pooling=pooling)
                 acc = class_mean_accuracy(y_true, pred, len(test.classes))

@@ -242,7 +242,8 @@ def select_objects(post: PosteriorModel, count: int,
     """
     n_obj = post.n_objects
     if not 1 <= count <= n_obj:
-        raise ValueError(f"count must be in [1, {n_obj}], got {count}")
+        raise ValueError(f"object_count must be in [1, {n_obj}], the vocabulary size, "
+                         f"got {count}")
     phi = discriminability_profile(post)
     if aggregation == AGG_MAX:
         scores = phi.max(axis=1)

@@ -1,27 +1,18 @@
 """The training and evaluation pipeline as library calls.
 
-``fit_pipeline`` runs the whole chain on a labeled manifest in two stages:
-``fit_encoder`` (``fit_posterior``, ``with_selection``, soft PCA and codebook,
-training descriptors) and ``fit_classifier`` (``with_topics`` and the
-ensemble).  The staged commands run those three bundle stages one at a time.
-``encode_with_bundle`` turns a manifest into descriptors with a bundle's
-frozen components, choosing the hard or soft encoder by the bundle's mode.
-``fit_encoder`` encodes the training set itself in soft mode, from the
-projected patches it fitted the codebook on, and gets the same descriptors
-bit for bit.  ``evaluate_bundle`` encodes and predicts in blocks of whole
-images, at most 32 MiB of descriptors each, so its memory does not grow with
-the test manifest; ``encode_with_bundle`` returns the full matrix.  A manifest
-that fits one block gets the scores of ``predict_batch(encode_with_bundle(...))``
-bit for bit.  Over several blocks, hard descriptors stay bit-identical, but
-the soft PCA projection and the prediction product are matrix products whose
-rounding depends on their row count, so scores can differ from the full
-matrix's in the last bits.
+Training is one chain of stages, ``STAGES``: the occurrence and posterior
+models, the object selection, the encoder (in soft mode the PCA and codebook,
+then the training descriptors), the topics and the ensemble.  ``run_stages``
+folds a run of them over a bundle and the training descriptors, and
+``fit_pipeline`` runs them all.  ``encode_with_bundle`` encodes a manifest
+with a bundle's frozen models; ``evaluate_bundle`` predicts block by block.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,54 +71,16 @@ def class_mean_accuracy(y_true, y_pred, n_classes: int) -> float:
 
 # ------------------------------------------------------------- pipeline
 
-def fit_posterior(train: DatasetManifest, config: PipelineConfig) -> ModelBundle:
-    """The first stage: a bundle holding the occurrence and posterior models
-    of a labeled manifest, and no selection yet."""
-    occurrence = build_occurrence_model(train, config.threshold_grid())
-    prior = (ClassPrior.empirical(train) if config.prior == "empirical"
-             else ClassPrior.uniform(len(train.classes)))
-    posterior = build_posterior_model(occurrence, prior, config.fallback)
-    return ModelBundle(config=config, vocabulary=train.vocabulary, classes=train.classes,
-                       occurrence=occurrence, posterior=posterior,
-                       layout=config.pyramid_layout())
-
-
-def _check_object_count(count: int, n_objects: int) -> None:
-    if not 1 <= count <= n_objects:
-        raise ValueError(f"object_count must be in [1, {n_objects}], the vocabulary "
-                         f"size, got {count}")
-
-
 def check_counts(train: DatasetManifest, object_counts=(), topic_counts=()) -> None:
     """Refuse, before anything is fitted, an object count outside [1, the
     vocabulary size] or a topic count outside [1, the number of training
     images] of ``train``."""
-    for count in object_counts:
-        _check_object_count(count, len(train.vocabulary))
-    for count in topic_counts:
-        if not 1 <= count <= len(train):
-            raise ValueError(f"topic_count must be in [1, {len(train)}], the number of "
-                             f"training images, got {count}")
-
-
-def with_selection(bundle: ModelBundle, count: int) -> ModelBundle:
-    """The bundle with its ``count`` most discriminative objects selected and
-    ``object_count`` set to ``count``.  The descriptor space changes, so the
-    PCA, codebook, topics and ensemble are dropped."""
-    _check_object_count(count, len(bundle.vocabulary))
-    selection = select_objects(bundle.posterior, count, bundle.config.phi_aggregation)
-    return replace(bundle, config=replace(bundle.config, object_count=count),
-                   selection=selection, pca=None, codebook=None, topics=None,
-                   ensemble=None)
-
-
-def with_topics(bundle: ModelBundle, X, count: int) -> ModelBundle:
-    """The bundle with ``count`` topics clustered from the descriptors ``X``
-    and ``topic_count`` set to ``count``.  The ensemble is dropped: it was
-    trained per topic."""
-    topics = fit_topics(X, count, bundle.config.seed)
-    return replace(bundle, config=replace(bundle.config, topic_count=count),
-                   topics=topics, ensemble=None)
+    for key, counts, limit, what in (
+            ("object_count", object_counts, len(train.vocabulary), "the vocabulary size"),
+            ("topic_count", topic_counts, len(train), "the number of training images")):
+        for count in counts:
+            if not 1 <= count <= limit:
+                raise ValueError(f"{key} must be in [1, {limit}], {what}, got {count}")
 
 
 def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.ndarray:
@@ -148,75 +101,105 @@ def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.nda
                                 bundle.pca, bundle.codebook)
 
 
-def _stage_logger(log):
-    """A callable that logs one stage line with the time since the last one."""
-    t0 = time.perf_counter()
+def _posterior(config, train, bundle, X):
+    occurrence = build_occurrence_model(train, config.threshold_grid())
+    prior = (ClassPrior.empirical(train) if config.prior == "empirical"
+             else ClassPrior.uniform(len(train.classes)))
+    posterior = build_posterior_model(occurrence, prior, config.fallback)
+    bundle = ModelBundle(config=config, vocabulary=train.vocabulary, classes=train.classes,
+                         occurrence=occurrence, posterior=posterior,
+                         layout=config.pyramid_layout())
+    return bundle, X, {"objects": occurrence.n_objects, "classes": occurrence.n_classes,
+                       "thresholds": len(occurrence.grid)}
 
-    def stage(name, detail=""):
-        nonlocal t0
-        now = time.perf_counter()
-        log(f"[train] {name}: {now - t0:.3f}s{(' (' + detail + ')') if detail else ''}")
-        t0 = now
 
-    return stage
+def _selection(config, train, bundle, X):
+    # the descriptor space changes: drop every model fitted on the old one
+    selection = select_objects(bundle.posterior, config.object_count,
+                               config.phi_aggregation)
+    bundle = replace(bundle, config=config, selection=selection, pca=None, codebook=None,
+                     topics=None, ensemble=None)
+    return bundle, None, {"kept": len(selection.selected)}
 
 
-def fit_encoder(train: DatasetManifest, config: PipelineConfig,
-                log=lambda msg: None) -> tuple[ModelBundle, np.ndarray, np.ndarray]:
-    """Fit the stages before clustering and encode the training set.
-
-    Returns a bundle without topics or ensemble, the training descriptors
-    and their labels.  Nothing here depends on the topic count or the SGD
-    grid.
-    """
-    _check_object_count(config.object_count, len(train.vocabulary))
-    stage = _stage_logger(log)
-    bundle = fit_posterior(train, config)
-    stage("occurrence and posterior models",
-          f"{bundle.occurrence.n_objects} objects x {bundle.occurrence.n_classes} classes")
-    bundle = with_selection(bundle, config.object_count)
-    stage("object selection", f"kept {len(bundle.selection.selected)}")
-
+def _encoder(config, train, bundle, X):
+    steps = []
     if config.mode == SOFT:
+        t0 = time.perf_counter()
         samples = training_patch_samples(train, bundle.posterior, bundle.selection)
         pca = fit_pca(samples, config.pca_dim)
-        stage("pca", f"{samples.shape[0]} patches, dim {samples.shape[1]} -> "
-                     f"{config.pca_dim}")
+        t1 = time.perf_counter()
+        steps.append(("pca", t1 - t0, f"{samples.shape[0]} patches, "
+                                      f"dim {samples.shape[1]} -> {config.pca_dim}"))
         # project once: the codebook and the training VLADs read the same V
         V = pca.project(samples)
         del samples
         codebook = fit_codebook(V, config.codebook_size, config.seed)
-        stage("codebook", f"{config.codebook_size} words")
+        steps.append(("codebook", time.perf_counter() - t1, f"{config.codebook_size} words"))
         bundle = replace(bundle, pca=pca, codebook=codebook)
         X = encode_projected(train.bounds, V, codebook)
     else:
         X = encode_with_bundle(bundle, train)
-    stage("encoding", f"{X.shape[0]} descriptors of dim {X.shape[1]}")
-    return bundle, X, train.labels
+    return bundle, X, {"steps": steps, "descriptors": X.shape[0], "dim": X.shape[1]}
 
 
-def fit_classifier(bundle: ModelBundle, X, labels,
-                   log=lambda msg: None) -> ModelBundle:
-    """Cluster the training descriptors into topics and train the ensemble.
+def _topics(config, train, bundle, X):
+    # the ensemble was trained per topic: drop it
+    topics = fit_topics(X, config.topic_count, config.seed)
+    bundle = replace(bundle, config=config, topics=topics, ensemble=None)
+    return bundle, X, {"topics": config.topic_count, "inertia": topics.inertia,
+                       "iterations": topics.iterations_run}
 
-    Reads the topic count, seed, SGD grid and folds from ``bundle.config``;
-    returns a copy of the bundle with topics and ensemble set.
-    """
-    stage = _stage_logger(log)
-    config = bundle.config
-    bundle = with_topics(bundle, X, config.topic_count)
-    stage("topic clustering", f"{config.topic_count} topics")
-    ensemble = train_ensemble(X, labels, len(bundle.classes), bundle.topics,
+
+def _ensemble(config, train, bundle, X):
+    ensemble = train_ensemble(X, train.labels, len(bundle.classes), bundle.topics,
                               config.sgd_grid(), config.folds)
-    stage("ensemble training", f"{ensemble.n_classes} classes x {ensemble.n_topics} topics")
-    return replace(bundle, ensemble=ensemble)
+    return (replace(bundle, ensemble=ensemble), X,
+            {"classes": ensemble.n_classes, "topics": ensemble.n_topics})
+
+
+class Stage(NamedTuple):
+    """One link of the training chain.  ``fit(config, train, bundle, X)``
+    takes the bundle and training descriptors of the stage before (None
+    before the first) and returns new ones and a dict of diagnostics, which
+    ``detail`` formats for the stage's log line.  A step inside the stage
+    with a line of its own is in the dict's ``steps``: (name, seconds, detail).
+    The posterior, selection and topic stages record ``config`` in the
+    bundle they return.
+    """
+    name: str
+    fit: Callable
+    detail: str
+
+
+STAGES = (
+    Stage("occurrence and posterior models", _posterior,
+          "{objects} objects x {classes} classes"),
+    Stage("object selection", _selection, "kept {kept}"),
+    Stage("encoding", _encoder, "{descriptors} descriptors of dim {dim}"),
+    Stage("topic clustering", _topics, "{topics} topics"),
+    Stage("ensemble training", _ensemble, "{classes} classes x {topics} topics"),
+)
+POSTERIOR, SELECTION, ENCODER, TOPICS, ENSEMBLE = STAGES
+
+
+def run_stages(stages, config: PipelineConfig, train: DatasetManifest, bundle=None,
+               X=None, log=lambda stage, seconds, diagnostics: None):
+    """Fold ``stages`` over (bundle, X) and return the last pair; as each
+    stage ends, ``log(stage, seconds, diagnostics)``."""
+    for stage in stages:
+        t0 = time.perf_counter()
+        bundle, X, diagnostics = stage.fit(config, train, bundle, X)
+        log(stage, time.perf_counter() - t0, diagnostics)
+    return bundle, X
 
 
 def fit_pipeline(train: DatasetManifest, config: PipelineConfig,
-                 log=lambda msg: None) -> ModelBundle:
-    """Run the full training pipeline and return a complete bundle."""
-    bundle, X, labels = fit_encoder(train, config, log)
-    return fit_classifier(bundle, X, labels, log)
+                 log=lambda stage, seconds, diagnostics: None) -> ModelBundle:
+    """Check the counts, then run every stage on a labeled manifest and
+    return a complete bundle; ``log`` is ``run_stages``'s."""
+    check_counts(train, [config.object_count], [config.topic_count])
+    return run_stages(STAGES, config, train, log=log)[0]
 
 
 def evaluate_bundle(bundle: ModelBundle, test: DatasetManifest, pooling="average"):
@@ -224,7 +207,9 @@ def evaluate_bundle(bundle: ModelBundle, test: DatasetManifest, pooling="average
 
     Encodes and predicts a block of whole images at a time, each block's
     descriptors at most ``_EVAL_BLOCK_BYTES`` (one image if a single one is
-    larger), so memory does not grow with the manifest.
+    larger), so memory does not grow with the manifest.  One block gets the
+    scores of ``predict_batch(encode_with_bundle(...))`` bit for bit; over
+    several, soft projections round by their row count.
     """
     if bundle.ensemble is None:
         raise CompatibilityError("bundle has no trained ensemble")

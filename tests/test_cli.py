@@ -25,6 +25,7 @@ from oomscene.bundle import (
     read_descriptor_file,
 )
 from oomscene import pipeline
+from oomscene import cli
 from oomscene.cli import main
 from oomscene.ingest import (
     SOFT,
@@ -98,6 +99,11 @@ def mode_files(request, synth_files):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def train_log(out):
+    """The lines `train` printed, each stage's time masked as `<t>`."""
+    return [re.sub(r"\d+\.\d{3}s", "<t>s", line) for line in out.splitlines()]
 
 
 class TestConfig:
@@ -312,6 +318,19 @@ class TestTrainEvalPredict:
         assert metrics[-1][1] == "n/a"
         assert (tmp_path / "na_predictions.csv").exists()
 
+    def test_train_logs_every_stage(self, synth_files, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--train", str(synth_files / "source.txt"),
+                     "--out", str(out)] + SMALL) == 0
+        assert train_log(capsys.readouterr().out) == [
+            "[train] occurrence and posterior models: <t>s (12 objects x 3 classes)",
+            "[train] object selection: <t>s (kept 8)",
+            "[train] encoding: <t>s (36 descriptors of dim 192)",
+            "[train] topic clustering: <t>s (2 topics)",
+            "[train] ensemble training: <t>s (3 classes x 2 topics)",
+            f"wrote {out}",
+        ]
+
     def test_object_count_too_large_fails_cleanly(self, synth_files, tmp_path,
                                                   capsys):
         rc = main(["train", "--train", str(synth_files / "source.txt"),
@@ -357,7 +376,9 @@ class TestTrainEvalPredict:
         rc = main(["train", "--train", str(path), "--out", str(tmp_path / "x.bin"),
                    "--set", "object_count=4"])  # topic_count stays 5
         assert rc == 1
-        assert "topics" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "topic_count must be in [1, 4]" in captured.err
+        assert "[train]" not in captured.out  # refused before the first stage
 
 
 class TestInputErrors:
@@ -467,6 +488,48 @@ class TestStagedCommands:
         assert staged.ensemble is None
         with pytest.raises(dataclasses.FrozenInstanceError):
             staged.ensemble = trained.ensemble
+
+    @pytest.mark.parametrize("count", ["999", "0"])
+    def test_cluster_topic_count_refused_before_encoding(self, synth_files, tmp_path,
+                                                         capsys, monkeypatch, count):
+        source = str(synth_files / "source.txt")
+        oom, sel, clustered = (tmp_path / name for name in ("oom.bin", "sel.bin", "cl.bin"))
+        assert main(["build-oom", "--train", source, "--out", str(oom)]) == 0
+        assert main(["select-objects", "--bundle", str(oom), "--count", "5",
+                     "--out", str(sel)]) == 0
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("encoded the manifest")
+
+        monkeypatch.setattr(cli, "encode_with_bundle", refuse)
+        rc = main(["cluster", "--bundle", str(sel), "--manifest", source,
+                   "--topics", count, "--out", str(clustered)])
+        assert rc == 1
+        assert (f"topic_count must be in [1, 36], the number of training images, "
+                f"got {count}") in capsys.readouterr().err
+        assert not clustered.exists()
+
+    def test_soft_select_objects_refused_naming_train(self, synth_files, tmp_path,
+                                                      capsys):
+        source, oom, sel = (tmp_path / name for name in ("soft.txt", "oom.bin", "sel.bin"))
+        write_manifest(to_soft(parse_manifest(synth_files / "source.txt"), "train"), source)
+        assert main(["build-oom", "--train", str(source), "--out", str(oom),
+                     "--set", "mode=soft"]) == 0
+        assert main(["inspect", "--bundle", str(oom), "--object", "obj003",
+                     "--out", str(tmp_path / "curves.csv")]) == 0
+        rc = main(["select-objects", "--bundle", str(oom), "--count", "5",
+                   "--out", str(sel), "--csv", str(tmp_path / "sel.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: select-objects cannot refit a soft "
+                                           "bundle's PCA and codebook; run train\n")
+        assert not sel.exists() and not (tmp_path / "sel.csv").exists()
+        for command in (["encode", "--bundle", str(oom), "--manifest", str(source),
+                         "--out", str(tmp_path / "d.bin")],
+                        ["cluster", "--bundle", str(oom), "--manifest", str(source),
+                         "--topics", "2", "--out", str(tmp_path / "cl.bin")]):
+            assert main(command) == 1
+            assert capsys.readouterr().err.endswith("PCA or codebook; run train\n")
 
     def test_unlabeled_training_record_refused(self, synth_files, tmp_path, capsys):
         # build-oom and train run the same first stage, so both refuse the file
@@ -586,12 +649,17 @@ class TestSoftPipeline:
         assert rc == 0
 
     def test_soft_train_logs_pca_and_codebook_stages(self, tmp_path, capsys):
-        self.train(tmp_path)
-        lines = capsys.readouterr().out.splitlines()
-        assert any(re.fullmatch(r"\[train\] pca: \d+\.\d{3}s "
-                                r"\(\d+ patches, dim 18 -> 10\)", line) for line in lines)
-        assert any(re.fullmatch(r"\[train\] codebook: \d+\.\d{3}s \(4 words\)", line)
-                   for line in lines)
+        out, _ = self.train(tmp_path)
+        assert train_log(capsys.readouterr().out) == [
+            "[train] occurrence and posterior models: <t>s (10 objects x 3 classes)",
+            "[train] object selection: <t>s (kept 6)",
+            "[train] pca: <t>s (170 patches, dim 18 -> 10)",
+            "[train] codebook: <t>s (4 words)",
+            "[train] encoding: <t>s (30 descriptors of dim 40)",
+            "[train] topic clustering: <t>s (2 topics)",
+            "[train] ensemble training: <t>s (3 classes x 2 topics)",
+            f"wrote {out}",
+        ]
 
 
 class TestDeterminismAndPersistence:
