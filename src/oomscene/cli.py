@@ -257,7 +257,7 @@ def cmd_ablate(args) -> int:
     test = parse_manifest(args.test, mode=config.mode)
     object_counts = args.objects_list or [config.object_count]
     topic_counts = args.topics_list or sorted({1, config.topic_count})
-    check_counts(train, object_counts, topic_counts)
+    check_counts(train, object_counts, topic_counts, config)
     y_true = test.labels
 
     rows = []

@@ -60,36 +60,44 @@ class PcaTransform:
         return self.mean + np.asarray(Y, dtype=float) @ self.basis.T
 
 
-# Column-block width of fit_pca's first step: each block's R factor is at
-# most this wide, so its SVD is cheap, and the blocks stay independent of how
-# the caller lays out its features.
+# Column-block width of fit_pca's first step on [n, d] samples: each block's
+# R factor is at most this wide, so its SVD is cheap.
 _PCA_BLOCK = 64
 
 
 def fit_pca(samples, out_dim: int) -> PcaTransform:
     """Top principal directions of the sample covariance.
 
-    Each 64-column block of the centred samples is reduced, through the SVD
-    of its QR factor R, to the right singular vectors whose singular values
-    exceed ``max(n, 64) * eps`` times the block's largest, the rank
-    tolerance of ``np.linalg.matrix_rank``.  The centred samples' row space lies, up to
-    the dropped directions, in the direct sum of those spans, so one eigh of
-    the covariance of the samples' coordinates in them (m x m, m the sum of
-    the block ranks) gives the principal directions.  Dropping the rest moves
-    the covariance by about that tolerance relative to its norm, the order
-    of the rounding error bound of the n-term sums that form it, so the
-    result matches the dense covariance eigh up to rounding.  An m x m
-    matrix is d x d only if every block has full rank.  If m < out_dim,
-    the remaining columns are the blocks' dropped singular vectors, in block
-    order.
+    ``samples`` is [n, d] vectors or [n, objects, classes] posterior
+    matrices.  The columns are cut into blocks: one per object, the slice
+    ``[:, r, :]``, for matrices, and 64-column windows for vectors; the mean
+    and basis are in flattened order either way.  Each block is centred as it
+    is reduced, through the SVD of its QR factor R, to the right singular
+    vectors whose singular values exceed ``max(n, width) * eps`` times the
+    block's largest, the rank tolerance of ``np.linalg.matrix_rank``.  The
+    centred samples' row space lies, up to the dropped directions, in the
+    direct sum of those spans, so one eigh of the covariance of the samples'
+    coordinates in them (m x m, m the sum of the block ranks) gives the
+    principal directions.  Dropping the rest moves the covariance by about
+    that tolerance relative to its norm, the order of the rounding error
+    bound of the n-term sums that form it, so the result matches the dense
+    covariance eigh up to rounding.  An object's posterior rows sum to one,
+    so its centred block has rank below the class count; with one block per
+    object, m is the centred samples' rank unless the blocks' column spaces
+    intersect, while a window that splits an object counts both parts' ranks.
+    No centred copy of the samples is made.  If m < out_dim, the remaining
+    columns are the blocks' dropped singular vectors, in block order.
 
     Column signs are fixed by making each column's first non-negligible entry
     positive, so the fit is deterministic.
     """
     X = np.asarray(samples, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("samples must be a list of equal-length vectors")
-    n, dim = X.shape
+    if X.ndim not in (2, 3):
+        raise ValueError("samples must be [n, d] vectors or [n, objects, classes] "
+                         "matrices")
+    n, dim = X.shape[0], int(np.prod(X.shape[1:]))
+    width = X.shape[2] if X.ndim == 3 else _PCA_BLOCK
+    X = X.reshape(n, dim)
     if out_dim < 1:
         raise ValueError("out_dim must be at least 1")
     if n < out_dim:
@@ -99,35 +107,36 @@ def fit_pca(samples, out_dim: int) -> PcaTransform:
     if not np.all(np.isfinite(X)):
         raise ValueError("PCA samples must be finite, not NaN or infinite")
     mean = X.mean(axis=0)
-    Xc = X - mean
-    blocks = [slice(s, min(s + _PCA_BLOCK, dim)) for s in range(0, dim, _PCA_BLOCK)]
+    blocks = [slice(s, min(s + width, dim)) for s in range(0, dim, width)]
     kept, dropped = [], []
     for cols in blocks:
-        block = Xc[:, cols]
+        block = X[:, cols] - mean[cols]
         # the SVD of the block's R factor resolves small singular values to
         # rounding, which the eigenvalues of its Gram matrix cannot
         _, sv, vt = np.linalg.svd(np.linalg.qr(block, mode="r"))
         rank = np.count_nonzero(sv > sv[0] * max(block.shape) * np.finfo(float).eps)
         kept.append(vt[:rank].T)
         dropped.append(vt[rank:].T)
-    Y = np.hstack([Xc[:, cols] @ q for cols, q in zip(blocks, kept)])
-    del Xc
-    eigvals, eigvecs = np.linalg.eigh(Y.T @ Y / max(n - 1, 1))
+    offsets = np.cumsum([0] + [q.shape[1] for q in kept])
+    Y = np.empty((n, offsets[-1]))
+    for cols, q, row in zip(blocks, kept, offsets):
+        np.matmul(X[:, cols] - mean[cols], q, out=Y[:, row:row + q.shape[1]])
+    cov = Y.T @ Y / max(n - 1, 1)
+    del Y
+    eigvals, eigvecs = np.linalg.eigh(cov)
     top = eigvecs[:, np.argsort(-eigvals, kind="stable")[:out_dim]]
     basis = np.zeros((dim, out_dim))
-    row = 0
-    for cols, q in zip(blocks, kept):
+    for cols, q, row in zip(blocks, kept, offsets):
         basis[cols, :top.shape[1]] = q @ top[row:row + q.shape[1]]
-        row += q.shape[1]
     col = top.shape[1]
     for cols, z in zip(blocks, dropped):
         take = min(z.shape[1], out_dim - col)
         basis[cols, col:col + take] = z[:, :take]
         col += take
-    for j in range(basis.shape[1]):
-        nz = np.flatnonzero(np.abs(basis[:, j]) > 1e-12)
-        if nz.size and basis[nz[0], j] < 0:
-            basis[:, j] = -basis[:, j]
+    big = np.abs(basis) > 1e-12
+    first = basis[big.argmax(axis=0), np.arange(out_dim)]
+    flip = big.any(axis=0) & (first < 0)
+    basis[:, flip] = -basis[:, flip]
     return PcaTransform(mean=mean, basis=basis)
 
 

@@ -71,16 +71,28 @@ def class_mean_accuracy(y_true, y_pred, n_classes: int) -> float:
 
 # ------------------------------------------------------------- pipeline
 
-def check_counts(train: DatasetManifest, object_counts=(), topic_counts=()) -> None:
+def check_counts(train: DatasetManifest, object_counts=(), topic_counts=(),
+                 config: PipelineConfig | None = None) -> None:
     """Refuse, before anything is fitted, an object count outside [1, the
     vocabulary size] or a topic count outside [1, the number of training
-    images] of ``train``."""
-    for key, counts, limit, what in (
-            ("object_count", object_counts, len(train.vocabulary), "the vocabulary size"),
-            ("topic_count", topic_counts, len(train), "the number of training images")):
-        for count in counts:
-            if not 1 <= count <= limit:
-                raise ValueError(f"{key} must be in [1, {limit}], {what}, got {count}")
+    images] of ``train``.  For a soft ``config``, also refuse a ``pca_dim``
+    outside [1, min(training patches, object count x classes)] for any of
+    the object counts, or a ``codebook_size`` outside [1, training patches]."""
+    checks = [("object_count", count, len(train.vocabulary), "the vocabulary size")
+              for count in object_counts]
+    checks += [("topic_count", count, len(train), "the number of training images")
+               for count in topic_counts]
+    if config is not None and config.mode == SOFT:
+        patches, n_classes = int(train.bounds[-1]), len(train.classes)
+        checks += [("pca_dim", config.pca_dim, min(patches, count * n_classes),
+                    f"the smaller of the {patches} training patches and "
+                    f"{count} objects x {n_classes} classes")
+                   for count in object_counts]
+        checks.append(("codebook_size", config.codebook_size, patches,
+                       "the number of training patches"))
+    for key, count, limit, what in checks:
+        if not 1 <= count <= limit:
+            raise ValueError(f"{key} must be in [1, {limit}], {what}, got {count}")
 
 
 def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.ndarray:
@@ -127,7 +139,9 @@ def _encoder(config, train, bundle, X):
     if config.mode == SOFT:
         t0 = time.perf_counter()
         samples = training_patch_samples(train, bundle.posterior, bundle.selection)
-        pca = fit_pca(samples, config.pca_dim)
+        # one PCA block per selected object's posterior row
+        pca = fit_pca(samples.reshape(len(samples), len(bundle.selection.selected),
+                                      bundle.posterior.n_classes), config.pca_dim)
         t1 = time.perf_counter()
         steps.append(("pca", t1 - t0, f"{samples.shape[0]} patches, "
                                       f"dim {samples.shape[1]} -> {config.pca_dim}"))
@@ -198,7 +212,7 @@ def fit_pipeline(train: DatasetManifest, config: PipelineConfig,
                  log=lambda stage, seconds, diagnostics: None) -> ModelBundle:
     """Check the counts, then run every stage on a labeled manifest and
     return a complete bundle; ``log`` is ``run_stages``'s."""
-    check_counts(train, [config.object_count], [config.topic_count])
+    check_counts(train, [config.object_count], [config.topic_count], config)
     return run_stages(STAGES, config, train, log=log)[0]
 
 

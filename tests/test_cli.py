@@ -84,16 +84,22 @@ def to_soft(manifest, tag):
                            tuple(records), tag, SOFT)
 
 
-@pytest.fixture(scope="module", params=["hard", "soft"])
-def mode_files(request, synth_files):
-    """(source path, target path, mode config args) in each detection mode."""
-    if request.param == "hard":
-        return synth_files / "source.txt", synth_files / "target.txt", []
+@pytest.fixture(scope="module")
+def soft_files(synth_files):
+    """(source path, target path): the soft twins of the synth manifests."""
     src, tgt = synth_files / "soft_source.txt", synth_files / "soft_target.txt"
     write_manifest(to_soft(parse_manifest(synth_files / "source.txt"), "train"), src)
     write_manifest(to_soft(parse_manifest(synth_files / "target.txt"), "test"), tgt)
-    return src, tgt, ["--set", "mode=soft", "--set", "pca_dim=10",
-                      "--set", "codebook_size=4"]
+    return src, tgt
+
+
+@pytest.fixture(scope="module", params=["hard", "soft"])
+def mode_files(request, synth_files, soft_files):
+    """(source path, target path, mode config args) in each detection mode."""
+    if request.param == "hard":
+        return synth_files / "source.txt", synth_files / "target.txt", []
+    return (*soft_files, ["--set", "mode=soft", "--set", "pca_dim=10",
+                          "--set", "codebook_size=4"])
 
 
 def read_csv(path):
@@ -340,6 +346,27 @@ class TestTrainEvalPredict:
         captured = capsys.readouterr()
         assert "object_count must be in [1, 12]" in captured.err and "99" in captured.err
         assert "[train]" not in captured.out  # refused before the first stage
+
+    @pytest.mark.parametrize("key", ["pca_dim", "codebook_size"])
+    def test_soft_counts_refused_before_the_first_stage(self, soft_files, tmp_path,
+                                                        capsys, key):
+        source, _ = soft_files
+        patches = int(parse_manifest(source).bounds[-1])
+        counts = {"object_count": 10, "topic_count": 1, "pca_dim": 10,
+                  "codebook_size": 4, key: 999}
+        out = tmp_path / "x.bin"
+        rc = main(["train", "--train", str(source), "--out", str(out), "--set", "mode=soft"]
+                  + [arg for k, v in counts.items() for arg in ("--set", f"{k}={v}")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        limit, what = {
+            "pca_dim": (min(patches, 30), f"the smaller of the {patches} training "
+                                          f"patches and 10 objects x 3 classes"),
+            "codebook_size": (patches, "the number of training patches"),
+        }[key]
+        assert captured.err == f"error: {key} must be in [1, {limit}], {what}, got 999\n"
+        assert "[train]" not in captured.out  # refused before the first stage
+        assert not out.exists()
 
     def test_select_objects_count_too_large_names_object_count(self, synth_files,
                                                                tmp_path, capsys):
@@ -592,6 +619,28 @@ class TestAblate:
         assert rc == 1
         captured = capsys.readouterr()
         assert message in captured.err
+        assert "[ablate]" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("counts, message", [
+        (["--set", "pca_dim=12", "--set", "codebook_size=4"],
+         "pca_dim must be in [1, 6], the smaller of the {patches} training patches "
+         "and 2 objects x 3 classes, got 12"),
+        (["--set", "pca_dim=6", "--set", "codebook_size=999"],
+         "codebook_size must be in [1, {patches}], the number of training patches, "
+         "got 999"),
+    ], ids=["pca_dim", "codebook_size"])
+    def test_soft_counts_checked_for_every_object_count(self, soft_files, tmp_path,
+                                                        capsys, counts, message):
+        source, target = soft_files
+        patches = int(parse_manifest(source).bounds[-1])
+        out = tmp_path / "ablate.csv"
+        rc = main(["ablate", "--train", str(source), "--test", str(target),
+                   "--objects-list", "10,2", "--topics-list", "1", "--out", str(out),
+                   "--set", "mode=soft", "--set", "topic_count=1"] + counts)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message.format(patches=patches) in captured.err
         assert "[ablate]" not in captured.out
         assert not out.exists()
 

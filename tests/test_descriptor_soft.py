@@ -50,9 +50,10 @@ def covariance_oracle(X):
     return w[order], v[:, order]
 
 
-def assert_matches_covariance_oracle(X, out_dim):
+def assert_matches_covariance_oracle(samples, out_dim):
     """fit_pca's basis is the oracle's, column by column up to sign."""
-    pca = fit_pca(X, out_dim)
+    pca = fit_pca(samples, out_dim)
+    X = samples.reshape(len(samples), -1)
     w, v = covariance_oracle(X)
     assert np.all(-np.diff(w[:out_dim + 1]) > 1e-3 * w[0])  # distinct directions
     np.testing.assert_allclose(pca.basis.T @ pca.basis, np.eye(out_dim), atol=1e-9)
@@ -196,11 +197,37 @@ class TestFitPca:
             fit_pca(np.full((10, 3), value), 2)
 
     def test_patch_samples_match_covariance_oracle(self):
-        # 30 selected objects x 4 classes: d = 120 crosses a block boundary
-        # inside an object's posterior row
+        # 30 selected objects x 4 classes: d = 120 is not a multiple of 64
         m, post, sel = soft_model(np.random.default_rng(44), 4, 30, 60)
         X = training_patch_samples(m, post, sel)
         assert_matches_covariance_oracle(X, 20)
+        assert_matches_covariance_oracle(X.reshape(len(X), 30, 4), 20)  # per object
+
+    def test_64_column_objects_fit_as_the_flat_samples(self):
+        rng = np.random.default_rng(49)
+        X = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 192)) \
+            + rng.standard_normal((80, 192))
+        flat, per_object = fit_pca(X, 12), fit_pca(X.reshape(80, 3, 64), 12)
+        for name in ("mean", "basis"):
+            assert getattr(per_object, name).tobytes() == getattr(flat, name).tobytes()
+
+    def test_one_block_per_object_gives_an_eigh_of_the_samples_rank(self, monkeypatch):
+        # 30 objects x 3 classes: the 64-column blocks split object 21's row,
+        # whose centred columns have rank 2, into ranks 1 and 2
+        m, post, sel = soft_model(np.random.default_rng(49), 3, 30, 60)
+        X = training_patch_samples(m, post, sel)
+        sizes, eigh = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        fit_pca(X.reshape(len(X), 30, 3), 10)
+        rank = np.linalg.matrix_rank(X - X.mean(axis=0))
+        assert sizes == [(rank, rank)] and rank == 60
+        fit_pca(X, 10)
+        assert sizes[1] == (rank + 1, rank + 1)
 
     @pytest.mark.parametrize("dim", [40, 150])
     def test_block_low_rank_data_matches_covariance_oracle(self, dim):
@@ -258,6 +285,19 @@ class TestFitPca:
         finally:
             tracemalloc.stop()
         assert peak < 3000 * 3000 * 8 / 10
+
+    def test_no_centred_copy_of_the_samples(self):
+        # 20 blocks of rank 4: m = 80 of d = 1280
+        rng = np.random.default_rng(50)
+        X = np.hstack([rng.standard_normal((1200, 4)) @ rng.standard_normal((4, 64))
+                       for _ in range(20)]) + rng.standard_normal(1280)
+        tracemalloc.start()
+        try:
+            fit_pca(X, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2
 
 
 class TestFitCodebook:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,3 +181,25 @@ def test_check_counts_accepts_the_range_and_refuses_outside_it():
     ]:
         with pytest.raises(ValueError, match=message):
             pipeline.check_counts(train, **counts)
+
+
+def test_check_counts_bounds_soft_pca_dim_and_codebook_size():
+    # 12 records of 1 to 5 patches, 6 objects x 3 classes
+    train = random_soft_manifest(np.random.default_rng(4), 3, 6, 12)
+    patches = int(train.bounds[-1])
+    soft = PipelineConfig(mode="soft", pca_dim=15, codebook_size=patches)
+    pipeline.check_counts(train, [5, 6], config=soft)  # 15 = 5 x 3 <= patches
+    # a hard config's soft keys, and a soft one without object counts, go unchecked
+    pipeline.check_counts(train, [1], config=PipelineConfig(pca_dim=999))
+    pipeline.check_counts(train, config=replace(soft, pca_dim=999))
+    for counts, config, message in [
+        ([6, 4], soft, rf"pca_dim must be in \[1, 12\], the smaller of the {patches} "
+                       rf"training patches and 4 objects x 3 classes, got 15"),
+        ([6], replace(soft, pca_dim=patches + 1),
+         rf"pca_dim must be in \[1, {min(patches, 18)}\].*got {patches + 1}"),
+        ([6], replace(soft, codebook_size=patches + 1),
+         rf"codebook_size must be in \[1, {patches}\], the number of training patches, "
+         rf"got {patches + 1}"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            pipeline.check_counts(train, counts, config=config)
