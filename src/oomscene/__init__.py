@@ -26,6 +26,8 @@ from .descriptor_soft import (
     encode_soft_manifest,
     fit_codebook,
     fit_pca,
+    fit_pca_cells,
+    patch_cells,
     soft_assignments,
     training_patch_samples,
     vlad,

@@ -35,7 +35,7 @@ from .occurrence import (
 from .topics import KMeansModel
 
 BUNDLE_MAGIC = b"OOMSCENE"
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 DESC_MAGIC = b"OOMSDESC"
 DESC_VERSION = 2
 # the array dtypes a container holds, as numpy spells them
@@ -197,10 +197,12 @@ class ModelBundle:
             if any(not 0 <= o < n_obj for o in self.selection.selected):
                 raise CompatibilityError("selection references objects outside the vocabulary")
         if self.pca is not None:
-            if self.pca.basis.ndim != 2 or self.pca.mean.shape != self.pca.basis.shape[:1]:
-                raise CompatibilityError("PCA mean does not match its basis")
-            if self.selection is not None and \
-                    self.pca.basis.shape[0] != len(self.selection) * n_cls:
+            pca = self.pca
+            if pca.mean.size != sum(q.shape[0] for q in pca.bases):
+                raise CompatibilityError("PCA mean does not match its block bases")
+            if pca.mixing.shape[0] != sum(q.shape[1] for q in pca.bases):
+                raise CompatibilityError("PCA mixing does not match its block bases")
+            if self.selection is not None and pca.mean.size != len(self.selection) * n_cls:
                 raise CompatibilityError("PCA input dimension does not match the selection")
         if self.codebook is not None:
             if self.pca is None or self.codebook.centers.shape[1] != self.pca.out_dim:

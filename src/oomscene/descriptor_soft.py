@@ -1,9 +1,11 @@
 """Soft-detection semantic descriptors.
 
 Every patch's score vector turns into a [selected objects x classes] posterior
-matrix.  Flattened matrices are PCA-reduced, then aggregated as
-soft-assignment-weighted first-order residuals against a k-means codebook
-(VLAD), then signed-square-rooted and L2-normalized.
+matrix, whose row for an object is one of that object's per-grid-cell
+posterior rows.  A patch is kept as its grid cells, one per object, and the
+matrices are PCA-reduced from the cells and the per-object tables, then
+aggregated as soft-assignment-weighted first-order residuals against a
+k-means codebook (VLAD), then signed-square-rooted and L2-normalized.
 """
 
 from __future__ import annotations
@@ -15,14 +17,17 @@ import numpy as np
 from .errors import FormatError, VariantError
 from .ingest import SOFT, DatasetManifest
 from .occurrence import DiscriminantSelection, PosteriorModel, score_grid_indices
-from .topics import _row_norms, _squared_distances, fit_topics, nearest_centroids
+from .topics import _kmeans, _row_norms, _squared_distances
 
 
-def _patch_posteriors(manifest: DatasetManifest, post: PosteriorModel,
-                      sel: DiscriminantSelection):
-    """(bounds, X): record i's patches are the rows bounds[i]:bounds[i + 1]
-    of X, each its flattened [selected objects x classes] posterior matrix.
-    A record without patches raises a FormatError naming it."""
+def patch_cells(manifest: DatasetManifest, post: PosteriorModel,
+                sel: DiscriminantSelection):
+    """(bounds, tables, cells): every patch of a soft manifest in grid-cell
+    coordinates.  cells[p, r] is the grid cell of patch p's score for
+    selected object r, so the patch's posterior matrix has row r
+    ``tables[r, cells[p, r]]`` ([selected objects, grid points, classes]).
+    Record i's patches are the rows bounds[i]:bounds[i + 1] of cells.  A
+    record without patches raises a FormatError naming it."""
     if manifest.mode != SOFT:
         raise VariantError("soft descriptors need a soft-detection manifest")
     bounds, scores = manifest.bounds, manifest.scores
@@ -31,30 +36,131 @@ def _patch_posteriors(manifest: DatasetManifest, post: PosteriorModel,
         raise FormatError(f"empty bag: record {manifest.image_ids[empty[0]]!r} "
                           f"has no patches")
     obj = np.asarray(sel.selected, dtype=np.intp)
-    ts = score_grid_indices(post.grid, scores[:, obj])  # [n_patches, n_sel]
-    return bounds, post.posteriors[obj, :, ts].reshape(len(scores), obj.size * post.n_classes)
+    cells = score_grid_indices(post.grid, scores[:, obj])  # [n_patches, n_sel]
+    tables = np.ascontiguousarray(post.posteriors[obj].transpose(0, 2, 1))
+    return bounds, tables, cells
+
+
+def _finite(value, ndim: int, what: str) -> np.ndarray:
+    # C order, as a loaded bundle holds it: BLAS then rounds the projection
+    # of a fitted PCA as it does after a save and load
+    value = np.ascontiguousarray(value, dtype=float)
+    if value.ndim != ndim:
+        raise ValueError(f"PCA {what} must be {ndim}-D, got {value.ndim}-D")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"PCA {what} must be finite")
+    return value
+
+
+def _edges(sizes) -> np.ndarray:
+    return np.cumsum([0, *sizes])
+
+
+def _check_cells(tables, cells) -> np.ndarray:
+    cells = np.asarray(cells)
+    if cells.ndim != 2 or cells.shape[1] != len(tables) or cells.dtype.kind not in "iu":
+        raise ValueError(f"cells must be [samples, {len(tables)}] integer table rows")
+    if cells.size:
+        rows = np.array([len(table) for table in tables])
+        bad = np.flatnonzero((cells.min(axis=0) < 0) | (cells.max(axis=0) >= rows))
+        if bad.size:
+            raise ValueError(f"cells[:, {bad[0]}] holds a row outside table {bad[0]}")
+    return cells
+
+
+def _coordinates(tables, cells, mean, bases) -> np.ndarray:
+    """[n, sum of the bases' widths]: every block's coordinates, its centred
+    columns times its basis, of the n samples whose input columns are,
+    table after table, the rows cells[:, t] of tables[t].  A block within
+    one table multiplies the table's rows and gathers the products by the
+    cells; a block across tables gathers its columns first."""
+    t_edges = _edges(t.shape[1] for t in tables)
+    b_edges = _edges(q.shape[0] for q in bases)
+    k_edges = _edges(q.shape[1] for q in bases)
+    Y = np.empty((len(cells), k_edges[-1]))
+    for b, q in enumerate(bases):
+        a, e = b_edges[b], b_edges[b + 1]
+        t = np.searchsorted(t_edges, a, side="right") - 1
+        if e <= t_edges[t + 1]:
+            z = (tables[t][:, a - t_edges[t]:e - t_edges[t]] - mean[a:e]) @ q
+            Y[:, k_edges[b]:k_edges[b + 1]] = z[cells[:, t]]
+            continue
+        X = np.hstack([tables[s][cells[:, s], max(a, t_edges[s]) - t_edges[s]:
+                                 min(e, t_edges[s + 1]) - t_edges[s]]
+                       for s in range(t, np.searchsorted(t_edges, e))])
+        Y[:, k_edges[b]:k_edges[b + 1]] = (X - mean[a:e]) @ q
+    return Y
+
+
+def _basis(mean, bases, mixing) -> np.ndarray:
+    """block_diag(*bases) @ mixing.  Each block's product takes its basis in
+    Fortran order, the layout of the SVD's transposed vt that the fit's
+    bases come from, so BLAS rounds the products as the dense fit always
+    has."""
+    basis = np.empty((mean.size, mixing.shape[1]))
+    b_edges = _edges(q.shape[0] for q in bases)
+    k_edges = _edges(q.shape[1] for q in bases)
+    for b, q in enumerate(bases):
+        basis[b_edges[b]:b_edges[b + 1]] = \
+            np.asfortranarray(q) @ mixing[k_edges[b]:k_edges[b + 1]]
+    return basis
 
 
 @dataclass(frozen=True, eq=False)
 class PcaTransform:
-    """Mean and orthonormal principal basis (columns, eigenvalue-descending)."""
+    """A PCA in factored form.  The input columns are cut into blocks, one
+    per basis in ``bases``; a sample's coordinates in block b are its
+    centred columns of the block times ``bases[b]`` (orthonormal columns),
+    and its projection is all blocks' coordinates, side by side, times
+    ``mixing``.  ``basis`` is the [input_dim, out_dim] orthonormal principal
+    basis that this factors (columns eigenvalue-descending):
+    ``block_diag(*bases) @ mixing``.  The shapes' agreement is checked by
+    ``ModelBundle.validate``."""
 
-    mean: np.ndarray
-    basis: np.ndarray  # [input_dim, out_dim]
+    mean: np.ndarray                # [input_dim]
+    bases: tuple[np.ndarray, ...]   # [block width, block coordinates] each
+    mixing: np.ndarray              # [all blocks' coordinates, out_dim]
 
     def __post_init__(self):
-        for name in ("mean", "basis"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, value)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"PCA {name} must be finite")
+        object.__setattr__(self, "mean", _finite(self.mean, 1, "mean"))
+        object.__setattr__(self, "bases",
+                           tuple(_finite(q, 2, "block basis") for q in self.bases))
+        object.__setattr__(self, "mixing", _finite(self.mixing, 2, "mixing"))
+        if any(q.shape[0] == 0 for q in self.bases):
+            raise ValueError("every PCA block basis needs at least one input column")
 
     @property
     def out_dim(self) -> int:
-        return self.basis.shape[1]
+        return self.mixing.shape[1]
+
+    @property
+    def basis(self) -> np.ndarray:
+        return _basis(self.mean, self.bases, self.mixing)
+
+    def project_cells(self, tables, cells) -> np.ndarray:
+        """[n, out_dim]: the projection of n samples in cell coordinates,
+        whose input columns are, table after table, the rows cells[:, t] of
+        the 2-D tables[t].  The tables' widths must sum to the input
+        dimension; they need not follow the blocks."""
+        cells = _check_cells(tables, cells)
+        if sum(t.shape[1] for t in tables) != self.mean.size:
+            raise ValueError(f"tables are {sum(t.shape[1] for t in tables)} columns "
+                             f"wide, the PCA input dimension is {self.mean.size}")
+        return _coordinates(tables, cells, self.mean, self.bases) @ self.mixing
 
     def project(self, X) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) @ self.basis
+        """The projection of input rows: the cell form with one table per
+        block and each row its own cell."""
+        X = np.asarray(X, dtype=float)
+        rows = np.atleast_2d(X)
+        edges = _edges(q.shape[0] for q in self.bases)
+        if rows.ndim != 2 or rows.shape[1] != self.mean.size:
+            raise ValueError(f"samples must be vectors of the PCA input dimension "
+                             f"{self.mean.size}")
+        tables = [rows[:, a:e] for a, e in zip(edges[:-1], edges[1:])]
+        cells = np.broadcast_to(np.arange(len(rows))[:, None], (len(rows), len(tables)))
+        V = self.project_cells(tables, cells)
+        return V[0] if X.ndim == 1 else V
 
     def reconstruct(self, Y) -> np.ndarray:
         return self.mean + np.asarray(Y, dtype=float) @ self.basis.T
@@ -66,30 +172,13 @@ _PCA_BLOCK = 64
 
 
 def fit_pca(samples, out_dim: int) -> PcaTransform:
-    """Top principal directions of the sample covariance.
+    """Top principal directions of the sample covariance of dense samples:
+    ``fit_pca_cells`` with each sample its own cell.
 
     ``samples`` is [n, d] vectors or [n, objects, classes] posterior
-    matrices.  The columns are cut into blocks: one per object, the slice
+    matrices.  The columns are cut into blocks, one per object, the slice
     ``[:, r, :]``, for matrices, and 64-column windows for vectors; the mean
-    and basis are in flattened order either way.  Each block is centred as it
-    is reduced, through the SVD of its QR factor R, to the right singular
-    vectors whose singular values exceed ``max(n, width) * eps`` times the
-    block's largest, the rank tolerance of ``np.linalg.matrix_rank``.  The
-    centred samples' row space lies, up to the dropped directions, in the
-    direct sum of those spans, so one eigh of the covariance of the samples'
-    coordinates in them (m x m, m the sum of the block ranks) gives the
-    principal directions.  Dropping the rest moves the covariance by about
-    that tolerance relative to its norm, the order of the rounding error
-    bound of the n-term sums that form it, so the result matches the dense
-    covariance eigh up to rounding.  An object's posterior rows sum to one,
-    so its centred block has rank below the class count; with one block per
-    object, m is the centred samples' rank unless the blocks' column spaces
-    intersect, while a window that splits an object counts both parts' ranks.
-    No centred copy of the samples is made.  If m < out_dim, the remaining
-    columns are the blocks' dropped singular vectors, in block order.
-
-    Column signs are fixed by making each column's first non-negligible entry
-    positive, so the fit is deterministic.
+    and basis are in flattened order either way.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim not in (2, 3):
@@ -98,46 +187,98 @@ def fit_pca(samples, out_dim: int) -> PcaTransform:
     n, dim = X.shape[0], int(np.prod(X.shape[1:]))
     width = X.shape[2] if X.ndim == 3 else _PCA_BLOCK
     X = X.reshape(n, dim)
+    tables = [X[:, s:s + width] for s in range(0, dim, width)]
+    return fit_pca_cells(tables, np.broadcast_to(np.arange(n)[:, None], (n, len(tables))),
+                         out_dim)
+
+
+def fit_pca_cells(tables, cells, out_dim: int) -> PcaTransform:
+    """Top principal directions of the sample covariance of n samples in cell
+    coordinates: sample i's input columns are, table after table, the rows
+    ``cells[i, t]`` of the 2-D ``tables[t]``, so a soft patch is its grid
+    cell per selected object and the tables are the objects' posterior rows
+    (``patch_cells``).  The PCA has one block per table.
+
+    Table t's mean is its rows averaged with their counts c_g, the number of
+    samples in row g.  Its rows, centred and each scaled by √c_g, have the
+    samples' centred block as Gram matrix, so the SVD of their QR factor R
+    gives the block's principal directions from at most one row per cell.
+    The right singular vectors whose singular values exceed
+    ``max(n, width) * eps`` times the block's largest are kept, the rank
+    tolerance of ``np.linalg.matrix_rank`` on the samples' block.  The
+    centred samples' row space lies, up to the dropped directions, in the
+    direct sum of those spans, so one eigh of the covariance of the
+    samples' coordinates in them (m x m, m the sum of the block ranks)
+    gives the principal directions.  Dropping the rest moves the covariance
+    by about that tolerance relative to its norm, the order of the rounding
+    error bound of the n-term sums that form it, so the result matches the
+    dense covariance eigh up to rounding.  An object's posterior rows sum to
+    one, so its centred block has rank below the class count and below the
+    number of cells its samples use.  The coordinates are gathered from
+    each table's centred rows times the block's basis; no sample's full row
+    is built.  The eigenvectors are the ``mixing`` of the factored result.
+    If m < out_dim, the remaining columns are the blocks' dropped singular
+    vectors, in block order, appended to their blocks' bases with identity
+    mixing.
+
+    Column signs are fixed by making each basis column's first
+    non-negligible entry positive, so the fit is deterministic.
+    """
+    tables = [np.asarray(t, dtype=float) for t in tables]
+    if not tables or any(t.ndim != 2 for t in tables):
+        raise ValueError("tables must be one or more 2-D arrays")
+    cells = _check_cells(tables, cells)
+    n, dim = len(cells), sum(t.shape[1] for t in tables)
     if out_dim < 1:
         raise ValueError("out_dim must be at least 1")
     if n < out_dim:
         raise ValueError(f"need at least {out_dim} samples to fit PCA, got {n}")
     if out_dim > dim:
         raise ValueError(f"out_dim {out_dim} exceeds the input dimension {dim}")
-    if not np.all(np.isfinite(X)):
+    if not all(np.all(np.isfinite(t)) for t in tables):
         raise ValueError("PCA samples must be finite, not NaN or infinite")
-    mean = X.mean(axis=0)
-    blocks = [slice(s, min(s + width, dim)) for s in range(0, dim, width)]
-    kept, dropped = [], []
-    for cols in blocks:
-        block = X[:, cols] - mean[cols]
-        # the SVD of the block's R factor resolves small singular values to
-        # rounding, which the eigenvalues of its Gram matrix cannot
-        _, sv, vt = np.linalg.svd(np.linalg.qr(block, mode="r"))
-        rank = np.count_nonzero(sv > sv[0] * max(block.shape) * np.finfo(float).eps)
+    means, kept, dropped = [], [], []
+    for t, table in enumerate(tables):
+        counts = np.bincount(cells[:, t], minlength=len(table))
+        # summed down the rows in order, as numpy sums the columns of a
+        # matrix wider than one column: dense samples get X.mean(axis=0)
+        mean = np.cumsum(counts[:, None] * table, axis=0)[-1] / n
+        # the SVD of the rows' R factor resolves small singular values to
+        # rounding, which the eigenvalues of their Gram matrix cannot
+        _, sv, vt = np.linalg.svd(np.linalg.qr(np.sqrt(counts)[:, None] * (table - mean),
+                                               mode="r"))
+        tol = sv[0] * max(n, table.shape[1]) * np.finfo(float).eps
+        rank = np.count_nonzero(sv > tol)
+        means.append(mean)
         kept.append(vt[:rank].T)
         dropped.append(vt[rank:].T)
-    offsets = np.cumsum([0] + [q.shape[1] for q in kept])
-    Y = np.empty((n, offsets[-1]))
-    for cols, q, row in zip(blocks, kept, offsets):
-        np.matmul(X[:, cols] - mean[cols], q, out=Y[:, row:row + q.shape[1]])
+    mean = np.concatenate(means)
+    Y = _coordinates(tables, cells, mean, kept)
     cov = Y.T @ Y / max(n - 1, 1)
     del Y
     eigvals, eigvecs = np.linalg.eigh(cov)
     top = eigvecs[:, np.argsort(-eigvals, kind="stable")[:out_dim]]
-    basis = np.zeros((dim, out_dim))
-    for cols, q, row in zip(blocks, kept, offsets):
-        basis[cols, :top.shape[1]] = q @ top[row:row + q.shape[1]]
-    col = top.shape[1]
-    for cols, z in zip(blocks, dropped):
+    # the dropped directions that fill columns m.. are appended to their
+    # blocks' bases; each gets a mixing row with a single 1
+    bases, filler, col = [], [], top.shape[1]
+    for q, z in zip(kept, dropped):
         take = min(z.shape[1], out_dim - col)
-        basis[cols, col:col + take] = z[:, :take]
+        bases.append(np.hstack([q, z[:, :take]]))
+        filler.append(col + np.arange(take))
         col += take
+    mixing = np.zeros((sum(q.shape[1] for q in bases), out_dim))
+    row = k_row = 0
+    for q, cols in zip(kept, filler):
+        width = q.shape[1]
+        mixing[row:row + width, :top.shape[1]] = top[k_row:k_row + width]
+        mixing[row + width + np.arange(cols.size), cols] = 1.0
+        row, k_row = row + width + cols.size, k_row + width
+    basis = _basis(mean, bases, mixing)
     big = np.abs(basis) > 1e-12
     first = basis[big.argmax(axis=0), np.arange(out_dim)]
     flip = big.any(axis=0) & (first < 0)
-    basis[:, flip] = -basis[:, flip]
-    return PcaTransform(mean=mean, basis=basis)
+    mixing[:, flip] = -mixing[:, flip]
+    return PcaTransform(mean=mean, bases=tuple(bases), mixing=mixing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +314,7 @@ def fit_codebook(projected, k: int, seed: int) -> VladCodebook:
         raise ValueError("projected samples must be equal-length vectors")
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"codebook size must be in [1, {X.shape[0]}], got {k}")
-    model = fit_topics(X, k, seed)
-    labels, _ = nearest_centroids(model.centroids, X)
+    model, labels = _kmeans(X, k, seed)
     # direct-form distances: exactly zero for samples sitting on their center
     dists = np.sqrt(((X - model.centroids[labels]) ** 2).sum(axis=1))
     sigma = float(dists.mean())
@@ -204,15 +344,14 @@ def encode_soft_manifest(manifest: DatasetManifest, post: PosteriorModel,
                          cb: VladCodebook) -> np.ndarray:
     """[n_records, k * p]: the soft-VLAD descriptor of every record.
 
-    The flattened posterior matrices of all patches are PCA-projected and
-    soft-assigned to the codebook at once; each record's VLAD is then
+    All patches are PCA-projected from their grid cells
+    (``PcaTransform.project_cells``) and soft-assigned to the codebook at
+    once; each record's VLAD is then
     signed-square-rooted and L2-normalized.  A VLAD that accumulates to
     exactly zero is returned unnormalized.
     """
-    bounds, X = _patch_posteriors(manifest, post, sel)
-    V = pca.project(X)
-    del X  # the largest temporary: free it before the output is allocated
-    return encode_projected(bounds, V, cb)
+    bounds, tables, cells = patch_cells(manifest, post, sel)
+    return encode_projected(bounds, pca.project_cells(tables, cells), cb)
 
 
 def encode_projected(bounds: np.ndarray, V: np.ndarray, cb: VladCodebook) -> np.ndarray:
@@ -230,5 +369,8 @@ def encode_projected(bounds: np.ndarray, V: np.ndarray, cb: VladCodebook) -> np.
 
 def training_patch_samples(manifest: DatasetManifest, post: PosteriorModel,
                            sel: DiscriminantSelection) -> np.ndarray:
-    """Flattened patch posterior matrices of every record, stacked for PCA fitting."""
-    return _patch_posteriors(manifest, post, sel)[1]
+    """[n_patches, selected objects x classes]: every patch's flattened
+    posterior matrix, record after record; the dense form of
+    ``patch_cells``, which training and evaluation use instead."""
+    _, tables, cells = patch_cells(manifest, post, sel)
+    return tables[np.arange(len(tables)), cells].reshape(len(cells), -1)

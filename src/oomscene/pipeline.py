@@ -22,8 +22,8 @@ from .descriptor_soft import (
     encode_projected,
     encode_soft_manifest,
     fit_codebook,
-    fit_pca,
-    training_patch_samples,
+    fit_pca_cells,
+    patch_cells,
 )
 from .ensemble import predict_batch, train_ensemble
 from .errors import CompatibilityError
@@ -138,20 +138,17 @@ def _encoder(config, train, bundle, X):
     steps = []
     if config.mode == SOFT:
         t0 = time.perf_counter()
-        samples = training_patch_samples(train, bundle.posterior, bundle.selection)
-        # one PCA block per selected object's posterior row
-        pca = fit_pca(samples.reshape(len(samples), len(bundle.selection.selected),
-                                      bundle.posterior.n_classes), config.pca_dim)
+        bounds, tables, cells = patch_cells(train, bundle.posterior, bundle.selection)
+        pca = fit_pca_cells(tables, cells, config.pca_dim)
         t1 = time.perf_counter()
-        steps.append(("pca", t1 - t0, f"{samples.shape[0]} patches, "
-                                      f"dim {samples.shape[1]} -> {config.pca_dim}"))
+        steps.append(("pca", t1 - t0, f"{len(cells)} patches, "
+                                      f"dim {pca.mean.size} -> {config.pca_dim}"))
         # project once: the codebook and the training VLADs read the same V
-        V = pca.project(samples)
-        del samples
+        V = pca.project_cells(tables, cells)
         codebook = fit_codebook(V, config.codebook_size, config.seed)
         steps.append(("codebook", time.perf_counter() - t1, f"{config.codebook_size} words"))
         bundle = replace(bundle, pca=pca, codebook=codebook)
-        X = encode_projected(train.bounds, V, codebook)
+        X = encode_projected(bounds, V, codebook)
     else:
         X = encode_with_bundle(bundle, train)
     return bundle, X, {"steps": steps, "descriptors": X.shape[0], "dim": X.shape[1]}

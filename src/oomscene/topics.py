@@ -127,6 +127,19 @@ def fit_topics(descriptors, d: int, seed: int, max_iter: int = 300,
     Descriptors that are not finite, or whose squared norms overflow, raise
     a ValueError.
     """
+    return _kmeans(descriptors, d, seed, max_iter, tol)[0]
+
+
+def _kmeans(descriptors, d: int, seed: int, max_iter: int = 300, tol: float = 1e-6):
+    """``fit_topics``'s model and each descriptor's nearest final centroid
+    (lowest index on ties), as ``nearest_centroids`` gives it.
+
+    A pass whose assignment repeats the previous pass's without an
+    empty-cluster repair ends the loop: its update would recompute the
+    current centroids, so the next pass would repeat it and stop on the
+    tolerance.  That pass is counted, up to `max_iter`, and this pass's
+    distances are the final ones.
+    """
     try:
         X = np.asarray(descriptors, dtype=float)
     except ValueError:
@@ -138,6 +151,8 @@ def fit_topics(descriptors, d: int, seed: int, max_iter: int = 300,
         raise ValueError("need at least one topic")
     if d > n:
         raise ValueError(f"cannot fit {d} topics from {n} descriptors")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     with np.errstate(over="ignore"):
         xx = _row_norms(X)
     if not np.all(np.isfinite(xx)):
@@ -146,38 +161,45 @@ def fit_topics(descriptors, d: int, seed: int, max_iter: int = 300,
     rng = np.random.default_rng(seed)
     centers = _plus_plus_init(X, xx, d, rng)
 
-    prev = None
+    prev = prev_labels = d2 = None  # d2: distances to the current centers
     iterations = 0
     for it in range(max_iter):
         d2 = _squared_distances(X, centers, xx)
         labels = d2.argmin(axis=1)
         mind2 = d2[np.arange(n), labels]
-        counts = np.bincount(labels, minlength=d)
-        for j in np.flatnonzero(counts == 0):
+        empty = np.flatnonzero(np.bincount(labels, minlength=d) == 0)
+        for j in empty:
             far = int(mind2.argmax())
             centers[j] = X[far]
             labels[far] = j
             mind2[far] = 0.0
+        if empty.size:
+            d2 = None
         inertia = float(mind2.sum())
         iterations = it + 1
         if prev is not None and prev - inertia <= tol * prev:
             break
-        prev = inertia
+        if not empty.size and np.array_equal(labels, prev_labels):
+            iterations = min(it + 2, max_iter)
+            break
+        prev, prev_labels = inertia, labels
         for j in range(d):
             members = labels == j
             if members.all():
                 centers[j] = X.mean(axis=0)  # no copy of X for a cluster of every row
             elif members.any():
                 centers[j] = X[members].mean(axis=0)
+        d2 = None
 
-    final_d2 = _squared_distances(X, centers, xx)
-    inertia = float(final_d2.min(axis=1).sum())
-    return KMeansModel(
+    if d2 is None:
+        d2 = _squared_distances(X, centers, xx)
+    model = KMeansModel(
         centroids=centers.copy(),
-        inertia=inertia,
+        inertia=float(d2.min(axis=1).sum()),
         seed=seed,
         iterations_run=iterations,
     )
+    return model, d2.argmin(axis=1)
 
 
 def assign_topics_batch(model: KMeansModel, descriptors):

@@ -16,15 +16,17 @@ from oomscene import (
     SoftPatch,
     train_one_vs_rest,
 )
+from oomscene.bundle import BUNDLE_MAGIC, BUNDLE_VERSION, DESC_MAGIC, DESC_VERSION
 from oomscene.ensemble import _derive_seed, _gram, _sgd_lockstep, _validation_masks
 
 
 def container(magic, header, payload=b""):
-    """Version-2 container bytes around a hand-written header, padded so the
-    payload starts 8-byte aligned."""
+    """Container bytes of the magic's current version around a hand-written
+    header, padded so the payload starts 8-byte aligned."""
+    version = {BUNDLE_MAGIC: BUNDLE_VERSION, DESC_MAGIC: DESC_VERSION}[magic]
     text = json.dumps(header).encode("utf-8")
     text += b" " * (-(len(magic) + 6 + len(text)) % 8)
-    return magic + struct.pack(">HI", 2, len(text)) + text + payload
+    return magic + struct.pack(">HI", version, len(text)) + text + payload
 
 
 def make_vocab(n):
@@ -142,9 +144,11 @@ def _oracle_squared_distances(X, centers):
 
 
 def oracle_fit_topics(X, d, seed, max_iter=300, tol=1e-6):
-    """Lloyd's k-means as ``fit_topics`` runs it, with the row norms
-    recomputed at every step and every centroid averaged from a copy of its
-    members: (centroids, inertia, iterations run)."""
+    """Lloyd's k-means with the row norms recomputed at every step, every
+    centroid averaged from a copy of its members, and no stop but the
+    tolerance and ``max_iter``: a pass that repeats the previous assignment
+    runs, and the inertia is recounted after the loop.  Returns (centroids,
+    inertia, iterations run)."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     rng = np.random.default_rng(seed)

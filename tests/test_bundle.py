@@ -221,8 +221,11 @@ def test_bad_dtype(workdir, valid, data):
      "class prior"),
     (lambda b: replace(b, selection=replace(
         b.selection, selected=(-1,) + b.selection.selected[1:])), "selection"),
-    (lambda b: replace(b, pca=PcaTransform(b.pca.mean[:-1], b.pca.basis)), "PCA mean"),
-    (lambda b: replace(b, pca=PcaTransform(b.pca.mean[:-1], b.pca.basis[:-1])),
+    (lambda b: replace(b, pca=PcaTransform(b.pca.mean[:-1], b.pca.bases, b.pca.mixing)),
+     "PCA mean"),
+    (lambda b: replace(b, pca=PcaTransform(b.pca.mean[:-1],
+                                           b.pca.bases[:-1] + (b.pca.bases[-1][:-1],),
+                                           b.pca.mixing)),
      "PCA input"),
     (lambda b: replace(b, codebook=VladCodebook(b.codebook.centers[:, :-1],
                                                 b.codebook.sigma)), "codebook"),
@@ -248,7 +251,7 @@ def test_forged_nan_in_pca_basis_is_refused(workdir, trained):
     # score, NaN
     arrays = []
     tree = _to_tree(trained, arrays)
-    index = next(i for i, a in enumerate(arrays) if a is trained.pca.basis)
+    index = next(i for i, a in enumerate(arrays) if a is trained.pca.bases[0])
     arrays[index] = arrays[index].copy()
     arrays[index][0, 0] = np.nan
     path = workdir / "forged.bundle"
@@ -280,3 +283,24 @@ def test_forged_pyramid_is_refused_before_encoding(workdir, trained):
     _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
     with pytest.raises(FormatError, match="bundle.layout: PyramidLayout.*9000000 regions"):
         load_bundle(path)
+
+
+def test_version_2_bundle_is_refused_naming_both_versions(workdir, valid):
+    # version 2 stored the PCA as one dense basis; version 3 stores its factors
+    assert BUNDLE_VERSION == 3
+    path = workdir / "v2.bundle"
+    path.write_bytes(valid[:8] + struct.pack(">H", 2) + valid[10:])
+    with pytest.raises(FormatError,
+                       match="version field holds 2, this reader reads model bundle version 3"):
+        load_bundle(path)
+
+
+def test_pca_is_stored_as_its_factors(workdir, trained, valid):
+    arrays = []
+    _to_tree(trained, arrays)
+    pca = trained.pca
+    assert any(a is pca.mixing for a in arrays)
+    assert all(any(a is q for a in arrays) for q in pca.bases)
+    assert not any(a.shape == pca.basis.shape for a in arrays)
+    loaded = load_bundle(workdir / "valid.bundle")
+    assert loaded.pca.basis.tobytes() == pca.basis.tobytes()

@@ -16,6 +16,7 @@ from oomscene import (
     write_manifest,
 )
 from oomscene.bundle import (
+    BUNDLE_VERSION,
     DEFAULT_FOLDS,
     DEFAULT_PCA_DIM,
     DEFAULT_TOPIC_COUNT,
@@ -756,8 +757,8 @@ class TestDeterminismAndPersistence:
         (read_descriptor_file, b"OOMSDESC\x00\x02\x00\x00\x00\x02[]", "header"),
         (read_descriptor_file,
          b"OOMSDESC\x00\x02" + struct.pack(">I", 200000) + b"[" * 200000, "header"),
-        (load_bundle,
-         b"OOMSCENE\x00\x02" + struct.pack(">I", 200000) + b"[" * 200000, "header"),
+        (load_bundle, b"OOMSCENE" + struct.pack(">HI", BUNDLE_VERSION, 200000)
+         + b"[" * 200000, "header"),
         (read_descriptor_file, container(b"OOMSDESC", {"rows": 1}), "arrays"),
         (read_descriptor_file,
          container(b"OOMSDESC", {"arrays": [{"dtype": "<i8", "shape": [1]}]}),

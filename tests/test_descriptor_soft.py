@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oomscene import (
     ClassPrior,
+    DatasetManifest,
     FormatError,
     PipelineConfig,
     ThresholdGrid,
@@ -13,13 +16,19 @@ from oomscene import (
     build_posterior_model,
     encode_soft_manifest,
     encode_with_bundle,
+    evaluate_bundle,
     fit_codebook,
     fit_pca,
+    fit_pca_cells,
+    fit_pipeline,
+    patch_cells,
+    score_grid_indices,
     select_objects,
     soft_assignments,
     training_patch_samples,
     vlad,
 )
+from oomscene import descriptor_soft
 from oomscene.ingest import HardDetection, SoftPatch
 from oomscene.pipeline import STAGES, run_stages
 from helpers import (
@@ -300,6 +309,106 @@ class TestFitPca:
         assert peak < X.nbytes / 2
 
 
+def cell_problem(seed, n=400, objects=6, classes=5, grid_points=7):
+    """(tables, cells): posterior tables whose rows sum to one, [objects,
+    grid points, classes], and n samples' cells.  Object 0's samples all
+    sit in one cell (a rank-0 block); object 1's use 2 cells, fewer than the
+    classes."""
+    rng = np.random.default_rng(seed)
+    tables = rng.dirichlet(np.ones(classes), size=(objects, grid_points))
+    cells = rng.integers(grid_points, size=(n, objects))
+    cells[:, 0] = 3
+    cells[:, 1] = np.where(cells[:, 1] < 3, 0, 5)
+    return tables, cells
+
+
+def dense_rows(tables, cells):
+    return tables[np.arange(len(tables)), cells].reshape(len(cells), -1)
+
+
+class TestCellCoordinates:
+    """The PCA fitted and applied from per-object posterior tables against
+    the dense [samples, objects x classes] rows."""
+
+    @pytest.mark.parametrize("seed", [60, 63])
+    def test_blocks_have_the_rank_of_their_used_cells(self, seed):
+        # object 0's centred rows are zero up to the rounding of its mean: at
+        # most one direction, which carries no variance (seed 63 keeps one)
+        tables, cells = cell_problem(seed)
+        pca = fit_pca_cells(tables, cells, 10)
+        assert pca.bases[0].shape[1] == (seed == 63)
+        assert [q.shape for q in pca.bases[1:]] == [(5, 1)] + [(5, 4)] * 4
+        coordinates = (tables[0][cells[:, 0]] - pca.mean[:5]) @ pca.bases[0]
+        np.testing.assert_allclose(coordinates, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("out_dim", [10, 17, 24])  # m = 17: pca_dim > m pads
+    def test_projection_matches_the_dense_basis(self, out_dim):
+        tables, cells = cell_problem(61)
+        pca = fit_pca_cells(tables, cells, out_dim)
+        # the fitted samples, and samples in cells no training sample used
+        unseen = np.random.default_rng(62).integers(7, size=(50, 6))
+        for c in (cells, unseen):
+            X = dense_rows(tables, c)
+            want = (X - pca.mean) @ pca.basis
+            np.testing.assert_allclose(pca.project_cells(tables, c), want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+            np.testing.assert_allclose(pca.project(X), want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("out_dim", [10, 17, 24])
+    def test_fit_matches_the_dense_covariance_eigh(self, out_dim):
+        tables, cells = cell_problem(63)
+        pca = fit_pca_cells(tables, cells, out_dim)
+        X = dense_rows(tables, cells)
+        w, v = covariance_oracle(X)
+        m = 17  # the rank of the centred samples: 0 + 1 + 4 x 4
+        assert w[m - 1] > 1e-6 * w[0] and w[m] < 1e-14 * w[0]
+        top = min(out_dim, m)
+        assert np.all(-np.diff(w[:top]) > 1e-3 * w[0])  # distinct directions
+        basis = pca.basis
+        cos = np.abs(np.sum(basis[:, :top] * v[:, :top], axis=0))
+        assert np.all(cos >= 1 - 1e-12)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(out_dim), atol=1e-12)
+        # the padding columns carry no variance
+        np.testing.assert_allclose((X - pca.mean) @ basis[:, top:], 0.0, atol=1e-12)
+
+    def test_cell_fit_matches_the_dense_fit(self):
+        # the same samples as cells with counts and as rows of count 1
+        tables, cells = cell_problem(64)
+        X = dense_rows(tables, cells)
+        dense = fit_pca(X.reshape(len(X), 6, 5), 12)
+        cos = np.abs(np.sum(fit_pca_cells(tables, cells, 12).basis * dense.basis, axis=0))
+        assert np.all(cos >= 1 - 1e-12)
+
+    def test_soft_training_and_evaluation_build_no_dense_rows(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        train = random_soft_manifest(rng, 4, 9, 40, max_patches=6)
+        test = random_soft_manifest(rng, 4, 9, 12, max_patches=6, split_tag="test")
+        config = PipelineConfig(mode="soft", object_count=6, pca_dim=8, codebook_size=5,
+                                topic_count=2, sgd_lambdas=(1e-3,), sgd_eta0s=(0.5,),
+                                sgd_epochs=3, seed=3)
+        want = evaluate_bundle(fit_pipeline(train, config), test)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the dense posterior rows")
+
+        monkeypatch.setattr(descriptor_soft, "training_patch_samples", refuse)
+        monkeypatch.setattr(descriptor_soft.PcaTransform, "project", refuse)
+        bundle = fit_pipeline(train, config)
+        # one block per selected object: no block gathers columns across tables
+        assert [q.shape[0] for q in bundle.pca.bases] == [4] * 6
+        pred, scores, _ = evaluate_bundle(bundle, test)
+        assert pred.tobytes() == want[0].tobytes()
+        assert scores.tobytes() == want[1].tobytes()
+
+    def test_bad_cells_are_refused(self):
+        tables, cells = cell_problem(66)
+        with pytest.raises(ValueError, match="outside table 2"):
+            fit_pca_cells(tables, np.where(cells == 6, 7, cells), 5)
+        with pytest.raises(ValueError, match="integer table rows"):
+            fit_pca_cells(tables, cells[:, :5], 5)
+
+
 class TestFitCodebook:
     def test_two_blobs(self):
         rng = np.random.default_rng(41)
@@ -419,3 +528,38 @@ class TestEncodeSoft:
                                 seed=3)
         bundle, X = run_stages(STAGES[:3], config, train)  # up to the encoder
         assert X.tobytes() == encode_with_bundle(bundle, train).tobytes()
+
+
+_SUB_GRID = {}
+
+
+def sub_grid_setup():
+    """A fitted soft encoder and the manifest it encodes, built once."""
+    if not _SUB_GRID:
+        m, post, sel = soft_model(np.random.default_rng(70), 3, 5, 24)
+        _, tables, cells = patch_cells(m, post, sel)
+        pca = fit_pca_cells(tables, cells, 6)
+        cb = fit_codebook(pca.project_cells(tables, cells), 4, seed=0)
+        _SUB_GRID.update(m=m, post=post, sel=sel, pca=pca, cb=cb)
+    return _SUB_GRID
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sub_grid_score_perturbation_leaves_bits_unchanged(data):
+    # every score moves anywhere inside its grid cell: [v - step/2, v + step/2]
+    # about its grid point v, kept inside [0, 1]
+    s = sub_grid_setup()
+    m, post = s["m"], s["post"]
+    grid = post.grid.values
+    frac = data.draw(arrays(float, m.scores.shape,
+                            elements=st.floats(-0.45, 0.45, allow_subnormal=False)))
+    cells = score_grid_indices(post.grid, m.scores)
+    moved = np.clip(grid[cells] + frac * post.grid.delta_theta, 0.0, 1.0)
+    assert np.array_equal(score_grid_indices(post.grid, moved), cells)
+    shifted = DatasetManifest.from_arrays(
+        m.vocabulary, m.classes, m.split_tag, m.mode, m.image_ids, m.labels,
+        m.domain_tags, m.image, patch_id=m.patch_id, scores=moved)
+    want = encode_soft_manifest(m, post, s["sel"], s["pca"], s["cb"])
+    got = encode_soft_manifest(shifted, post, s["sel"], s["pca"], s["cb"])
+    assert got.tobytes() == want.tobytes()

@@ -8,10 +8,12 @@ from oomscene import (
     DimensionError,
     KMeansModel,
     assign_topics_batch,
+    fit_codebook,
     fit_topics,
 )
+from oomscene import topics
 from oomscene.topics import _plus_plus_init, _row_norms
-from helpers import oracle_fit_topics, oracle_plus_plus_init
+from helpers import _oracle_squared_distances, oracle_fit_topics, oracle_plus_plus_init
 
 
 def blobs(rng, centers, per_blob, spread=0.05):
@@ -159,6 +161,51 @@ class TestDirectFormOracle:
         assert model.centroids.tobytes() == centroids.tobytes()
         assert model.inertia == inertia
         assert model.iterations_run == iterations
+
+    @settings(max_examples=300, deadline=None)
+    @given(kmeans_problems(), st.integers(0, 6))
+    def test_fit_matches_oracle_at_any_iteration_cap(self, problem, max_iter):
+        # a loop that stops on a repeated assignment counts the pass it skips
+        # only up to the cap
+        X, k, seed = problem
+        model = fit_topics(X, k, seed, max_iter=max_iter)
+        centroids, inertia, iterations = oracle_fit_topics(X, k, seed, max_iter=max_iter)
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.inertia == inertia
+        assert model.iterations_run == iterations
+
+    @settings(max_examples=300, deadline=None)
+    @given(kmeans_problems())
+    def test_codebook_matches_oracle(self, problem):
+        # sigma's labels come from the loop's last distances, not a new pass
+        X, k, seed = problem
+        cb = fit_codebook(X, k, seed)
+        centroids, _, _ = oracle_fit_topics(X, k, seed)
+        labels = _oracle_squared_distances(X, centroids).argmin(axis=1)
+        sigma = float(np.sqrt(((X - centroids[labels]) ** 2).sum(axis=1)).mean())
+        assert cb.centers.tobytes() == centroids.tobytes()
+        assert cb.sigma == (sigma if sigma > 0.0 else 1.0)
+
+    def test_a_repeated_assignment_ends_the_loop(self, monkeypatch):
+        # the oracle computes distances once per pass it counts and once more
+        # for the inertia; the repeated pass and the recount are skipped
+        X, _ = blobs(np.random.default_rng(17), [[0, 0], [5, 5], [0, 5]], 30)
+        calls, distances = [], topics._squared_distances
+
+        def spy(*args):
+            calls.append(1)
+            return distances(*args)
+
+        monkeypatch.setattr(topics, "_squared_distances", spy)
+        model = fit_topics(X, 3, seed=0)
+        _, inertia, iterations = oracle_fit_topics(X, 3, 0)
+        assert model.iterations_run == iterations >= 2
+        assert model.inertia == inertia
+        assert len(calls) == iterations - 1
+
+    def test_negative_tolerance_is_refused(self):
+        with pytest.raises(ValueError, match="tol"):
+            fit_topics(np.zeros((4, 2)), 2, seed=0, tol=-1e-6)
 
     # blocks of one wide row, and blocks of many narrow rows
     @pytest.mark.parametrize("shape", [(7, 200000), (5000, 50)])
