@@ -69,27 +69,23 @@ def _check_cells(tables, cells) -> np.ndarray:
 
 
 def _coordinates(tables, cells, mean, bases) -> np.ndarray:
-    """[n, sum of the bases' widths]: every block's coordinates, its centred
-    columns times its basis, of the n samples whose input columns are,
-    table after table, the rows cells[:, t] of tables[t].  A block within
-    one table multiplies the table's rows and gathers the products by the
-    cells; a block across tables gathers its columns first."""
-    t_edges = _edges(t.shape[1] for t in tables)
-    b_edges = _edges(q.shape[0] for q in bases)
+    """[n, sum of the bases' widths]: every block's coordinates of the n
+    samples whose input columns are, table after table, the rows cells[:, t]
+    of tables[t], one table per block.  Each table's centred rows times its
+    block's basis are gathered by the cells."""
+    a_edges = _edges(q.shape[0] for q in bases)
     k_edges = _edges(q.shape[1] for q in bases)
     Y = np.empty((len(cells), k_edges[-1]))
-    for b, q in enumerate(bases):
-        a, e = b_edges[b], b_edges[b + 1]
-        t = np.searchsorted(t_edges, a, side="right") - 1
-        if e <= t_edges[t + 1]:
-            z = (tables[t][:, a - t_edges[t]:e - t_edges[t]] - mean[a:e]) @ q
-            Y[:, k_edges[b]:k_edges[b + 1]] = z[cells[:, t]]
-            continue
-        X = np.hstack([tables[s][cells[:, s], max(a, t_edges[s]) - t_edges[s]:
-                                 min(e, t_edges[s + 1]) - t_edges[s]]
-                       for s in range(t, np.searchsorted(t_edges, e))])
-        Y[:, k_edges[b]:k_edges[b + 1]] = (X - mean[a:e]) @ q
+    for t, (table, q) in enumerate(zip(tables, bases)):
+        z = (table - mean[a_edges[t]:a_edges[t + 1]]) @ q
+        Y[:, k_edges[t]:k_edges[t + 1]] = z[cells[:, t]]
     return Y
+
+
+def _gather_rows(tables, cells) -> np.ndarray:
+    """[n, sum of the tables' widths]: the samples' dense rows, the rows
+    cells[:, t] of tables[t] side by side."""
+    return np.hstack([table[cells[:, t]] for t, table in enumerate(tables)])
 
 
 def _basis(mean, bases, mixing) -> np.ndarray:
@@ -141,11 +137,15 @@ class PcaTransform:
         """[n, out_dim]: the projection of n samples in cell coordinates,
         whose input columns are, table after table, the rows cells[:, t] of
         the 2-D tables[t].  The tables' widths must sum to the input
-        dimension; they need not follow the blocks."""
+        dimension.  Tables that are not one per block are projected through
+        the samples' dense rows with ``project``."""
         cells = _check_cells(tables, cells)
-        if sum(t.shape[1] for t in tables) != self.mean.size:
-            raise ValueError(f"tables are {sum(t.shape[1] for t in tables)} columns "
-                             f"wide, the PCA input dimension is {self.mean.size}")
+        widths = [t.shape[1] for t in tables]
+        if sum(widths) != self.mean.size:
+            raise ValueError(f"tables are {sum(widths)} columns wide, "
+                             f"the PCA input dimension is {self.mean.size}")
+        if widths != [q.shape[0] for q in self.bases]:
+            return self.project(_gather_rows(tables, cells))
         return _coordinates(tables, cells, self.mean, self.bases) @ self.mixing
 
     def project(self, X) -> np.ndarray:
@@ -172,22 +172,15 @@ _PCA_BLOCK = 64
 
 
 def fit_pca(samples, out_dim: int) -> PcaTransform:
-    """Top principal directions of the sample covariance of dense samples:
-    ``fit_pca_cells`` with each sample its own cell.
-
-    ``samples`` is [n, d] vectors or [n, objects, classes] posterior
-    matrices.  The columns are cut into blocks, one per object, the slice
-    ``[:, r, :]``, for matrices, and 64-column windows for vectors; the mean
-    and basis are in flattened order either way.
+    """Top principal directions of the sample covariance of [n, d] samples:
+    ``fit_pca_cells`` with the columns cut into 64-column tables and each
+    sample its own cell.
     """
     X = np.asarray(samples, dtype=float)
-    if X.ndim not in (2, 3):
-        raise ValueError("samples must be [n, d] vectors or [n, objects, classes] "
-                         "matrices")
-    n, dim = X.shape[0], int(np.prod(X.shape[1:]))
-    width = X.shape[2] if X.ndim == 3 else _PCA_BLOCK
-    X = X.reshape(n, dim)
-    tables = [X[:, s:s + width] for s in range(0, dim, width)]
+    if X.ndim != 2:
+        raise ValueError("samples must be [n, d] vectors")
+    n, dim = X.shape
+    tables = [X[:, s:s + _PCA_BLOCK] for s in range(0, dim, _PCA_BLOCK)]
     return fit_pca_cells(tables, np.broadcast_to(np.arange(n)[:, None], (n, len(tables))),
                          out_dim)
 
@@ -204,15 +197,17 @@ def fit_pca_cells(tables, cells, out_dim: int) -> PcaTransform:
     samples' centred block as Gram matrix, so the SVD of their QR factor R
     gives the block's principal directions from at most one row per cell.
     The right singular vectors whose singular values exceed
-    ``max(n, width) * eps`` times the block's largest are kept, the rank
-    tolerance of ``np.linalg.matrix_rank`` on the samples' block.  The
-    centred samples' row space lies, up to the dropped directions, in the
-    direct sum of those spans, so one eigh of the covariance of the
-    samples' coordinates in them (m x m, m the sum of the block ranks)
-    gives the principal directions.  Dropping the rest moves the covariance
-    by about that tolerance relative to its norm, the order of the rounding
-    error bound of the n-term sums that form it, so the result matches the
-    dense covariance eigh up to rounding.  An object's posterior rows sum to
+    ``max(n, width) * eps`` times the largest singular value of the
+    weighted rows before centring are kept: the rank tolerance of
+    ``np.linalg.matrix_rank``, scaled by the size of the values whose
+    rounding the centred rows carry.  The centred samples' row space lies,
+    up to the dropped directions, in the direct sum of those spans, so one
+    eigh of the covariance of the samples' coordinates in them (m x m, m
+    the sum of the block ranks) gives the principal directions.  Dropping
+    the rest moves the covariance by about that tolerance relative to its
+    norm, the order of the rounding error bound of the n-term sums that
+    form it, so the result matches the dense covariance eigh up to
+    rounding.  An object's posterior rows sum to
     one, so its centred block has rank below the class count and below the
     number of cells its samples use.  The coordinates are gathered from
     each table's centred rows times the block's basis; no sample's full row
@@ -245,9 +240,13 @@ def fit_pca_cells(tables, cells, out_dim: int) -> PcaTransform:
         mean = np.cumsum(counts[:, None] * table, axis=0)[-1] / n
         # the SVD of the rows' R factor resolves small singular values to
         # rounding, which the eigenvalues of their Gram matrix cannot
-        _, sv, vt = np.linalg.svd(np.linalg.qr(np.sqrt(counts)[:, None] * (table - mean),
-                                               mode="r"))
-        tol = sv[0] * max(n, table.shape[1]) * np.finfo(float).eps
+        r = np.linalg.qr(np.sqrt(counts)[:, None] * (table - mean), mode="r")
+        _, sv, vt = np.linalg.svd(r)
+        # [R; √n mean] has the Gram matrix of the weighted rows before
+        # centring, whose rounding the centred rows carry: a block whose
+        # samples share one cell has rank 0
+        tol = (np.linalg.norm(np.vstack([r, np.sqrt(n) * mean]), 2)
+               * max(n, table.shape[1]) * np.finfo(float).eps)
         rank = np.count_nonzero(sv > tol)
         means.append(mean)
         kept.append(vt[:rank].T)
@@ -373,4 +372,4 @@ def training_patch_samples(manifest: DatasetManifest, post: PosteriorModel,
     posterior matrix, record after record; the dense form of
     ``patch_cells``, which training and evaluation use instead."""
     _, tables, cells = patch_cells(manifest, post, sel)
-    return tables[np.arange(len(tables)), cells].reshape(len(cells), -1)
+    return _gather_rows(tables, cells)

@@ -14,6 +14,7 @@ from oomscene import (
     ObjectVocabulary,
     SceneClassSet,
     SoftPatch,
+    fit_pca_cells,
     train_one_vs_rest,
 )
 from oomscene.bundle import BUNDLE_MAGIC, BUNDLE_VERSION, DESC_MAGIC, DESC_VERSION
@@ -306,6 +307,14 @@ def oracle_vlad(V, centers, sigma):
         for j in range(k):
             out[j * p : (j + 1) * p] += w[j] * (v - centers[j])
     return out
+
+
+def fit_pca_per_object(samples, out_dim):
+    """``fit_pca_cells`` of [n, objects, classes] posterior matrices: one
+    table per object, the slices ``[:, r, :]``, and each sample its own cell."""
+    X = np.asarray(samples, dtype=float)
+    cells = np.broadcast_to(np.arange(len(X))[:, None], X.shape[:2])
+    return fit_pca_cells(list(X.transpose(1, 0, 2)), cells, out_dim)
 
 
 def oracle_batch_subgradient(X, y, lam, iters=20000):

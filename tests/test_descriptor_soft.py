@@ -32,6 +32,7 @@ from oomscene import descriptor_soft
 from oomscene.ingest import HardDetection, SoftPatch
 from oomscene.pipeline import STAGES, run_stages
 from helpers import (
+    fit_pca_per_object,
     hard_record,
     one_record_manifest,
     oracle_grid_index,
@@ -60,8 +61,10 @@ def covariance_oracle(X):
 
 
 def assert_matches_covariance_oracle(samples, out_dim):
-    """fit_pca's basis is the oracle's, column by column up to sign."""
-    pca = fit_pca(samples, out_dim)
+    """The fit's basis is the oracle's, column by column up to sign: fit_pca
+    of [n, d] rows, or one block per object of [n, objects, classes]."""
+    pca = fit_pca(samples, out_dim) if samples.ndim == 2 \
+        else fit_pca_per_object(samples, out_dim)
     X = samples.reshape(len(samples), -1)
     w, v = covariance_oracle(X)
     assert np.all(-np.diff(w[:out_dim + 1]) > 1e-3 * w[0])  # distinct directions
@@ -216,7 +219,7 @@ class TestFitPca:
         rng = np.random.default_rng(49)
         X = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 192)) \
             + rng.standard_normal((80, 192))
-        flat, per_object = fit_pca(X, 12), fit_pca(X.reshape(80, 3, 64), 12)
+        flat, per_object = fit_pca(X, 12), fit_pca_per_object(X.reshape(80, 3, 64), 12)
         for name in ("mean", "basis"):
             assert getattr(per_object, name).tobytes() == getattr(flat, name).tobytes()
 
@@ -232,7 +235,7 @@ class TestFitPca:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        fit_pca(X.reshape(len(X), 30, 3), 10)
+        fit_pca_per_object(X.reshape(len(X), 30, 3), 10)
         rank = np.linalg.matrix_rank(X - X.mean(axis=0))
         assert sizes == [(rank, rank)] and rank == 60
         fit_pca(X, 10)
@@ -332,11 +335,11 @@ class TestCellCoordinates:
 
     @pytest.mark.parametrize("seed", [60, 63])
     def test_blocks_have_the_rank_of_their_used_cells(self, seed):
-        # object 0's centred rows are zero up to the rounding of its mean: at
-        # most one direction, which carries no variance (seed 63 keeps one)
+        # object 0's centred rows are zero up to the rounding of its mean,
+        # far below the tolerance its uncentred rows set: rank 0
         tables, cells = cell_problem(seed)
         pca = fit_pca_cells(tables, cells, 10)
-        assert pca.bases[0].shape[1] == (seed == 63)
+        assert pca.bases[0].shape[1] == 0
         assert [q.shape for q in pca.bases[1:]] == [(5, 1)] + [(5, 4)] * 4
         coordinates = (tables[0][cells[:, 0]] - pca.mean[:5]) @ pca.bases[0]
         np.testing.assert_allclose(coordinates, 0.0, atol=1e-15)
@@ -354,6 +357,17 @@ class TestCellCoordinates:
                                        atol=1e-12 * np.abs(want).max())
             np.testing.assert_allclose(pca.project(X), want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("out_dim", [20, 140])  # m = 115: pca_dim > m pads
+    def test_tables_across_blocks_project_as_their_dense_rows(self, out_dim):
+        # 30 objects x 5 classes: the 64-column blocks of a dense fit cut
+        # across the per-object tables
+        tables, cells = cell_problem(67, objects=30)
+        pca = fit_pca(dense_rows(tables, cells), out_dim)
+        unseen = np.random.default_rng(68).integers(7, size=(50, 30))
+        for c in (cells, unseen):
+            want = pca.project(dense_rows(tables, c))
+            assert pca.project_cells(tables, c).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("out_dim", [10, 17, 24])
     def test_fit_matches_the_dense_covariance_eigh(self, out_dim):
@@ -376,7 +390,7 @@ class TestCellCoordinates:
         # the same samples as cells with counts and as rows of count 1
         tables, cells = cell_problem(64)
         X = dense_rows(tables, cells)
-        dense = fit_pca(X.reshape(len(X), 6, 5), 12)
+        dense = fit_pca_per_object(X.reshape(len(X), 6, 5), 12)
         cos = np.abs(np.sum(fit_pca_cells(tables, cells, 12).basis * dense.basis, axis=0))
         assert np.all(cos >= 1 - 1e-12)
 
