@@ -35,7 +35,7 @@ from .occurrence import (
 from .topics import KMeansModel
 
 BUNDLE_MAGIC = b"OOMSCENE"
-BUNDLE_VERSION = 3
+BUNDLE_VERSION = 4
 DESC_MAGIC = b"OOMSDESC"
 DESC_VERSION = 2
 # the array dtypes a container holds, as numpy spells them
@@ -172,7 +172,6 @@ class ModelBundle:
     classes: SceneClassSet
     occurrence: OccurrenceModel
     posterior: PosteriorModel
-    layout: PyramidLayout
     selection: Optional[DiscriminantSelection] = None
     pca: Optional[PcaTransform] = None
     codebook: Optional[VladCodebook] = None
@@ -194,8 +193,12 @@ class ModelBundle:
         if post.prior.weights.size != n_cls:
             raise CompatibilityError("class prior does not match the classes")
         if self.selection is not None:
-            if any(not 0 <= o < n_obj for o in self.selection.selected):
+            selected = self.selection.selected
+            if any(not 0 <= o < n_obj for o in selected):
                 raise CompatibilityError("selection references objects outside the vocabulary")
+            if len(set(selected)) != len(selected):
+                twice = next(o for i, o in enumerate(selected) if o in selected[:i])
+                raise CompatibilityError(f"selection lists object {twice} twice")
         if self.pca is not None:
             pca = self.pca
             if pca.mean.size != sum(q.shape[0] for q in pca.bases):
@@ -213,6 +216,9 @@ class ModelBundle:
                 raise CompatibilityError("ensemble biases do not match its weights")
             if ens.n_classes != n_cls:
                 raise CompatibilityError("ensemble classes do not match the classes")
+            if not len(ens.topic_sizes) == len(ens.configs) == ens.n_topics:
+                raise CompatibilityError("ensemble topic sizes or configs do not match "
+                                         "its topics")
             want = self.descriptor_dim()
             if ens.dim != want:
                 raise CompatibilityError(
@@ -229,7 +235,8 @@ class ModelBundle:
             raise CompatibilityError("bundle has no object selection; run select-objects")
         if self.config.mode == SOFT:
             return self.codebook.size * self.pca.out_dim
-        return descriptor_length(len(self.selection.selected), len(self.classes), self.layout)
+        return descriptor_length(len(self.selection.selected), len(self.classes),
+                                 self.config.pyramid_layout())
 
 
 # ------------------------------------------------------------- container
@@ -307,8 +314,8 @@ def _to_tree(value, arrays: list):
     """JSON tree of a bundle value; appends its arrays to ``arrays``.
 
     A node is a JSON scalar, a JSON list (a tuple), or a one-key object:
-    {"array": index}, {"dict": {...}} or {"<class>": {field: node}} for a
-    class in ``_BUNDLE_TYPES``.
+    {"array": index} or {"<class>": {field: node}} for a class in
+    ``_BUNDLE_TYPES``.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -317,8 +324,6 @@ def _to_tree(value, arrays: list):
         return {"array": len(arrays) - 1}
     if isinstance(value, tuple):
         return [_to_tree(v, arrays) for v in value]
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        return {"dict": {k: _to_tree(v, arrays) for k, v in value.items()}}
     name = type(value).__name__
     if name in _BUNDLE_TYPES and _BUNDLE_TYPES[name][0] is type(value):
         return {name: {f.name: _to_tree(getattr(value, f.name), arrays)
@@ -357,8 +362,6 @@ def _from_tree(node, arrays, where: str):
         if type(body) is not int or not 0 <= body < len(arrays):
             raise FormatError(f"{where}: array index {body!r} is out of range")
         return arrays[body]
-    if tag == "dict" and isinstance(body, dict):
-        return {k: _from_tree(v, arrays, f"{where}.{k}") for k, v in body.items()}
     if tag not in _BUNDLE_TYPES or not isinstance(body, dict):
         raise FormatError(f"{where}: {tag!r} is not a bundle node")
     cls, hints = _BUNDLE_TYPES[tag]
@@ -380,7 +383,7 @@ _BUNDLE_TYPES = {
     cls.__name__: (cls, {f.name: get_type_hints(cls)[f.name] for f in fields(cls)})
     for cls in (ModelBundle, PipelineConfig, ObjectVocabulary, SceneClassSet,
                 OccurrenceModel, PosteriorModel, ThresholdGrid, ClassPrior,
-                PyramidLayout, DiscriminantSelection, PcaTransform, VladCodebook,
+                DiscriminantSelection, PcaTransform, VladCodebook,
                 KMeansModel, TopicEnsemble, SgdConfig)
 }
 

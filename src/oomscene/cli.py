@@ -186,7 +186,7 @@ def cmd_encode(args) -> int:
         rows = [[rid] + [repr(float(v)) for v in row] for rid, row in zip(ids, X)]
         _write_csv(args.out, ["image_id"] + [f"d{i}" for i in range(X.shape[1])], rows)
     else:
-        write_descriptor_file(args.out, X, ids, bundle.layout,
+        write_descriptor_file(args.out, X, ids, bundle.config.pyramid_layout(),
                               selection_hash(bundle.vocabulary, bundle.selection))
     print(f"wrote {args.out}: {X.shape[0]} descriptors of dim {X.shape[1]}")
     return 0

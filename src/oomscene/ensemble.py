@@ -220,11 +220,18 @@ def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
 
 @dataclass(frozen=True, eq=False)
 class TopicEnsemble:
-    """weights[c, d] and biases[c, d] score class c from topic d's training samples."""
+    """weights[c, d] and biases[c, d] score class c from topic d's training
+    samples; topic d had topic_sizes[d] of them and trained with configs[d]."""
 
     weights: np.ndarray  # [C, D, dim]
     biases: np.ndarray   # [C, D]
-    training_meta: dict
+    topic_sizes: tuple[int, ...]
+    configs: tuple[SgdConfig, ...]
+
+    def __post_init__(self):
+        for name in ("weights", "biases"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"ensemble {name} must be finite")
 
     @property
     def n_classes(self) -> int:
@@ -273,12 +280,9 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
         cfg, weights[:, d], biases[:, d] = train_one_vs_rest(Xd, y[mask], n_classes,
                                                              grid, folds, salt=d)
         chosen.append(cfg)
-    return TopicEnsemble(
-        weights=weights,
-        biases=biases,
-        training_meta={"topic_sizes": tuple(int(v) for v in topic_sizes),
-                       "configs": tuple(chosen)},
-    )
+    return TopicEnsemble(weights=weights, biases=biases,
+                         topic_sizes=tuple(int(v) for v in topic_sizes),
+                         configs=tuple(chosen))
 
 
 def predict_batch(ens: TopicEnsemble, X, pooling: str = "average"):

@@ -316,12 +316,6 @@ class DatasetManifest:
                 raise FormatError(f"record {image_ids[image[bad[0]]]!r}: patch scores "
                                   f"must be finite")
             columns = (None, None, None, patch_id, scores)
-        # training splits must offer at least one image of every class
-        if split_tag.startswith("train"):
-            missing = np.flatnonzero(np.bincount(labels[labels >= 0], minlength=n_cls) == 0)
-            if missing.size:
-                names = ", ".join(classes.names[c] for c in missing)
-                raise FormatError(f"training manifest has no images for class(es): {names}")
         object_index, score, box, patch_id, scores = (
             None if a is None else _read_only(a) for a in columns)
         self.__dict__.update(
@@ -344,8 +338,7 @@ class DatasetManifest:
     def _block(self, start: int, stop: int) -> "DatasetManifest":
         """Records [start, stop) as a manifest whose arrays are views of this
         one's, with `image` rebased to the block.  Nothing is checked again: a
-        contiguous range of a checked manifest keeps every `_set` rule except
-        a training split's class coverage, which a block need not meet."""
+        contiguous range of a checked manifest keeps every `_set` rule."""
         a, b = self.bounds[start], self.bounds[stop]
         dets = {name: None if array is None else array[a:b]
                 for name, array in (("object_index", self.object_index),
@@ -616,10 +609,18 @@ def parse_manifest(path, mode: Optional[str] = None) -> DatasetManifest:
     """Parse a manifest file; see the module docstring for the format.
 
     Without a `#split` header the split tag is the file stem, its whitespace
-    runs replaced by `_`.
+    runs replaced by `_`.  A file that is not UTF-8 raises a ParseError
+    naming the line of its first bad byte.
     """
     p = Path(path)
-    return parse_manifest_text(p.read_text(encoding="utf-8"), mode=mode,
+    data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line breaks before the bad byte, as parse_manifest_text counts them
+        line_no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"byte {exc.start} is not UTF-8 ({exc.reason})", line_no) from None
+    return parse_manifest_text(text, mode=mode,
                                split_tag="_".join(p.stem.split()) or "manifest")
 
 

@@ -27,6 +27,12 @@ AGG_MEAN = "mean"
 _MAX_GRID_POINTS = 100_000
 
 
+def _require_finite(values, what: str) -> None:
+    """A bundle's arrays come from its file: refuse NaN and infinities."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class ThresholdGrid:
     """Ascending confidence thresholds theta_min, theta_min + step, ... <= theta_max."""
@@ -81,6 +87,7 @@ class ClassPrior:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("prior must be a non-empty vector")
+        _require_finite(w, "prior weights")
         if np.any(w < 0):
             raise ValueError("prior weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-9:
@@ -108,6 +115,9 @@ class OccurrenceModel:
     grid: ThresholdGrid
     probs: np.ndarray
 
+    def __post_init__(self):
+        _require_finite(self.probs, "occurrence probabilities")
+
     @property
     def n_objects(self) -> int:
         return self.probs.shape[0]
@@ -129,7 +139,9 @@ class PosteriorModel:
     posteriors: np.ndarray
     prior: ClassPrior
     fallback_mask: np.ndarray
-    fallback_rule: str = FALLBACK_PRIOR
+
+    def __post_init__(self):
+        _require_finite(self.posteriors, "posteriors")
 
     @property
     def n_objects(self) -> int:
@@ -146,7 +158,9 @@ class DiscriminantSelection:
 
     scores: np.ndarray
     selected: tuple[int, ...]
-    aggregation: str = AGG_MAX
+
+    def __post_init__(self):
+        _require_finite(self.scores, "discriminability scores")
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -216,7 +230,6 @@ def build_posterior_model(oom: OccurrenceModel, prior: ClassPrior,
         posteriors=post,
         prior=prior,
         fallback_mask=mask,
-        fallback_rule=fallback,
     )
 
 
@@ -255,5 +268,4 @@ def select_objects(post: PosteriorModel, count: int,
     return DiscriminantSelection(
         scores=scores,
         selected=tuple(int(i) for i in order[:count]),
-        aggregation=aggregation,
     )

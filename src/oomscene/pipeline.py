@@ -108,7 +108,7 @@ def encode_with_bundle(bundle: ModelBundle, manifest: DatasetManifest) -> np.nda
         )
     if bundle.config.mode == HARD:
         return encode_hard_manifest(manifest, bundle.posterior, bundle.selection,
-                                    bundle.layout)
+                                    bundle.config.pyramid_layout())
     return encode_soft_manifest(manifest, bundle.posterior, bundle.selection,
                                 bundle.pca, bundle.codebook)
 
@@ -119,8 +119,7 @@ def _posterior(config, train, bundle, X):
              else ClassPrior.uniform(len(train.classes)))
     posterior = build_posterior_model(occurrence, prior, config.fallback)
     bundle = ModelBundle(config=config, vocabulary=train.vocabulary, classes=train.classes,
-                         occurrence=occurrence, posterior=posterior,
-                         layout=config.pyramid_layout())
+                         occurrence=occurrence, posterior=posterior)
     return bundle, X, {"objects": occurrence.n_objects, "classes": occurrence.n_classes,
                        "thresholds": len(occurrence.grid)}
 

@@ -21,7 +21,6 @@ from .errors import DimensionError
 class KMeansModel:
     centroids: np.ndarray
     inertia: float
-    seed: int
     iterations_run: int
 
     def __post_init__(self):
@@ -196,7 +195,6 @@ def _kmeans(descriptors, d: int, seed: int, max_iter: int = 300, tol: float = 1e
     model = KMeansModel(
         centroids=centers.copy(),
         inertia=float(d2.min(axis=1).sum()),
-        seed=seed,
         iterations_run=iterations,
     )
     return model, d2.argmin(axis=1)

@@ -221,6 +221,10 @@ def test_bad_dtype(workdir, valid, data):
      "class prior"),
     (lambda b: replace(b, selection=replace(
         b.selection, selected=(-1,) + b.selection.selected[1:])), "selection"),
+    # a repeated object would leave its first slot's rows zero
+    (lambda b: replace(b, selection=replace(
+        b.selection, selected=b.selection.selected[:1] + b.selection.selected[:-1])),
+     "selection lists object .* twice"),
     (lambda b: replace(b, pca=PcaTransform(b.pca.mean[:-1], b.pca.bases, b.pca.mixing)),
      "PCA mean"),
     (lambda b: replace(b, pca=PcaTransform(b.pca.mean[:-1],
@@ -234,7 +238,8 @@ def test_bad_dtype(workdir, valid, data):
     (lambda b: replace(b, ensemble=replace(b.ensemble, weights=b.ensemble.weights[:2],
                                            biases=b.ensemble.biases[:2])),
      "ensemble classes"),
-], ids=["grid", "fallback-mask", "prior", "selection", "pca-mean", "pca-input",
+], ids=["grid", "fallback-mask", "prior", "selection", "selection-repeat", "pca-mean",
+        "pca-input",
         "codebook", "biases", "classes"])
 def test_forged_shapes_name_the_component(workdir, trained, forge, field):
     # written past save_bundle's own validate(), as a forged file would be
@@ -246,30 +251,33 @@ def test_forged_shapes_name_the_component(workdir, trained, forge, field):
         load_bundle(path)
 
 
-def test_forged_nan_in_pca_basis_is_refused(workdir, trained):
-    # a NaN basis entry would make every projected patch, and so every
-    # score, NaN
+@pytest.mark.parametrize("array, node, message", [
+    (lambda b: b.pca.bases[0], "bundle.pca: PcaTransform", "PCA block basis"),
+    (lambda b: b.topics.centroids, "bundle.topics: KMeansModel", "topic centroids"),
+    (lambda b: b.ensemble.weights, "bundle.ensemble: TopicEnsemble", "ensemble weights"),
+    (lambda b: b.ensemble.biases, "bundle.ensemble: TopicEnsemble", "ensemble biases"),
+    (lambda b: b.posterior.posteriors, "bundle.posterior: PosteriorModel", "posteriors"),
+    (lambda b: b.occurrence.probs, "bundle.occurrence: OccurrenceModel",
+     "occurrence probabilities"),
+    (lambda b: b.posterior.prior.weights, "bundle.posterior.prior: ClassPrior",
+     "prior weights"),
+    (lambda b: b.selection.scores, "bundle.selection: DiscriminantSelection",
+     "discriminability scores"),
+], ids=["pca-basis", "centroids", "ensemble-weights", "ensemble-biases", "posteriors", "occurrence", "prior",
+        "selection-scores"])
+def test_forged_nan_in_an_array_is_refused(workdir, trained, array, node, message):
+    # a NaN basis entry, weight or posterior would make scores NaN and argmax
+    # pick the first NaN class; a NaN centroid would send every descriptor to
+    # topic 0; a NaN prior weight passes the sign and sum checks
     arrays = []
     tree = _to_tree(trained, arrays)
-    index = next(i for i, a in enumerate(arrays) if a is trained.pca.bases[0])
+    index = next(i for i, a in enumerate(arrays) if a is array(trained))
     arrays[index] = arrays[index].copy()
-    arrays[index][0, 0] = np.nan
+    arrays[index].flat[0] = np.nan
     path = workdir / "forged.bundle"
     _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
-    with pytest.raises(FormatError, match="bundle.pca: PcaTransform rejects its fields"):
-        load_bundle(path)
-
-
-def test_forged_nan_in_topic_centroids_is_refused(workdir, trained):
-    # a NaN centroid would send every descriptor to topic 0 with a NaN distance
-    arrays = []
-    tree = _to_tree(trained, arrays)
-    index = next(i for i, a in enumerate(arrays) if a is trained.topics.centroids)
-    arrays[index] = arrays[index].copy()
-    arrays[index][0, 0] = np.nan
-    path = workdir / "forged.bundle"
-    _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
-    with pytest.raises(FormatError, match="bundle.topics: KMeansModel rejects its fields"):
+    with pytest.raises(FormatError, match=f"{node} rejects its fields "
+                                          f"\\({message} must be finite\\)"):
         load_bundle(path)
 
 
@@ -278,21 +286,33 @@ def test_forged_pyramid_is_refused_before_encoding(workdir, trained):
     # regions would make every encoded image take gigabytes
     arrays = []
     tree = _to_tree(replace(trained, topics=None, ensemble=None), arrays)
-    tagged(tree, {"PyramidLayout"})[0]["PyramidLayout"]["levels"] = [[3000, 3000]]
+    tagged(tree, {"PipelineConfig"})[0]["PipelineConfig"]["pyramid"] = [[3000, 3000]]
     path = workdir / "forged.bundle"
     _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
-    with pytest.raises(FormatError, match="bundle.layout: PyramidLayout.*9000000 regions"):
+    with pytest.raises(FormatError, match="bundle.config: PipelineConfig.*9000000 regions"):
         load_bundle(path)
 
 
-def test_version_2_bundle_is_refused_naming_both_versions(workdir, valid):
-    # version 2 stored the PCA as one dense basis; version 3 stores its factors
-    assert BUNDLE_VERSION == 3
-    path = workdir / "v2.bundle"
-    path.write_bytes(valid[:8] + struct.pack(">H", 2) + valid[10:])
+def test_version_3_bundle_is_refused_naming_both_versions(workdir, valid):
+    # version 3 stored the pyramid layout beside config.pyramid and an
+    # untyped dict of training records; version 4 keeps each fact once
+    assert BUNDLE_VERSION == 4
+    path = workdir / "v3.bundle"
+    path.write_bytes(valid[:8] + struct.pack(">H", 3) + valid[10:])
     with pytest.raises(FormatError,
-                       match="version field holds 2, this reader reads model bundle version 3"):
+                       match="version field holds 3, this reader reads model bundle version 4"):
         load_bundle(path)
+
+
+def test_each_fact_is_stored_once(valid):
+    header, _ = split(valid)
+    keys = {key for node, key in slots(header["bundle"]) if isinstance(key, str)}
+    assert not keys & {"dict", "layout", "fallback_rule", "aggregation"}
+    topics = tagged(header, {"KMeansModel"})[0]["KMeansModel"]
+    assert set(topics) == {"centroids", "inertia", "iterations_run"}
+    ensemble = tagged(header, {"TopicEnsemble"})[0]["TopicEnsemble"]
+    assert ensemble["topic_sizes"] == [6, 6]
+    assert [next(iter(c)) for c in ensemble["configs"]] == ["SgdConfig"] * 2
 
 
 def test_pca_is_stored_as_its_factors(workdir, trained, valid):

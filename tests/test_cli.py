@@ -13,6 +13,7 @@ from oomscene import (
     generate,
     load_bundle,
     planted_spec,
+    to_text,
     write_manifest,
 )
 from oomscene.bundle import (
@@ -576,6 +577,54 @@ class TestStagedCommands:
         assert errors[0] == errors[1]
         assert errors[0].startswith(f"error: training manifest has unlabeled records: "
                                     f"[{parts[1]!r}]")
+
+    def test_class_coverage_is_a_training_rule(self, trained_bundle, synth_files,
+                                               tmp_path, capsys):
+        # the target without class02, its split tag taken from the file name:
+        # eval, predict and cluster read it under a train_* name as under any
+        # other, and build-oom and train refuse it, naming the class, before
+        # any stage line
+        target = parse_manifest(synth_files / "target.txt")
+        kept = tuple(r for r in target.records if r.scene_class != 2)
+        text = to_text(DatasetManifest(target.vocabulary, target.classes, kept, "test",
+                                       target.mode)).replace("#split test\n", "")
+        metrics = {}
+        for name in ("train_subset", "holdout_subset"):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            assert parse_manifest(path).split_tag == name
+            for command in (["eval", "--test", str(path), "--out-prefix",
+                             str(tmp_path / name)],
+                            ["predict", "--manifest", str(path), "--out",
+                             str(tmp_path / f"{name}_pred.csv")],
+                            ["cluster", "--manifest", str(path), "--topics", "2",
+                             "--out", str(tmp_path / f"{name}.bin")]):
+                assert main(command + ["--bundle", str(trained_bundle)]) == 0
+            metrics[name] = read_csv(tmp_path / f"{name}_metrics.csv")
+        assert metrics["train_subset"] == metrics["holdout_subset"]
+        assert metrics["train_subset"][3] == ["class02", "n/a", "0"]
+        capsys.readouterr()
+        for command in ("build-oom", "train"):
+            out = tmp_path / f"{command}.bin"
+            assert main([command, "--train", str(tmp_path / "train_subset.txt"),
+                         "--out", str(out)] + SMALL) == 1
+            assert not out.exists()
+            captured = capsys.readouterr()
+            assert "[train]" not in captured.out
+            assert captured.err == "error: scene class 'class02' has no labeled images\n"
+
+    def test_non_utf8_manifest_names_the_line(self, trained_bundle, synth_files,
+                                              tmp_path, capsys):
+        data = (synth_files / "target.txt").read_bytes()
+        at = data.index(b"\nimg ", 200) + 5
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        rc = main(["eval", "--bundle", str(trained_bundle), "--test", str(path),
+                   "--out-prefix", str(tmp_path / "out")])
+        assert rc == 1
+        line = data[:at].count(b"\n") + 1
+        assert capsys.readouterr().err == (f"error: line {line}: byte {at} is not UTF-8 "
+                                           f"(invalid start byte)\n")
 
     def test_missing_selection_encode_fails(self, synth_files, tmp_path, capsys):
         oom_path = tmp_path / "oom.bin"

@@ -453,8 +453,8 @@ class TestTrainEnsemble:
         X, y = make_blob_problem(rng)
         topics = fit_topics(X, 2, seed=0)
         ens = train_ensemble(X, y, 3, topics, [CFG], folds=5)
-        assert sum(ens.training_meta["topic_sizes"]) == len(X)
-        assert len(ens.training_meta["configs"]) == 2
+        assert sum(ens.topic_sizes) == len(X)
+        assert ens.configs == (CFG, CFG)
 
     def test_one_gram_and_one_pass_per_topic(self, monkeypatch):
         # a topic trains every grid entry's classes on each fold's complement
@@ -477,7 +477,7 @@ class TestTrainEnsemble:
         monkeypatch.setattr(ensemble_module, "_gram", gram)
         monkeypatch.setattr(ensemble_module, "_sgd_lockstep", lockstep)
         ens = train_ensemble(X, y, 3, topics, grid, folds=5)
-        assert grams == list(ens.training_meta["topic_sizes"])
+        assert grams == list(ens.topic_sizes)
         assert problems == [6 * 6 * 3] * 3
         # one sample per class holds out no usable fold: grid[0]'s classes only
         problems.clear()
@@ -531,7 +531,8 @@ def tiny_ensemble(decisions):
     """Ensemble of constant classifiers with given [class][topic] decisions."""
     biases = np.array(decisions, dtype=float)
     return TopicEnsemble(weights=np.zeros(biases.shape + (2,)), biases=biases,
-                         training_meta={})
+                         topic_sizes=(0,) * biases.shape[1],
+                         configs=(CFG,) * biases.shape[1])
 
 
 def predict_one(ens, x, pooling="average"):

@@ -12,13 +12,16 @@ from oomscene import (
     FormatError,
     HardDetection,
     ImageRecord,
+    ModelError,
     ObjectVocabulary,
     ParseError,
     PipelineConfig,
     PipelineError,
     SceneClassSet,
     SoftPatch,
+    ThresholdGrid,
     VocabularyError,
+    build_occurrence_model,
     evaluate_bundle,
     fit_pipeline,
     max_scores,
@@ -139,9 +142,22 @@ class TestParsing:
         assert m.records[0].scene_class is None
 
     def test_train_manifest_requires_every_class(self):
+        # class coverage is a training rule: the manifest parses whatever its
+        # split tag, and the occurrence model, training's first stage, refuses it
         text = HARD_TEXT.replace("img a1 cafe", "img a1 shop")
-        with pytest.raises(FormatError, match="cafe"):
-            parse_manifest_text(text)
+        manifest = parse_manifest_text(text)
+        assert manifest.split_tag == "train"
+        with pytest.raises(ModelError, match="'cafe' has no labeled images"):
+            build_occurrence_model(manifest, ThresholdGrid())
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_file_names_the_line(self, tmp_path, newline):
+        # line numbers count the line breaks as parse_manifest_text does
+        path = tmp_path / "latin1.txt"
+        text = HARD_TEXT.replace("img a1 cafe", "img a1 caf\xe9").replace("\n", newline)
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParseError, match=r"^line 11: byte \d+ is not UTF-8"):
+            parse_manifest(path)
 
     @pytest.mark.parametrize("text, line, match", [
         # the second #vocab would silently rename the detection of `a` to `b`
@@ -463,7 +479,7 @@ class TestMaxScores:
 
 
 # faults of the whole file, which no single line carries
-_WHOLE_FILE = re.compile(r"missing #vocab|empty manifest|training manifest has no images")
+_WHOLE_FILE = re.compile(r"missing #vocab|empty manifest")
 _JUNK = ["nan", "inf", "-inf", "1e999", "abc", "sofa", "garage", "?", "-1", "0.5",
          "7", "domain=x", "#vocab", "#mode", "img", "det", "patch"]
 

@@ -102,7 +102,7 @@ class TestFitTopics:
 
     def test_non_finite_centroids_refused(self):
         with pytest.raises(ValueError, match="finite"):
-            KMeansModel(np.array([[0.0, np.nan]]), 0.0, 0, 1)
+            KMeansModel(np.array([[0.0, np.nan]]), 0.0, 1)
 
     def test_no_copy_of_the_descriptors(self):
         # X * X or X[members] would each allocate X.nbytes (64 MB)
