@@ -25,11 +25,9 @@ from .descriptor_soft import (
     VladCodebook,
     encode_soft_manifest,
     fit_codebook,
-    fit_pca,
     fit_pca_cells,
     patch_cells,
     soft_assignments,
-    training_patch_samples,
     vlad,
 )
 from .ensemble import (

@@ -15,7 +15,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -23,8 +22,8 @@ import numpy as np
 from .descriptor_hard import DEFAULT_LEVELS, PyramidLayout, descriptor_length
 from .descriptor_soft import PcaTransform, VladCodebook
 from .ensemble import SgdConfig, TopicEnsemble
-from .errors import CompatibilityError, FormatError
-from .ingest import HARD, SOFT, ObjectVocabulary, SceneClassSet
+from .errors import CompatibilityError, FormatError, ParseError
+from .ingest import HARD, SOFT, ObjectVocabulary, SceneClassSet, read_utf8
 from .occurrence import (
     ClassPrior,
     DiscriminantSelection,
@@ -160,8 +159,13 @@ def config_from_pairs(pairs) -> PipelineConfig:
 
 def config_file_pairs(path) -> list[str]:
     """The key=value lines of a flat config file; blank lines and '#'
-    comments are skipped."""
-    lines = (raw.strip() for raw in Path(path).read_text(encoding="utf-8").splitlines())
+    comments are skipped.  A file that is not UTF-8 raises a ValueError
+    naming the file and the line of its first bad byte."""
+    try:
+        text = read_utf8(path)
+    except ParseError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+    lines = (raw.strip() for raw in text.splitlines())
     return [line for line in lines if line and not line.startswith("#")]
 
 
@@ -205,8 +209,10 @@ class ModelBundle:
                 raise CompatibilityError("PCA mean does not match its block bases")
             if pca.mixing.shape[0] != sum(q.shape[1] for q in pca.bases):
                 raise CompatibilityError("PCA mixing does not match its block bases")
-            if self.selection is not None and pca.mean.size != len(self.selection) * n_cls:
-                raise CompatibilityError("PCA input dimension does not match the selection")
+            if (self.selection is not None
+                    and [q.shape[0] for q in pca.bases] != [n_cls] * len(self.selection)):
+                raise CompatibilityError(f"PCA input is not one block per selected "
+                                         f"object, each {n_cls} columns wide")
         if self.codebook is not None:
             if self.pca is None or self.codebook.centers.shape[1] != self.pca.out_dim:
                 raise CompatibilityError("codebook dimension does not match the PCA output")
@@ -372,6 +378,9 @@ def _from_tree(node, arrays, where: str):
         values[name] = _from_tree(sub, arrays, f"{where}.{name}")
         if not _conforms(values[name], hints[name]):
             raise FormatError(f"{where}.{name} does not hold a {hints[name]}")
+        # JSON decodes NaN and Infinity; a tuple's floats are its class's to check
+        if hints[name] is float and not -math.inf < values[name] < math.inf:
+            raise FormatError(f"{where}.{name} holds {values[name]}, not a finite float")
     try:
         return cls(**values)
     except Exception as exc:  # the constructor's own checks reject forged values

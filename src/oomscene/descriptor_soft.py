@@ -82,17 +82,11 @@ def _coordinates(tables, cells, mean, bases) -> np.ndarray:
     return Y
 
 
-def _gather_rows(tables, cells) -> np.ndarray:
-    """[n, sum of the tables' widths]: the samples' dense rows, the rows
-    cells[:, t] of tables[t] side by side."""
-    return np.hstack([table[cells[:, t]] for t, table in enumerate(tables)])
-
-
 def _basis(mean, bases, mixing) -> np.ndarray:
     """block_diag(*bases) @ mixing.  Each block's product takes its basis in
     Fortran order, the layout of the SVD's transposed vt that the fit's
-    bases come from, so BLAS rounds the products as the dense fit always
-    has."""
+    bases come from, so the fit's sign rule reads the products as BLAS has
+    always rounded them."""
     basis = np.empty((mean.size, mixing.shape[1]))
     b_edges = _edges(q.shape[0] for q in bases)
     k_edges = _edges(q.shape[1] for q in bases)
@@ -108,10 +102,9 @@ class PcaTransform:
     per basis in ``bases``; a sample's coordinates in block b are its
     centred columns of the block times ``bases[b]`` (orthonormal columns),
     and its projection is all blocks' coordinates, side by side, times
-    ``mixing``.  ``basis`` is the [input_dim, out_dim] orthonormal principal
-    basis that this factors (columns eigenvalue-descending):
-    ``block_diag(*bases) @ mixing``.  The shapes' agreement is checked by
-    ``ModelBundle.validate``."""
+    ``mixing``.  This factors the [input_dim, out_dim] orthonormal principal
+    basis (columns eigenvalue-descending) ``block_diag(*bases) @ mixing``.
+    The shapes' agreement is checked by ``ModelBundle.validate``."""
 
     mean: np.ndarray                # [input_dim]
     bases: tuple[np.ndarray, ...]   # [block width, block coordinates] each
@@ -129,60 +122,16 @@ class PcaTransform:
     def out_dim(self) -> int:
         return self.mixing.shape[1]
 
-    @property
-    def basis(self) -> np.ndarray:
-        return _basis(self.mean, self.bases, self.mixing)
-
     def project_cells(self, tables, cells) -> np.ndarray:
         """[n, out_dim]: the projection of n samples in cell coordinates,
         whose input columns are, table after table, the rows cells[:, t] of
-        the 2-D tables[t].  The tables' widths must sum to the input
-        dimension.  Tables that are not one per block are projected through
-        the samples' dense rows with ``project``."""
+        the 2-D tables[t], one table per block and each as wide as its
+        block's basis."""
         cells = _check_cells(tables, cells)
-        widths = [t.shape[1] for t in tables]
-        if sum(widths) != self.mean.size:
-            raise ValueError(f"tables are {sum(widths)} columns wide, "
-                             f"the PCA input dimension is {self.mean.size}")
-        if widths != [q.shape[0] for q in self.bases]:
-            return self.project(_gather_rows(tables, cells))
+        if [t.shape[1] for t in tables] != [q.shape[0] for q in self.bases]:
+            raise ValueError(f"tables must be {len(self.bases)}, one per PCA block, "
+                             f"each as wide as its block's basis")
         return _coordinates(tables, cells, self.mean, self.bases) @ self.mixing
-
-    def project(self, X) -> np.ndarray:
-        """The projection of input rows: the cell form with one table per
-        block and each row its own cell."""
-        X = np.asarray(X, dtype=float)
-        rows = np.atleast_2d(X)
-        edges = _edges(q.shape[0] for q in self.bases)
-        if rows.ndim != 2 or rows.shape[1] != self.mean.size:
-            raise ValueError(f"samples must be vectors of the PCA input dimension "
-                             f"{self.mean.size}")
-        tables = [rows[:, a:e] for a, e in zip(edges[:-1], edges[1:])]
-        cells = np.broadcast_to(np.arange(len(rows))[:, None], (len(rows), len(tables)))
-        V = self.project_cells(tables, cells)
-        return V[0] if X.ndim == 1 else V
-
-    def reconstruct(self, Y) -> np.ndarray:
-        return self.mean + np.asarray(Y, dtype=float) @ self.basis.T
-
-
-# Column-block width of fit_pca's first step on [n, d] samples: each block's
-# R factor is at most this wide, so its SVD is cheap.
-_PCA_BLOCK = 64
-
-
-def fit_pca(samples, out_dim: int) -> PcaTransform:
-    """Top principal directions of the sample covariance of [n, d] samples:
-    ``fit_pca_cells`` with the columns cut into 64-column tables and each
-    sample its own cell.
-    """
-    X = np.asarray(samples, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("samples must be [n, d] vectors")
-    n, dim = X.shape
-    tables = [X[:, s:s + _PCA_BLOCK] for s in range(0, dim, _PCA_BLOCK)]
-    return fit_pca_cells(tables, np.broadcast_to(np.arange(n)[:, None], (n, len(tables))),
-                         out_dim)
 
 
 def fit_pca_cells(tables, cells, out_dim: int) -> PcaTransform:
@@ -236,7 +185,7 @@ def fit_pca_cells(tables, cells, out_dim: int) -> PcaTransform:
     for t, table in enumerate(tables):
         counts = np.bincount(cells[:, t], minlength=len(table))
         # summed down the rows in order, as numpy sums the columns of a
-        # matrix wider than one column: dense samples get X.mean(axis=0)
+        # matrix wider than one column: one cell per sample gives X.mean(axis=0)
         mean = np.cumsum(counts[:, None] * table, axis=0)[-1] / n
         # the SVD of the rows' R factor resolves small singular values to
         # rounding, which the eigenvalues of their Gram matrix cannot
@@ -294,8 +243,12 @@ class VladCodebook:
             raise ValueError("codebook needs at least one center")
         if not np.all(np.isfinite(centers)):
             raise ValueError("codebook centers must be finite")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        # soft_assignments divides by 2 sigma^2, which must neither overflow
+        # nor lose precision as a subnormal
+        scale = 2.0 * self.sigma * self.sigma
+        if not (self.sigma > 0 and np.finfo(float).tiny <= scale < np.inf):
+            raise ValueError(f"sigma must be positive with 2 sigma^2 a finite normal "
+                             f"float, got {self.sigma}")
 
     @property
     def size(self) -> int:
@@ -364,12 +317,3 @@ def encode_projected(bounds: np.ndarray, V: np.ndarray, cb: VladCodebook) -> np.
         norm = float(np.linalg.norm(vec))
         out[i] = vec / norm if norm > 0.0 else vec
     return out
-
-
-def training_patch_samples(manifest: DatasetManifest, post: PosteriorModel,
-                           sel: DiscriminantSelection) -> np.ndarray:
-    """[n_patches, selected objects x classes]: every patch's flattened
-    posterior matrix, record after record; the dense form of
-    ``patch_cells``, which training and evaluation use instead."""
-    _, tables, cells = patch_cells(manifest, post, sel)
-    return _gather_rows(tables, cells)

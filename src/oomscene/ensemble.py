@@ -142,10 +142,12 @@ def _validation_masks(labels: np.ndarray, folds: int) -> list[np.ndarray]:
     """Stratified round-robin folds, deterministic in sample order; a fold
     that is empty or holds every sample is dropped."""
     fold_of = np.zeros(len(labels), dtype=int)
-    for c in np.unique(labels):
+    classes, sizes = np.unique(labels, return_counts=True)
+    for c in classes:
         idx = np.flatnonzero(labels == c)
         fold_of[idx] = np.arange(idx.size) % folds
-    masks = [fold_of == f for f in range(folds)]
+    # no sample falls in a fold at or past the largest class's size
+    masks = [fold_of == f for f in range(min(folds, sizes.max(initial=0)))]
     return [v for v in masks if v.any() and not v.all()]
 
 

@@ -605,6 +605,18 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
         domains, np.searchsorted(img_lines, det_lines) - 1, **dets)
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file.  A file that is not UTF-8 raises a
+    ParseError naming the line of its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line breaks before the bad byte, as str.splitlines counts them
+        line_no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"byte {exc.start} is not UTF-8 ({exc.reason})", line_no) from None
+
+
 def parse_manifest(path, mode: Optional[str] = None) -> DatasetManifest:
     """Parse a manifest file; see the module docstring for the format.
 
@@ -613,14 +625,7 @@ def parse_manifest(path, mode: Optional[str] = None) -> DatasetManifest:
     naming the line of its first bad byte.
     """
     p = Path(path)
-    data = p.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line breaks before the bad byte, as parse_manifest_text counts them
-        line_no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
-        raise ParseError(f"byte {exc.start} is not UTF-8 ({exc.reason})", line_no) from None
-    return parse_manifest_text(text, mode=mode,
+    return parse_manifest_text(read_utf8(p), mode=mode,
                                split_tag="_".join(p.stem.split()) or "manifest")
 
 

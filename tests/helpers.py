@@ -15,9 +15,11 @@ from oomscene import (
     SceneClassSet,
     SoftPatch,
     fit_pca_cells,
+    patch_cells,
     train_one_vs_rest,
 )
 from oomscene.bundle import BUNDLE_MAGIC, BUNDLE_VERSION, DESC_MAGIC, DESC_VERSION
+from oomscene.descriptor_soft import _basis
 from oomscene.ensemble import _derive_seed, _gram, _sgd_lockstep, _validation_masks
 
 
@@ -315,6 +317,53 @@ def fit_pca_per_object(samples, out_dim):
     X = np.asarray(samples, dtype=float)
     cells = np.broadcast_to(np.arange(len(X))[:, None], X.shape[:2])
     return fit_pca_cells(list(X.transpose(1, 0, 2)), cells, out_dim)
+
+
+def _own_cell_tables(X, edges):
+    """(tables, cells): the columns edges[t]:edges[t + 1] of the [n, d] rows
+    X as table t, and cells that make each row its own row of every table."""
+    tables = [X[:, a:e] for a, e in zip(edges[:-1], edges[1:])]
+    return tables, np.broadcast_to(np.arange(len(X))[:, None], (len(X), len(tables)))
+
+
+def fit_pca_dense(samples, out_dim):
+    """``fit_pca_cells`` of [n, d] samples: the columns cut into 64-column
+    tables and each sample its own cell."""
+    X = np.asarray(samples, dtype=float)
+    return fit_pca_cells(*_own_cell_tables(X, [*range(0, X.shape[1], 64), X.shape[1]]),
+                         out_dim)
+
+
+def dense_project(pca, X):
+    """The projection of input rows (one row if X is 1-D): ``project_cells``
+    with the rows cut into the PCA's blocks and each row its own cell."""
+    X = np.asarray(X, dtype=float)
+    edges = np.cumsum([0] + [q.shape[0] for q in pca.bases])
+    V = pca.project_cells(*_own_cell_tables(np.atleast_2d(X), edges))
+    return V[0] if X.ndim == 1 else V
+
+
+def dense_basis(pca):
+    """The [input_dim, out_dim] principal basis the PCA factors,
+    ``block_diag(*bases) @ mixing``, as the fit's sign rule forms it."""
+    return _basis(pca.mean, pca.bases, pca.mixing)
+
+
+def dense_reconstruct(pca, Y):
+    return pca.mean + np.asarray(Y, dtype=float) @ dense_basis(pca).T
+
+
+def dense_rows(tables, cells):
+    """[n, sum of the tables' widths]: the rows cells[:, t] of tables[t],
+    side by side, for 3-D tables [objects, grid points, classes]."""
+    return tables[np.arange(len(tables)), cells].reshape(len(cells), -1)
+
+
+def dense_patch_rows(manifest, post, sel):
+    """[n_patches, selected objects x classes]: every patch's flattened
+    posterior matrix, record after record; the dense form of ``patch_cells``."""
+    _, tables, cells = patch_cells(manifest, post, sel)
+    return dense_rows(tables, cells)
 
 
 def oracle_batch_subgradient(X, y, lam, iters=20000):

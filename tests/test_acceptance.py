@@ -31,7 +31,6 @@ from oomscene import (
     encode_rawscore_manifest,
     encode_soft_manifest,
     fit_codebook,
-    fit_pca,
     fit_topics,
     generate,
     hidden_topics,
@@ -40,7 +39,6 @@ from oomscene import (
     select_objects,
     soft_assignments,
     train_ensemble,
-    training_patch_samples,
     vlad,
 )
 from oomscene.cli import main
@@ -49,6 +47,11 @@ from oomscene.bundle import load_bundle
 from oomscene.ingest import parse_manifest, write_manifest
 from helpers import (
     binary_svm,
+    dense_patch_rows,
+    dense_project,
+    dense_reconstruct,
+    fit_pca_dense,
+    fit_pca_per_object,
     hard_record,
     hinge_objective,
     one_record_manifest,
@@ -304,8 +307,8 @@ def test_criterion_9_soft_path_checks():
     # PCA reconstructs rank-deficient data losslessly
     basis = rng.standard_normal((8, 3))
     X = rng.standard_normal((40, 3)) @ basis.T + rng.standard_normal(8)
-    pca = fit_pca(X, 3)
-    np.testing.assert_allclose(pca.reconstruct(pca.project(X)), X, atol=1e-6)
+    pca = fit_pca_dense(X, 3)
+    np.testing.assert_allclose(dense_reconstruct(pca, dense_project(pca, X)), X, atol=1e-6)
 
     # soft pipeline pieces against oracles
     m = random_soft_manifest(rng, 2, 4, 12)
@@ -313,11 +316,11 @@ def test_criterion_9_soft_path_checks():
     post = build_posterior_model(build_occurrence_model(m, grid),
                                  ClassPrior.uniform(2))
     sel = select_objects(post, 4)
-    samples = training_patch_samples(m, post, sel)
-    pca2 = fit_pca(samples, 5)
-    cb = fit_codebook(pca2.project(samples), 3, seed=1)
+    samples = dense_patch_rows(m, post, sel)
+    pca2 = fit_pca_per_object(samples.reshape(len(samples), 4, 2), 5)
+    cb = fit_codebook(dense_project(pca2, samples), 3, seed=1)
     for rec in m.records[:6]:
-        V = pca2.project(training_patch_samples(one_record_manifest(rec, 4), post, sel))
+        V = dense_project(pca2, dense_patch_rows(one_record_manifest(rec, 4), post, sel))
         W = soft_assignments(cb, V)
         assert np.all(W >= 0)
         np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)

@@ -34,7 +34,7 @@ from oomscene.bundle import (
     _write_container,
 )
 
-from helpers import container, random_soft_manifest
+from helpers import container, dense_basis, dense_patch_rows, fit_pca_dense, random_soft_manifest
 
 PREAMBLE = 14  # magic, version, header length
 
@@ -44,13 +44,15 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("bundles")
 
 
+TRAIN = random_soft_manifest(np.random.default_rng(0), 3, 5, 12)
+
+
 @pytest.fixture(scope="module")
 def trained():
-    train = random_soft_manifest(np.random.default_rng(0), 3, 5, 12)
     config = PipelineConfig(mode="soft", object_count=3, pca_dim=2, codebook_size=2,
                             topic_count=2, sgd_lambdas=(1e-3,), sgd_eta0s=(0.5,),
                             sgd_epochs=2, seed=1)
-    return fit_pipeline(train, config)
+    return fit_pipeline(TRAIN, config)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +233,11 @@ def test_bad_dtype(workdir, valid, data):
                                            b.pca.bases[:-1] + (b.pca.bases[-1][:-1],),
                                            b.pca.mixing)),
      "PCA input"),
+    # a dense fit of the training patches' rows: one block across the three
+    # selected objects' columns, which project_cells would refuse
+    (lambda b: replace(b, pca=fit_pca_dense(
+        dense_patch_rows(TRAIN, b.posterior, b.selection), b.config.pca_dim)),
+     "PCA input is not one block per selected object, each 3 columns wide"),
     (lambda b: replace(b, codebook=VladCodebook(b.codebook.centers[:, :-1],
                                                 b.codebook.sigma)), "codebook"),
     (lambda b: replace(b, ensemble=replace(b.ensemble, biases=b.ensemble.biases[:, :1])),
@@ -239,13 +246,15 @@ def test_bad_dtype(workdir, valid, data):
                                            biases=b.ensemble.biases[:2])),
      "ensemble classes"),
 ], ids=["grid", "fallback-mask", "prior", "selection", "selection-repeat", "pca-mean",
-        "pca-input",
+        "pca-input", "pca-dense-block",
         "codebook", "biases", "classes"])
 def test_forged_shapes_name_the_component(workdir, trained, forge, field):
+    path = workdir / "forged.bundle"
+    with pytest.raises(CompatibilityError, match=field):
+        save_bundle(forge(trained), path)
     # written past save_bundle's own validate(), as a forged file would be
     arrays = []
     tree = _to_tree(forge(trained), arrays)
-    path = workdir / "forged.bundle"
     _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
     with pytest.raises(CompatibilityError, match=field):
         load_bundle(path)
@@ -278,6 +287,29 @@ def test_forged_nan_in_an_array_is_refused(workdir, trained, array, node, messag
     _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
     with pytest.raises(FormatError, match=f"{node} rejects its fields "
                                           f"\\({message} must be finite\\)"):
+        load_bundle(path)
+
+
+_SIGMA = (r"bundle.codebook: VladCodebook rejects its fields \(sigma must be positive "
+          r"with 2 sigma\^2 a finite normal float")
+
+
+@pytest.mark.parametrize("tag, field, value, message", [
+    ("VladCodebook", "sigma", float("inf"), "bundle.codebook.sigma holds inf, not a finite"),
+    ("VladCodebook", "sigma", 1e308, _SIGMA + ", got 1e[+]308"),
+    ("VladCodebook", "sigma", 1e-200, _SIGMA + ", got 1e-200"),
+    ("KMeansModel", "inertia", float("nan"), "bundle.topics.inertia holds nan, not a finite"),
+], ids=["sigma-infinity", "sigma-overflow", "sigma-underflow", "inertia-nan"])
+def test_forged_scalar_float_is_refused(workdir, trained, tag, field, value, message):
+    # the header is JSON, which decodes NaN and Infinity: an infinite sigma
+    # would evaluate without an error, 2 sigma^2 overflows at 1e308 and
+    # underflows to zero at 1e-200, making every score NaN
+    arrays = []
+    tree = _to_tree(trained, arrays)
+    tagged(tree, {tag})[0][tag][field] = value
+    path = workdir / "forged.bundle"
+    _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
+    with pytest.raises(FormatError, match=message):
         load_bundle(path)
 
 
@@ -321,6 +353,6 @@ def test_pca_is_stored_as_its_factors(workdir, trained, valid):
     pca = trained.pca
     assert any(a is pca.mixing for a in arrays)
     assert all(any(a is q for a in arrays) for q in pca.bases)
-    assert not any(a.shape == pca.basis.shape for a in arrays)
+    assert not any(a.shape == dense_basis(pca).shape for a in arrays)
     loaded = load_bundle(workdir / "valid.bundle")
-    assert loaded.pca.basis.tobytes() == pca.basis.tobytes()
+    assert dense_basis(loaded.pca).tobytes() == dense_basis(pca).tobytes()

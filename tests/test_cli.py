@@ -193,6 +193,19 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_non_utf8_config_file_names_file_and_line(self, synth_files, tmp_path,
+                                                     capsys):
+        # a bare UnicodeDecodeError named neither the file nor the line
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"# tuned\nseed=3\r\nfolds=\xff3\n")
+        out = tmp_path / "m.bundle"
+        rc = main(["train", "--train", str(synth_files / "source.txt"),
+                   "--out", str(out), "--config", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: config file {path}: line 3: byte 22 "
+                                           f"is not UTF-8 (invalid start byte)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["set", "config"])
     def test_profile_with_explicit_object_count_refused(self, source, synth_files,
                                                         tmp_path, capsys):

@@ -41,3 +41,22 @@ def test_cli_imports_no_private_name():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_library_modules_use_every_name_they_import():
+    # a name a module imports and never reads is dead code left by a
+    # deletion; __init__.py imports only to re-export
+    unused = []
+    for path in sorted(Path(oomscene.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

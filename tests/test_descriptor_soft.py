@@ -18,20 +18,23 @@ from oomscene import (
     encode_with_bundle,
     evaluate_bundle,
     fit_codebook,
-    fit_pca,
     fit_pca_cells,
     fit_pipeline,
     patch_cells,
     score_grid_indices,
     select_objects,
     soft_assignments,
-    training_patch_samples,
     vlad,
 )
-from oomscene import descriptor_soft
 from oomscene.ingest import HardDetection, SoftPatch
 from oomscene.pipeline import STAGES, run_stages
 from helpers import (
+    dense_basis,
+    dense_patch_rows,
+    dense_project,
+    dense_reconstruct,
+    dense_rows,
+    fit_pca_dense,
     fit_pca_per_object,
     hard_record,
     one_record_manifest,
@@ -63,21 +66,21 @@ def covariance_oracle(X):
 def assert_matches_covariance_oracle(samples, out_dim):
     """The fit's basis is the oracle's, column by column up to sign: fit_pca
     of [n, d] rows, or one block per object of [n, objects, classes]."""
-    pca = fit_pca(samples, out_dim) if samples.ndim == 2 \
+    pca = fit_pca_dense(samples, out_dim) if samples.ndim == 2 \
         else fit_pca_per_object(samples, out_dim)
     X = samples.reshape(len(samples), -1)
     w, v = covariance_oracle(X)
     assert np.all(-np.diff(w[:out_dim + 1]) > 1e-3 * w[0])  # distinct directions
-    np.testing.assert_allclose(pca.basis.T @ pca.basis, np.eye(out_dim), atol=1e-9)
-    np.testing.assert_allclose(pca.project(X).var(axis=0, ddof=1), w[:out_dim],
+    np.testing.assert_allclose(dense_basis(pca).T @ dense_basis(pca), np.eye(out_dim), atol=1e-9)
+    np.testing.assert_allclose(dense_project(pca, X).var(axis=0, ddof=1), w[:out_dim],
                                rtol=1e-9, atol=1e-12 * w[0])
-    cos = np.abs(np.sum(pca.basis * v[:, :out_dim], axis=0))
+    cos = np.abs(np.sum(dense_basis(pca) * v[:, :out_dim], axis=0))
     np.testing.assert_allclose(cos, 1.0, atol=1e-9)
 
 
 def patch_matrices(rec, post, sel):
     """[patches, selected objects, classes]: one record's patch posteriors."""
-    X = training_patch_samples(one_record_manifest(rec, post.n_objects), post, sel)
+    X = dense_patch_rows(one_record_manifest(rec, post.n_objects), post, sel)
     return X.reshape(len(X), len(sel.selected), post.n_classes)
 
 
@@ -139,7 +142,7 @@ class TestPatchMatrices:
         m, post, sel = soft_model(rng)
         want = np.vstack([patch_matrices(r, post, sel).reshape(len(r.detections), -1)
                           for r in m.records])
-        np.testing.assert_array_equal(training_patch_samples(m, post, sel), want)
+        np.testing.assert_array_equal(dense_patch_rows(m, post, sel), want)
 
 
 class TestFitPca:
@@ -147,8 +150,8 @@ class TestFitPca:
         rng = np.random.default_rng(35)
         basis = rng.standard_normal((6, 2))
         X = rng.standard_normal((30, 2)) @ basis.T + rng.standard_normal(6)
-        pca = fit_pca(X, 2)
-        recon = pca.reconstruct(pca.project(X))
+        pca = fit_pca_dense(X, 2)
+        recon = dense_reconstruct(pca, dense_project(pca, X))
         np.testing.assert_allclose(recon, X, atol=1e-6)
 
     def test_dominant_axis(self):
@@ -157,15 +160,15 @@ class TestFitPca:
         X[:, 1] = rng.uniform(-3, 3, size=40)
         X[:, 1] -= X[:, 1].mean()
         X[:, 0] = 0.01 * rng.standard_normal(40)
-        pca = fit_pca(X, 1)
-        direction = np.abs(pca.basis[:, 0])
+        pca = fit_pca_dense(X, 1)
+        direction = np.abs(dense_basis(pca)[:, 0])
         assert direction[1] > 0.999
 
     def test_projection_variance_matches_eigenvalue_oracle(self):
         rng = np.random.default_rng(37)
         X = rng.standard_normal((50, 10)) * rng.uniform(0.5, 3.0, size=10)
-        pca = fit_pca(X, 4)
-        proj = pca.project(X)
+        pca = fit_pca_dense(X, 4)
+        proj = dense_project(pca, X)
         # independent dense eigendecomposition of the hand-built covariance
         mean = X.mean(axis=0)
         cov = np.zeros((10, 10))
@@ -178,40 +181,40 @@ class TestFitPca:
 
     def test_orthonormal_basis(self):
         rng = np.random.default_rng(38)
-        pca = fit_pca(rng.standard_normal((20, 7)), 5)
-        np.testing.assert_allclose(pca.basis.T @ pca.basis, np.eye(5), atol=1e-6)
+        pca = fit_pca_dense(rng.standard_normal((20, 7)), 5)
+        np.testing.assert_allclose(dense_basis(pca).T @ dense_basis(pca), np.eye(5), atol=1e-6)
 
     def test_projected_training_mean_is_zero(self):
         rng = np.random.default_rng(39)
         X = rng.standard_normal((25, 6)) + 5.0
-        pca = fit_pca(X, 3)
-        np.testing.assert_allclose(pca.project(X).mean(axis=0), 0.0, atol=1e-9)
+        pca = fit_pca_dense(X, 3)
+        np.testing.assert_allclose(dense_project(pca, X).mean(axis=0), 0.0, atol=1e-9)
 
     def test_sign_deterministic(self):
         rng = np.random.default_rng(40)
         X = rng.standard_normal((20, 5))
-        pca = fit_pca(X, 3)
+        basis = dense_basis(fit_pca_dense(X, 3))
         for j in range(3):
-            nz = np.flatnonzero(np.abs(pca.basis[:, j]) > 1e-12)
-            assert pca.basis[nz[0], j] > 0
+            nz = np.flatnonzero(np.abs(basis[:, j]) > 1e-12)
+            assert basis[nz[0], j] > 0
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            fit_pca(np.zeros((2, 5)), 3)
+            fit_pca_dense(np.zeros((2, 5)), 3)
 
     def test_out_dim_exceeds_input_dim(self):
         with pytest.raises(ValueError):
-            fit_pca(np.zeros((10, 3)), 4)
+            fit_pca_dense(np.zeros((10, 3)), 4)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_samples_refused(self, value):
         with pytest.raises(ValueError, match="finite"):
-            fit_pca(np.full((10, 3), value), 2)
+            fit_pca_dense(np.full((10, 3), value), 2)
 
     def test_patch_samples_match_covariance_oracle(self):
         # 30 selected objects x 4 classes: d = 120 is not a multiple of 64
         m, post, sel = soft_model(np.random.default_rng(44), 4, 30, 60)
-        X = training_patch_samples(m, post, sel)
+        X = dense_patch_rows(m, post, sel)
         assert_matches_covariance_oracle(X, 20)
         assert_matches_covariance_oracle(X.reshape(len(X), 30, 4), 20)  # per object
 
@@ -219,15 +222,15 @@ class TestFitPca:
         rng = np.random.default_rng(49)
         X = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 192)) \
             + rng.standard_normal((80, 192))
-        flat, per_object = fit_pca(X, 12), fit_pca_per_object(X.reshape(80, 3, 64), 12)
-        for name in ("mean", "basis"):
-            assert getattr(per_object, name).tobytes() == getattr(flat, name).tobytes()
+        flat, per_object = fit_pca_dense(X, 12), fit_pca_per_object(X.reshape(80, 3, 64), 12)
+        assert per_object.mean.tobytes() == flat.mean.tobytes()
+        assert dense_basis(per_object).tobytes() == dense_basis(flat).tobytes()
 
     def test_one_block_per_object_gives_an_eigh_of_the_samples_rank(self, monkeypatch):
         # 30 objects x 3 classes: the 64-column blocks split object 21's row,
         # whose centred columns have rank 2, into ranks 1 and 2
         m, post, sel = soft_model(np.random.default_rng(49), 3, 30, 60)
-        X = training_patch_samples(m, post, sel)
+        X = dense_patch_rows(m, post, sel)
         sizes, eigh = [], np.linalg.eigh
 
         def spy(a, *args, **kwargs):
@@ -238,7 +241,7 @@ class TestFitPca:
         fit_pca_per_object(X.reshape(len(X), 30, 3), 10)
         rank = np.linalg.matrix_rank(X - X.mean(axis=0))
         assert sizes == [(rank, rank)] and rank == 60
-        fit_pca(X, 10)
+        fit_pca_dense(X, 10)
         assert sizes[1] == (rank + 1, rank + 1)
 
     @pytest.mark.parametrize("dim", [40, 150])
@@ -264,27 +267,27 @@ class TestFitPca:
                        + 1e-7 * np.outer(latent[:, 3 + (b + 1) % widths.size],
                                          rng.standard_normal(width))
                        for b, width in enumerate(widths)])
-        pca = fit_pca(X, 6)
+        pca = fit_pca_dense(X, 6)
         _, v = covariance_oracle(X)
-        signs = np.sign(np.sum(pca.basis * v[:, :6], axis=0))
-        np.testing.assert_allclose(pca.basis, v[:, :6] * signs, atol=1e-10)
+        signs = np.sign(np.sum(dense_basis(pca) * v[:, :6], axis=0))
+        np.testing.assert_allclose(dense_basis(pca), v[:, :6] * signs, atol=1e-10)
 
     def test_rank_below_out_dim_pads_an_orthonormal_basis(self):
         rng = np.random.default_rng(46)
         X = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 100)) + 2.0
-        pca = fit_pca(X, 10)
-        np.testing.assert_allclose(pca.basis.T @ pca.basis, np.eye(10), atol=1e-9)
-        np.testing.assert_allclose(pca.reconstruct(pca.project(X)), X, atol=1e-9)
+        pca = fit_pca_dense(X, 10)
+        np.testing.assert_allclose(dense_basis(pca).T @ dense_basis(pca), np.eye(10), atol=1e-9)
+        np.testing.assert_allclose(dense_reconstruct(pca, dense_project(pca, X)), X, atol=1e-9)
         _, oracle = covariance_oracle(X)
         # the first three columns span the oracle's: all principal cosines are 1
-        cosines = np.linalg.svd(oracle[:, :3].T @ pca.basis[:, :3], compute_uv=False)
+        cosines = np.linalg.svd(oracle[:, :3].T @ dense_basis(pca)[:, :3], compute_uv=False)
         np.testing.assert_allclose(cosines, 1.0, atol=1e-9)
 
     def test_constant_samples_give_an_orthonormal_basis(self):
         X = np.tile(np.linspace(-1.0, 1.0, 70), (20, 1))
-        pca = fit_pca(X, 5)
-        np.testing.assert_allclose(pca.basis.T @ pca.basis, np.eye(5), atol=1e-12)
-        np.testing.assert_allclose(pca.project(X), 0.0, atol=1e-12)
+        pca = fit_pca_dense(X, 5)
+        np.testing.assert_allclose(dense_basis(pca).T @ dense_basis(pca), np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(dense_project(pca, X), 0.0, atol=1e-12)
 
     def test_no_square_covariance_for_low_rank_blocks(self):
         # a d x d float64 matrix would take 72 MB
@@ -292,7 +295,7 @@ class TestFitPca:
         X = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 3000))
         tracemalloc.start()
         try:
-            fit_pca(X, 3)
+            fit_pca_dense(X, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -305,7 +308,7 @@ class TestFitPca:
                        for _ in range(20)]) + rng.standard_normal(1280)
         tracemalloc.start()
         try:
-            fit_pca(X, 5)
+            fit_pca_dense(X, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -323,10 +326,6 @@ def cell_problem(seed, n=400, objects=6, classes=5, grid_points=7):
     cells[:, 0] = 3
     cells[:, 1] = np.where(cells[:, 1] < 3, 0, 5)
     return tables, cells
-
-
-def dense_rows(tables, cells):
-    return tables[np.arange(len(tables)), cells].reshape(len(cells), -1)
 
 
 class TestCellCoordinates:
@@ -352,22 +351,19 @@ class TestCellCoordinates:
         unseen = np.random.default_rng(62).integers(7, size=(50, 6))
         for c in (cells, unseen):
             X = dense_rows(tables, c)
-            want = (X - pca.mean) @ pca.basis
+            want = (X - pca.mean) @ dense_basis(pca)
             np.testing.assert_allclose(pca.project_cells(tables, c), want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
-            np.testing.assert_allclose(pca.project(X), want, rtol=0,
+            np.testing.assert_allclose(dense_project(pca, X), want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
 
-    @pytest.mark.parametrize("out_dim", [20, 140])  # m = 115: pca_dim > m pads
-    def test_tables_across_blocks_project_as_their_dense_rows(self, out_dim):
+    def test_tables_across_blocks_are_refused(self):
         # 30 objects x 5 classes: the 64-column blocks of a dense fit cut
         # across the per-object tables
         tables, cells = cell_problem(67, objects=30)
-        pca = fit_pca(dense_rows(tables, cells), out_dim)
-        unseen = np.random.default_rng(68).integers(7, size=(50, 30))
-        for c in (cells, unseen):
-            want = pca.project(dense_rows(tables, c))
-            assert pca.project_cells(tables, c).tobytes() == want.tobytes()
+        pca = fit_pca_dense(dense_rows(tables, cells), 20)
+        with pytest.raises(ValueError, match="tables must be 3, one per PCA block"):
+            pca.project_cells(tables, cells)
 
     @pytest.mark.parametrize("out_dim", [10, 17, 24])
     def test_fit_matches_the_dense_covariance_eigh(self, out_dim):
@@ -379,7 +375,7 @@ class TestCellCoordinates:
         assert w[m - 1] > 1e-6 * w[0] and w[m] < 1e-14 * w[0]
         top = min(out_dim, m)
         assert np.all(-np.diff(w[:top]) > 1e-3 * w[0])  # distinct directions
-        basis = pca.basis
+        basis = dense_basis(pca)
         cos = np.abs(np.sum(basis[:, :top] * v[:, :top], axis=0))
         assert np.all(cos >= 1 - 1e-12)
         np.testing.assert_allclose(basis.T @ basis, np.eye(out_dim), atol=1e-12)
@@ -391,10 +387,11 @@ class TestCellCoordinates:
         tables, cells = cell_problem(64)
         X = dense_rows(tables, cells)
         dense = fit_pca_per_object(X.reshape(len(X), 6, 5), 12)
-        cos = np.abs(np.sum(fit_pca_cells(tables, cells, 12).basis * dense.basis, axis=0))
+        cos = np.abs(np.sum(dense_basis(fit_pca_cells(tables, cells, 12)) * dense_basis(dense),
+                            axis=0))
         assert np.all(cos >= 1 - 1e-12)
 
-    def test_soft_training_and_evaluation_build_no_dense_rows(self, monkeypatch):
+    def test_soft_training_and_evaluation_build_no_dense_rows(self):
         rng = np.random.default_rng(65)
         train = random_soft_manifest(rng, 4, 9, 40, max_patches=6)
         test = random_soft_manifest(rng, 4, 9, 12, max_patches=6, split_tag="test")
@@ -402,12 +399,6 @@ class TestCellCoordinates:
                                 topic_count=2, sgd_lambdas=(1e-3,), sgd_eta0s=(0.5,),
                                 sgd_epochs=3, seed=3)
         want = evaluate_bundle(fit_pipeline(train, config), test)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("built the dense posterior rows")
-
-        monkeypatch.setattr(descriptor_soft, "training_patch_samples", refuse)
-        monkeypatch.setattr(descriptor_soft.PcaTransform, "project", refuse)
         bundle = fit_pipeline(train, config)
         # one block per selected object: no block gathers columns across tables
         assert [q.shape[0] for q in bundle.pca.bases] == [4] * 6
@@ -453,16 +444,16 @@ class TestFitCodebook:
 class TestEncodeSoft:
     def _setup(self, rng, k=3, p=4):
         m, post, sel = soft_model(rng, n_classes=2, n_objects=3, n_images=12)
-        samples = training_patch_samples(m, post, sel)
-        pca = fit_pca(samples, p)
-        cb = fit_codebook(pca.project(samples), k, seed=0)
+        samples = dense_patch_rows(m, post, sel)
+        pca = fit_pca_per_object(samples.reshape(len(samples), 3, 2), p)
+        cb = fit_codebook(dense_project(pca, samples), k, seed=0)
         return m, post, sel, pca, cb
 
     def test_single_patch_at_center_is_zero_vector(self):
         rng = np.random.default_rng(44)
         m, post, sel, pca, _ = self._setup(rng)
         rec = m.records[0]
-        v = pca.project(patch_matrices(rec, post, sel)[0].reshape(-1))
+        v = dense_project(pca, patch_matrices(rec, post, sel)[0].reshape(-1))
         cb = VladCodebook(centers=v[None, :], sigma=1.0)
         one_patch = soft_record([rec.detections[0]])
         out = encode_soft(one_patch, post, sel, pca, cb)
@@ -474,7 +465,7 @@ class TestEncodeSoft:
         rec = m.records[0]
         cb = VladCodebook(centers=np.zeros((1, pca.out_dim)), sigma=1.0)
         one_patch = soft_record([rec.detections[0]])
-        v = pca.project(patch_matrices(one_patch, post, sel)[0].reshape(-1))
+        v = dense_project(pca, patch_matrices(one_patch, post, sel)[0].reshape(-1))
         W = soft_assignments(cb, v)
         np.testing.assert_allclose(vlad(W, v[None, :], cb.centers).reshape(-1), v,
                                    atol=1e-15)
@@ -485,7 +476,7 @@ class TestEncodeSoft:
         rng = np.random.default_rng(46)
         m, post, sel, pca, cb = self._setup(rng)
         for rec in m.records[:6]:
-            V = pca.project(patch_matrices(rec, post, sel).reshape(len(rec.detections), -1))
+            V = dense_project(pca, patch_matrices(rec, post, sel).reshape(len(rec.detections), -1))
             raw = vlad(soft_assignments(cb, V), V, cb.centers).reshape(-1)
             np.testing.assert_allclose(raw, oracle_vlad(V, cb.centers, cb.sigma),
                                        atol=1e-9)
@@ -496,7 +487,7 @@ class TestEncodeSoft:
         X = encode_soft_manifest(m, post, sel, pca, cb)
         assert X.shape == (len(m), cb.size * pca.out_dim)
         for row, rec in zip(X, m.records):
-            V = pca.project(patch_matrices(rec, post, sel).reshape(len(rec.detections), -1))
+            V = dense_project(pca, patch_matrices(rec, post, sel).reshape(len(rec.detections), -1))
             # the square root turns a rounding difference e of a VLAD entry
             # near zero into up to sqrt(e): 1e-7 covers e up to 1e-14
             np.testing.assert_allclose(row, ssr_l2(oracle_vlad(V, cb.centers, cb.sigma)),
@@ -505,7 +496,7 @@ class TestEncodeSoft:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(47)
         m, post, sel, pca, cb = self._setup(rng)
-        V = pca.project(training_patch_samples(one_record_manifest(m.records[0], 3),
+        V = dense_project(pca, dense_patch_rows(one_record_manifest(m.records[0], 3),
                                                post, sel))
         W = soft_assignments(cb, V)
         assert np.all(W >= 0)

@@ -14,7 +14,13 @@ from oomscene import (
     train_one_vs_rest,
 )
 from oomscene import ensemble as ensemble_module
-from oomscene.ensemble import TopicEnsemble, _derive_seed, _gram, _sgd_lockstep
+from oomscene.ensemble import (
+    TopicEnsemble,
+    _derive_seed,
+    _gram,
+    _sgd_lockstep,
+    _validation_masks,
+)
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
@@ -344,6 +350,21 @@ class TestCrossValidate:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             train_one_vs_rest(np.zeros((2, 1)), [0, 1], 2, [], 5)
+
+    def test_fold_count_past_the_largest_class_adds_no_mask(self):
+        # folds has no upper bound: a mask per requested fold would take
+        # memory linear in it, for folds that no sample can fall in
+        y = np.repeat(np.arange(4), [7, 12, 3, 9])
+        want = _validation_masks(y, 12)
+        assert len(want) == 12
+        tracemalloc.start()
+        try:
+            got = _validation_masks(y, 10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+        assert peak < 100_000
 
 
 def oracle_one_vs_rest(X, y, n_classes, cfg, train, salt):
