@@ -92,6 +92,8 @@ from .topics import (
     KMeansModel,
     assign_topics_batch,
     fit_topics,
+    kmeans,
+    squared_distances,
 )
 
 __version__ = "0.1.0"

@@ -186,6 +186,10 @@ class ModelBundle:
         """Check that the components' shapes agree with each other."""
         n_obj, n_cls = len(self.vocabulary), len(self.classes)
         post = self.posterior
+        # a tensor counted on one grid and looked up on another predicts wrongly
+        if not self.occurrence.grid == post.grid == self.config.threshold_grid():
+            raise CompatibilityError("occurrence, posterior and config threshold "
+                                     "grids differ")
         if self.occurrence.probs.shape[:2] != (n_obj, n_cls):
             raise CompatibilityError("occurrence tensor does not match the vocabulary")
         if post.posteriors.shape != self.occurrence.probs.shape:
@@ -218,7 +222,7 @@ class ModelBundle:
                 raise CompatibilityError("codebook dimension does not match the PCA output")
         if self.ensemble is not None:
             ens = self.ensemble
-            if ens.weights.ndim != 3 or ens.biases.shape != ens.weights.shape[:2]:
+            if ens.biases.shape != ens.weights.shape[:2]:
                 raise CompatibilityError("ensemble biases do not match its weights")
             if ens.n_classes != n_cls:
                 raise CompatibilityError("ensemble classes do not match the classes")
@@ -438,10 +442,26 @@ def write_descriptor_file(path, matrix: np.ndarray, image_ids, layout: PyramidLa
 
 
 def read_descriptor_file(path):
-    """Returns (matrix, header dict)."""
+    """Returns (matrix, header dict).  The header's image_ids must be one
+    string per row, its layout a pyramid layout and its selection_sha256 a
+    lower-case hex SHA-256 digest."""
     header, arrays = _read_container(path, DESC_MAGIC, DESC_VERSION, "descriptor file")
     shape = (header.get("rows"), header.get("cols"))
     if len(arrays) != 1 or arrays[0].dtype.kind != "f" or arrays[0].shape != shape:
         raise FormatError(f"{path}: arrays field does not hold one float64 matrix "
                           f"of rows x cols")
+    ids = header.get("image_ids")
+    if not (isinstance(ids, list) and len(ids) == len(arrays[0])
+            and all(isinstance(i, str) for i in ids)):
+        raise FormatError(f"{path}: image_ids field is not a list of {len(arrays[0])} "
+                          f"strings, one per row")
+    try:
+        PyramidLayout(header.get("layout"))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: layout field is not a pyramid layout ({exc})") from None
+    digest = header.get("selection_sha256")
+    if not (isinstance(digest, str) and len(digest) == 64
+            and set(digest) <= set("0123456789abcdef")):
+        raise FormatError(f"{path}: selection_sha256 field is not 64 lower-case "
+                          f"hex characters")
     return arrays[0], header

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FormatError, VariantError
 from .ingest import SOFT, DatasetManifest
 from .occurrence import DiscriminantSelection, PosteriorModel, score_grid_indices
-from .topics import _kmeans, _row_norms, _squared_distances
+from .topics import kmeans, squared_distances
 
 
 def patch_cells(manifest: DatasetManifest, post: PosteriorModel,
@@ -80,20 +80,6 @@ def _coordinates(tables, cells, mean, bases) -> np.ndarray:
         z = (table - mean[a_edges[t]:a_edges[t + 1]]) @ q
         Y[:, k_edges[t]:k_edges[t + 1]] = z[cells[:, t]]
     return Y
-
-
-def _basis(mean, bases, mixing) -> np.ndarray:
-    """block_diag(*bases) @ mixing.  Each block's product takes its basis in
-    Fortran order, the layout of the SVD's transposed vt that the fit's
-    bases come from, so the fit's sign rule reads the products as BLAS has
-    always rounded them."""
-    basis = np.empty((mean.size, mixing.shape[1]))
-    b_edges = _edges(q.shape[0] for q in bases)
-    k_edges = _edges(q.shape[1] for q in bases)
-    for b, q in enumerate(bases):
-        basis[b_edges[b]:b_edges[b + 1]] = \
-            np.asfortranarray(q) @ mixing[k_edges[b]:k_edges[b + 1]]
-    return basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +151,12 @@ def fit_pca_cells(tables, cells, out_dim: int) -> PcaTransform:
     vectors, in block order, appended to their blocks' bases with identity
     mixing.
 
-    Column signs are fixed by making each basis column's first
-    non-negligible entry positive, so the fit is deterministic.
+    Column signs are fixed by making each ``mixing`` column's
+    largest-magnitude entry positive, the first such entry on a tie, so the
+    fit is deterministic without forming the principal basis.  Negating a
+    column negates that coordinate exactly, and with it the matching
+    columns of the codebook, descriptors, topics and ensemble weights, so
+    no distance or score depends on the rule.
     """
     tables = [np.asarray(t, dtype=float) for t in tables]
     if not tables or any(t.ndim != 2 for t in tables):
@@ -221,10 +211,7 @@ def fit_pca_cells(tables, cells, out_dim: int) -> PcaTransform:
         mixing[row:row + width, :top.shape[1]] = top[k_row:k_row + width]
         mixing[row + width + np.arange(cols.size), cols] = 1.0
         row, k_row = row + width + cols.size, k_row + width
-    basis = _basis(mean, bases, mixing)
-    big = np.abs(basis) > 1e-12
-    first = basis[big.argmax(axis=0), np.arange(out_dim)]
-    flip = big.any(axis=0) & (first < 0)
+    flip = mixing[np.abs(mixing).argmax(axis=0), np.arange(out_dim)] < 0
     mixing[:, flip] = -mixing[:, flip]
     return PcaTransform(mean=mean, bases=tuple(bases), mixing=mixing)
 
@@ -266,7 +253,7 @@ def fit_codebook(projected, k: int, seed: int) -> VladCodebook:
         raise ValueError("projected samples must be equal-length vectors")
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"codebook size must be in [1, {X.shape[0]}], got {k}")
-    model, labels = _kmeans(X, k, seed)
+    model, labels = kmeans(X, k, seed)
     # direct-form distances: exactly zero for samples sitting on their center
     dists = np.sqrt(((X - model.centroids[labels]) ** 2).sum(axis=1))
     sigma = float(dists.mean())
@@ -278,7 +265,7 @@ def fit_codebook(projected, k: int, seed: int) -> VladCodebook:
 def soft_assignments(cb: VladCodebook, V: np.ndarray) -> np.ndarray:
     """Per-row Gaussian assignment weights over centers (rows sum to one)."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    logw = -_squared_distances(V, cb.centers, _row_norms(V)) / (2.0 * cb.sigma**2)
+    logw = -squared_distances(V, cb.centers) / (2.0 * cb.sigma**2)
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
     w /= w.sum(axis=1, keepdims=True)

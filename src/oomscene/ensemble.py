@@ -231,6 +231,10 @@ class TopicEnsemble:
     configs: tuple[SgdConfig, ...]
 
     def __post_init__(self):
+        shape = np.shape(self.weights)
+        if len(shape) != 3 or 0 in shape[:2]:
+            raise ValueError(f"ensemble weights must be [classes, topics, dim] with at "
+                             f"least one class and topic, got shape {shape}")
         for name in ("weights", "biases"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"ensemble {name} must be finite")

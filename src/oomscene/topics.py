@@ -26,6 +26,9 @@ class KMeansModel:
     def __post_init__(self):
         centroids = np.asarray(self.centroids, dtype=float)
         object.__setattr__(self, "centroids", centroids)
+        if centroids.ndim != 2 or centroids.shape[0] < 1:
+            raise ValueError(f"topic centroids must be [topics, dim] with at least "
+                             f"one topic, got shape {centroids.shape}")
         if not np.all(np.isfinite(centroids)):
             raise ValueError("topic centroids must be finite")
 
@@ -69,12 +72,9 @@ def _squared_distances(X: np.ndarray, centers: np.ndarray, xx: np.ndarray) -> np
     return d2
 
 
-def nearest_centroids(centroids: np.ndarray, X: np.ndarray):
-    """Nearest centroid per row (lowest index on ties) and its distance."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d2 = _squared_distances(X, centroids, _row_norms(X))
-    labels = d2.argmin(axis=1)
-    return labels, np.sqrt(d2[np.arange(len(X)), labels])
+def squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """[n, k] squared distances from the rows of X to the centers."""
+    return _squared_distances(X, centers, _row_norms(X))
 
 
 def _direct_distances(X: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -126,12 +126,12 @@ def fit_topics(descriptors, d: int, seed: int, max_iter: int = 300,
     Descriptors that are not finite, or whose squared norms overflow, raise
     a ValueError.
     """
-    return _kmeans(descriptors, d, seed, max_iter, tol)[0]
+    return kmeans(descriptors, d, seed, max_iter, tol)[0]
 
 
-def _kmeans(descriptors, d: int, seed: int, max_iter: int = 300, tol: float = 1e-6):
+def kmeans(descriptors, d: int, seed: int, max_iter: int = 300, tol: float = 1e-6):
     """``fit_topics``'s model and each descriptor's nearest final centroid
-    (lowest index on ties), as ``nearest_centroids`` gives it.
+    (lowest index on ties), as ``assign_topics_batch`` gives it.
 
     A pass whose assignment repeats the previous pass's without an
     empty-cluster repair ends the loop: its update would recompute the
@@ -207,4 +207,6 @@ def assign_topics_batch(model: KMeansModel, descriptors):
         raise DimensionError(
             f"descriptors have dimension {X.shape[-1]}, topic model expects {model.dim}"
         )
-    return nearest_centroids(model.centroids, X)
+    d2 = squared_distances(X, model.centroids)
+    labels = d2.argmin(axis=1)
+    return labels, np.sqrt(d2[np.arange(len(X)), labels])

@@ -19,7 +19,6 @@ from oomscene import (
     train_one_vs_rest,
 )
 from oomscene.bundle import BUNDLE_MAGIC, BUNDLE_VERSION, DESC_MAGIC, DESC_VERSION
-from oomscene.descriptor_soft import _basis
 from oomscene.ensemble import _derive_seed, _gram, _sgd_lockstep, _validation_masks
 
 
@@ -345,8 +344,10 @@ def dense_project(pca, X):
 
 def dense_basis(pca):
     """The [input_dim, out_dim] principal basis the PCA factors,
-    ``block_diag(*bases) @ mixing``, as the fit's sign rule forms it."""
-    return _basis(pca.mean, pca.bases, pca.mixing)
+    ``block_diag(*bases) @ mixing``, a block's rows at a time."""
+    k_edges = np.cumsum([0] + [q.shape[1] for q in pca.bases])
+    return np.vstack([q @ pca.mixing[k_edges[b]:k_edges[b + 1]]
+                      for b, q in enumerate(pca.bases)])
 
 
 def dense_reconstruct(pca, Y):

@@ -17,10 +17,12 @@ from oomscene import (
     ClassPrior,
     CompatibilityError,
     FormatError,
+    KMeansModel,
     PcaTransform,
     PipelineConfig,
     PipelineError,
     ThresholdGrid,
+    TopicEnsemble,
     VladCodebook,
     fit_pipeline,
     load_bundle,
@@ -217,6 +219,9 @@ def test_bad_dtype(workdir, valid, data):
 @pytest.mark.parametrize("forge, field", [
     (lambda b: replace(b, posterior=replace(b.posterior, grid=ThresholdGrid(0.0, 1.0, 0.1))),
      "threshold grid"),
+    # as many points as the config's grid, at other thresholds
+    (lambda b: replace(b, posterior=replace(b.posterior, grid=ThresholdGrid(0.5, 1.5, 0.05))),
+     "threshold grids differ"),
     (lambda b: replace(b, posterior=replace(
         b.posterior, fallback_mask=b.posterior.fallback_mask[:, :-1])), "fallback mask"),
     (lambda b: replace(b, posterior=replace(b.posterior, prior=ClassPrior.uniform(2))),
@@ -245,9 +250,8 @@ def test_bad_dtype(workdir, valid, data):
     (lambda b: replace(b, ensemble=replace(b.ensemble, weights=b.ensemble.weights[:2],
                                            biases=b.ensemble.biases[:2])),
      "ensemble classes"),
-], ids=["grid", "fallback-mask", "prior", "selection", "selection-repeat", "pca-mean",
-        "pca-input", "pca-dense-block",
-        "codebook", "biases", "classes"])
+], ids=["grid", "grid-values", "fallback-mask", "prior", "selection", "selection-repeat",
+        "pca-mean", "pca-input", "pca-dense-block", "codebook", "biases", "classes"])
 def test_forged_shapes_name_the_component(workdir, trained, forge, field):
     path = workdir / "forged.bundle"
     with pytest.raises(CompatibilityError, match=field):
@@ -287,6 +291,39 @@ def test_forged_nan_in_an_array_is_refused(workdir, trained, array, node, messag
     _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
     with pytest.raises(FormatError, match=f"{node} rejects its fields "
                                           f"\\({message} must be finite\\)"):
+        load_bundle(path)
+
+
+def unchecked(cls, **values):
+    """A cls built past its constructor's checks, as a forged file holds it."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+@pytest.mark.parametrize("forge, node, message", [
+    # without an ensemble no shape check reads the topic model: a 1-D
+    # centroid array raised an IndexError and an empty one numpy's empty
+    # argmin when topics were assigned
+    (lambda b: replace(b, ensemble=None, topics=unchecked(
+        KMeansModel, centroids=b.topics.centroids[0], inertia=1.0, iterations_run=1)),
+     "topics: KMeansModel", r"topic centroids must be \[topics, dim\] with at least one"),
+    (lambda b: replace(b, ensemble=None, topics=unchecked(
+        KMeansModel, centroids=b.topics.centroids[:0], inertia=1.0, iterations_run=1)),
+     "topics: KMeansModel", r"topic centroids must be \[topics, dim\] with at least one"),
+    # without topics, an ensemble of no topics predicted class 0 everywhere
+    (lambda b: replace(b, topics=None, ensemble=unchecked(
+        TopicEnsemble, weights=b.ensemble.weights[:, :0], biases=b.ensemble.biases[:, :0],
+        topic_sizes=(), configs=())),
+     "ensemble: TopicEnsemble", r"ensemble weights must be \[classes, topics, dim\]"),
+], ids=["centroids-1d", "centroids-empty", "ensemble-no-topics"])
+def test_forged_empty_model_is_refused(workdir, trained, forge, node, message):
+    arrays = []
+    tree = _to_tree(forge(trained), arrays)
+    path = workdir / "forged.bundle"
+    _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
+    with pytest.raises(FormatError, match=f"bundle.{node} rejects its fields \\({message}"):
         load_bundle(path)
 
 

@@ -40,6 +40,16 @@ from oomscene.ingest import (
 from helpers import container
 
 
+def descriptor_file(**fields):
+    """A descriptor file of a zero 3 x 2 matrix whose header holds ``fields``."""
+    header = {"rows": 3, "cols": 2, **fields,
+              "arrays": [{"dtype": "<f8", "shape": [3, 2]}]}
+    return container(b"OOMSDESC", header, bytes(48))
+
+
+GOOD_DESC = {"image_ids": ["a", "b", "c"], "layout": [[1, 1]], "selection_sha256": "0" * 64}
+
+
 SMALL = ["--set", "object_count=8", "--set", "topic_count=2",
          "--set", "sgd_lambdas=1e-4", "--set", "sgd_eta0s=0.5",
          "--set", "sgd_epochs=8", "--set", "seed=3"]
@@ -833,6 +843,23 @@ class TestDeterminismAndPersistence:
          container(b"OOMSDESC", {"rows": 1, "cols": 2,
                                  "arrays": [{"dtype": "<f8", "shape": [1, 2]}]}, bytes(8)),
          "payload"),
+        (read_descriptor_file, descriptor_file(), "image_ids"),
+        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "image_ids": ["a"]}),
+         "image_ids field is not a list of 3 strings"),
+        (read_descriptor_file,
+         descriptor_file(image_ids=5, layout="x", selection_sha256=7), "image_ids"),
+        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "image_ids": ["a", "b", 3]}),
+         "image_ids"),
+        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "layout": "x"}), "layout"),
+        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "layout": [[0, 1]]}),
+         "layout"),
+        # JSON decodes Infinity, which int() cannot convert
+        (read_descriptor_file,
+         descriptor_file(**{**GOOD_DESC, "layout": [[float("inf"), 1]]}), "layout"),
+        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "selection_sha256": 7}),
+         "selection_sha256"),
+        (read_descriptor_file,
+         descriptor_file(**{**GOOD_DESC, "selection_sha256": "A" * 64}), "selection_sha256"),
         (load_bundle,
          container(b"OOMSCENE", {"bundle": {"array": 0},
                                   "arrays": [{"dtype": "<f8", "shape": [1]}]}),
@@ -857,7 +884,10 @@ class TestDeterminismAndPersistence:
     ], ids=["bundle-magic", "bundle-version", "bundle-payload-raises",
             "desc-header-length", "desc-header", "desc-header-json", "desc-header-object",
             "desc-header-deep", "bundle-header-deep", "desc-arrays", "desc-array-dtype",
-            "desc-cols", "desc-payload", "bundle-payload-empty", "bundle-payload-bool",
+            "desc-cols", "desc-payload", "desc-no-metadata", "desc-ids-count",
+            "desc-metadata-types", "desc-id-type", "desc-layout", "desc-layout-level",
+            "desc-layout-infinite", "desc-hash-type", "desc-hash-case",
+            "bundle-payload-empty", "bundle-payload-bool",
             "bundle-payload-type",
             "bundle-array-index", "bundle-node-type", "bundle-tree-deep"])
     def test_bad_magic_rejected(self, tmp_path, read, data, field):

@@ -29,18 +29,28 @@ def test_numpy_is_the_only_runtime_dependency():
     assert added - sys.stdlib_module_names <= {"numpy", "oomscene"}
 
 
-def test_cli_imports_no_private_name():
-    # cli.py parses arguments and writes files; a private name it needs from
-    # the library is library logic that belongs behind a public stage
-    cli = Path(oomscene.__file__).with_name("cli.py")
-    private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+def private_imports(path):
+    """Every private name the module at ``path`` imports from the package."""
+    return [
+        f"{path.name}: {node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").partition(".")[0] == "oomscene")
         for alias in node.names if alias.name.startswith("_")
     ]
-    assert private == []
+
+
+def test_cli_imports_no_private_name():
+    # cli.py parses arguments and writes files; a private name it needs from
+    # the library is library logic that belongs behind a public stage
+    assert private_imports(Path(oomscene.__file__).with_name("cli.py")) == []
+
+
+def test_library_modules_import_no_private_name():
+    # a private name is its module's own detail; a module that needs one
+    # from another needs a public function there instead
+    modules = sorted(Path(oomscene.__file__).parent.glob("*.py"))
+    assert [name for path in modules for name in private_imports(path)] == []
 
 
 def test_library_modules_use_every_name_they_import():

@@ -9,6 +9,7 @@ from oomscene import (
     ClassPrior,
     DatasetManifest,
     FormatError,
+    PcaTransform,
     PipelineConfig,
     ThresholdGrid,
     VariantError,
@@ -20,12 +21,15 @@ from oomscene import (
     fit_codebook,
     fit_pca_cells,
     fit_pipeline,
+    load_bundle,
     patch_cells,
+    save_bundle,
     score_grid_indices,
     select_objects,
     soft_assignments,
     vlad,
 )
+from oomscene import pipeline
 from oomscene.ingest import HardDetection, SoftPatch
 from oomscene.pipeline import STAGES, run_stages
 from helpers import (
@@ -191,12 +195,15 @@ class TestFitPca:
         np.testing.assert_allclose(dense_project(pca, X).mean(axis=0), 0.0, atol=1e-9)
 
     def test_sign_deterministic(self):
+        # each mixing column's largest-magnitude entry, the first on a tie, is
+        # positive; at rank 6 below out_dim 10 four columns are filler 1s
         rng = np.random.default_rng(40)
-        X = rng.standard_normal((20, 5))
-        basis = dense_basis(fit_pca_dense(X, 3))
-        for j in range(3):
-            nz = np.flatnonzero(np.abs(basis[:, j]) > 1e-12)
-            assert basis[nz[0], j] > 0
+        for X, out_dim in [(rng.standard_normal((20, 5)), 3),
+                           (rng.standard_normal((30, 3)) @ rng.standard_normal((3, 100)), 10)]:
+            mixing = fit_pca_dense(X, out_dim).mixing
+            for j in range(out_dim):
+                size = np.abs(mixing[:, j])
+                assert mixing[np.flatnonzero(size == size.max())[0], j] > 0
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -405,6 +412,35 @@ class TestCellCoordinates:
         pred, scores, _ = evaluate_bundle(bundle, test)
         assert pred.tobytes() == want[0].tobytes()
         assert scores.tobytes() == want[1].tobytes()
+
+    def test_negated_pca_columns_predict_bit_identically(self, monkeypatch, tmp_path):
+        # negating a PCA column negates that coordinate exactly, and with it
+        # the codebook's, the descriptors' and the ensemble's matching
+        # columns: the fit's sign rule changes no prediction or score
+        rng = np.random.default_rng(67)
+        train = random_soft_manifest(rng, 4, 9, 40, max_patches=6)
+        test = random_soft_manifest(rng, 4, 9, 12, max_patches=6, split_tag="test")
+        config = PipelineConfig(mode="soft", object_count=6, pca_dim=8, codebook_size=5,
+                                topic_count=2, sgd_lambdas=(1e-3,), sgd_eta0s=(0.5,),
+                                sgd_epochs=3, seed=3)
+        plain = fit_pipeline(train, config)
+        want = evaluate_bundle(plain, test)
+
+        def negated(tables, cells, out_dim):
+            pca = fit_pca_cells(tables, cells, out_dim)
+            mixing = pca.mixing.copy()
+            mixing[:, ::2] *= -1.0
+            return PcaTransform(pca.mean, pca.bases, mixing)
+
+        monkeypatch.setattr(pipeline, "fit_pca_cells", negated)
+        bundle = fit_pipeline(train, config)
+        signs = np.where(np.arange(8) % 2 == 0, -1.0, 1.0)
+        assert bundle.codebook.centers.tobytes() == (plain.codebook.centers * signs).tobytes()
+        save_bundle(bundle, tmp_path / "negated.bundle")
+        for b in (bundle, load_bundle(tmp_path / "negated.bundle")):
+            pred, scores, _ = evaluate_bundle(b, test)
+            assert pred.tobytes() == want[0].tobytes()
+            assert scores.tobytes() == want[1].tobytes()
 
     def test_bad_cells_are_refused(self):
         tables, cells = cell_problem(66)
