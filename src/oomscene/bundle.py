@@ -447,6 +447,9 @@ def read_descriptor_file(path):
     lower-case hex SHA-256 digest."""
     header, arrays = _read_container(path, DESC_MAGIC, DESC_VERSION, "descriptor file")
     shape = (header.get("rows"), header.get("cols"))
+    for name, n in zip(("rows", "cols"), shape):
+        if type(n) is not int:  # bools and floats are JSON non-integers here
+            raise FormatError(f"{path}: {name} field is not an integer")
     if len(arrays) != 1 or arrays[0].dtype.kind != "f" or arrays[0].shape != shape:
         raise FormatError(f"{path}: arrays field does not hold one float64 matrix "
                           f"of rows x cols")
@@ -456,8 +459,12 @@ def read_descriptor_file(path):
         raise FormatError(f"{path}: image_ids field is not a list of {len(arrays[0])} "
                           f"strings, one per row")
     try:
-        PyramidLayout(header.get("layout"))
-    except (TypeError, ValueError, OverflowError) as exc:
+        layout = header.get("layout")
+        # PyramidLayout would convert a bool or a float with int()
+        if not all(type(n) is int for level in layout for n in level):
+            raise TypeError("an entry is not an integer")
+        PyramidLayout(layout)
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: layout field is not a pyramid layout ({exc})") from None
     digest = header.get("selection_sha256")
     if not (isinstance(digest, str) and len(digest) == 64

@@ -183,7 +183,8 @@ def cmd_encode(args) -> int:
     X = encode_with_bundle(bundle, manifest)
     ids = manifest.image_ids
     if args.format == "csv":
-        rows = [[rid] + [repr(float(v)) for v in row] for rid, row in zip(ids, X)]
+        # a row's strings at a time: all of them at once take ten times X
+        rows = ([rid, *map(repr, row.tolist())] for rid, row in zip(ids, X))
         _write_csv(args.out, ["image_id"] + [f"d{i}" for i in range(X.shape[1])], rows)
     else:
         write_descriptor_file(args.out, X, ids, bundle.config.pyramid_layout(),

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FormatError, VariantError
 from .ingest import SOFT, DatasetManifest
 from .occurrence import DiscriminantSelection, PosteriorModel, score_grid_indices
-from .topics import kmeans, squared_distances
+from .topics import kmeans, row_blocks, squared_distances
 
 
 def patch_cells(manifest: DatasetManifest, post: PosteriorModel,
@@ -254,9 +254,12 @@ def fit_codebook(projected, k: int, seed: int) -> VladCodebook:
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"codebook size must be in [1, {X.shape[0]}], got {k}")
     model, labels = kmeans(X, k, seed)
-    # direct-form distances: exactly zero for samples sitting on their center
-    dists = np.sqrt(((X - model.centroids[labels]) ** 2).sum(axis=1))
-    sigma = float(dists.mean())
+    # direct-form distances, a row block at a time: exactly zero for samples
+    # sitting on their center
+    d2 = np.empty(len(X))
+    for rows in row_blocks(*X.shape):
+        d2[rows] = ((X[rows] - model.centroids[labels[rows]]) ** 2).sum(axis=1)
+    sigma = float(np.sqrt(d2).mean())
     if sigma <= 0.0:
         sigma = 1.0
     return VladCodebook(centers=model.centroids, sigma=sigma)

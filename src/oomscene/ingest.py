@@ -26,7 +26,6 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -49,10 +48,10 @@ SOFT = "soft"
 UNLABELED_MARK = "?"
 _HEADERS = ("#vocab", "#classes", "#mode", "#split")
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
-# the parser converts and checks the numbers of its detection lines in chunks
-# of about this many tokens, which bounds the string objects it holds at once:
-# without chunks, peak RSS after parsing the soft-paper benchmark's training
-# text and fitting on it is 470 MB instead of 438 MB
+# the parser converts and checks the numbers of its `det` lines in chunks of
+# about this many tokens, which bounds the string objects it holds at once:
+# on a 17.8 MB hard text of 159,822 `det` lines, the traced parse peak above
+# the text's line list is 23 MB with chunks and 91 MB without
 _CHUNK_TOKENS = 1 << 16
 
 
@@ -429,34 +428,13 @@ def _det_columns(line_nos, tokens, vocab):
     return obj, score, box
 
 
-def _patch_columns(line_nos, patch_ids, widths, tokens, n_obj, ids, img_lines):
-    """[n_patches, n_obj] scores of the collected `patch` lines, line i holding
-    widths[i] consecutive tokens.  Raises the fault of the first faulty line,
-    as a line-by-line check would."""
-    widths = np.array(widths, dtype=np.intp)
-    values = _floats(tokens)
-    finite = np.isfinite(values)
-    if finite.all() and np.all(widths == n_obj):
-        return values.reshape(-1, n_obj)
-    bad = widths != n_obj
-    bad[np.repeat(np.arange(widths.size), widths)[~finite]] = True
-    i = int(np.argmax(bad))
-    line_no, start = line_nos[i], int(widths[:i].sum())
-    scores = [_parse_float(t, "score", line_no) for t in tokens[start:start + widths[i]]]
-    if len(scores) != n_obj:
-        raise DimensionError(
-            f"line {line_no}: record {ids[bisect(img_lines, line_no) - 1]!r}: patch "
-            f"{patch_ids[i]} has {len(scores)} scores, expected {n_obj}"
-        )
-    raise ParseError("patch scores must be finite", line_no)
-
-
 def parse_manifest_text(text: str, mode: Optional[str] = None,
                         split_tag: str = "manifest") -> DatasetManifest:
     """Parse manifest text; `mode`, when given, must match the `#mode` header.
 
-    One pass over the lines checks the structure and collects the `det` or
-    `patch` lines; their numbers are converted one `np.array` call per
+    One pass over the lines checks the structure.  Each `patch` line's
+    scores are converted and checked where the line is read; the `det`
+    lines are collected and their numbers converted one `np.array` call per
     `_CHUNK_TOKENS` tokens and checked as arrays.  Every line-level fault
     names the first faulty line.
     """
@@ -466,25 +444,17 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
     split: Optional[str] = None
     headers_seen = set()
     ids, labels, domains, img_lines = [], [], [], []
-    # the detection lines: line numbers and patch ids (soft); the lines since
-    # the last check, det_lines[first:]: score counts (soft) and tokens, all
-    # seven of each `det` line, the scores of each `patch` line
-    det_lines, patch_ids, widths, tokens = [], [], [], []
-    first = 0
-    checked = []  # per check, the column arrays of its lines
+    # the detection lines: line numbers; patch ids and score rows (soft); the
+    # seven tokens of each `det` line since the last check
+    det_lines, patch_ids, rows, tokens = [], [], [], []
+    checked = []  # per check, the column arrays of its `det` lines
     in_record = False
     fault = None
 
     def check():
-        """Convert and check the lines collected since the last check."""
-        nonlocal first
-        if file_mode == SOFT:
-            checked.append((_patch_columns(det_lines[first:], patch_ids[first:], widths,
-                                           tokens, len(vocab), ids, img_lines),))
-        else:
-            checked.append(_det_columns(det_lines[first:], tokens, vocab))
-        first = len(det_lines)
-        widths.clear()
+        """Convert and check the `det` lines collected since the last check."""
+        checked.append(_det_columns(det_lines[len(det_lines) - len(tokens) // 7:], tokens,
+                                    vocab))
         tokens.clear()
 
     try:
@@ -526,12 +496,20 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
                 if not _INT64_MIN <= patch_id <= _INT64_MAX:
                     raise ParseError(f"patch id {parts[1]!r} is not a 64-bit integer",
                                      line_no)
+                try:
+                    row = np.array(parts[2:], dtype=float)
+                except ValueError:
+                    row = np.array([_parse_float(t, "score", line_no) for t in parts[2:]])
+                if row.size != len(vocab):
+                    raise DimensionError(
+                        f"line {line_no}: record {ids[-1]!r}: patch {patch_id} has "
+                        f"{row.size} scores, expected {len(vocab)}"
+                    )
+                if not np.isfinite(row).all():
+                    raise ParseError("patch scores must be finite", line_no)
                 det_lines.append(line_no)
                 patch_ids.append(patch_id)
-                widths.append(len(parts) - 2)
-                tokens += parts[2:]
-                if len(tokens) >= _CHUNK_TOKENS:
-                    check()
+                rows.append(row)
             elif head == "img":
                 if vocab is None or classes is None or file_mode is None:
                     raise ParseError(
@@ -584,18 +562,18 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
     except PipelineError as exc:
         fault = exc
     if fault is not None:
-        if len(det_lines) > first:
-            check()  # a fault on an earlier detection line comes first
+        if tokens:
+            check()  # a fault on an earlier `det` line comes first
         raise fault
 
     if vocab is None or classes is None or file_mode is None:
         raise FormatError("manifest is missing #vocab, #classes, or #mode header")
-    check()
-    columns = [np.concatenate(arrays) for arrays in zip(*checked)]
     if file_mode == SOFT:
-        dets = dict(patch_id=patch_ids, scores=columns[0])
+        dets = dict(patch_id=patch_ids, scores=rows)  # stacked once, by `_set`
     else:
-        dets = dict(zip(("object_index", "score", "box"), columns))
+        check()
+        dets = dict(zip(("object_index", "score", "box"),
+                        map(np.concatenate, zip(*checked))))
     if mode is not None and mode != file_mode:
         raise FormatError(f"manifest is {file_mode}-mode, expected {mode}")
     if not ids:

@@ -46,7 +46,8 @@ class KMeansModel:
 _BLOCK = 1 << 17
 
 
-def _row_blocks(n: int, dim: int):
+def row_blocks(n: int, dim: int):
+    """Slices of at most `_BLOCK` elements' worth of rows of an [n, dim] array."""
     step = max(1, _BLOCK // max(dim, 1))
     return (slice(s, s + step) for s in range(0, n, step))
 
@@ -55,7 +56,7 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     """Squared row norms, a row block at a time: each row's value is the same
     sum as ``(X * X).sum(axis=1)`` gives, without its n x d temporary."""
     xx = np.empty(len(X))
-    for rows in _row_blocks(*X.shape):
+    for rows in row_blocks(*X.shape):
         blk = X[rows]
         xx[rows] = (blk * blk).sum(axis=1)
     return xx
@@ -80,7 +81,7 @@ def squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _direct_distances(X: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``((X[rows] - c) ** 2).sum(axis=1)``, a block of rows at a time."""
     out = np.empty(len(rows))
-    for blk in _row_blocks(len(rows), X.shape[1]):
+    for blk in row_blocks(len(rows), X.shape[1]):
         out[blk] = ((X[rows[blk]] - c) ** 2).sum(axis=1)
     return out
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,6 +508,24 @@ class TestStagedCommands:
         assert rows[0] == ["image_id", "topic", "distance"]
         assert {r[1] for r in rows[1:]} <= {"0", "1"}
 
+    def test_csv_encode_holds_one_row_of_strings(self, trained_bundle, synth_files,
+                                                 tmp_path):
+        # every value's repr string at once would take several times the matrix
+        peaks = {}
+        for fmt in ("bin", "csv"):
+            tracemalloc.start()
+            try:
+                assert main(["encode", "--bundle", str(trained_bundle),
+                             "--manifest", str(synth_files / "target.txt"),
+                             "--out", str(tmp_path / f"d.{fmt}"), "--format", fmt]) == 0
+                _, peaks[fmt] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        matrix, _ = read_descriptor_file(tmp_path / "d.bin")
+        assert peaks["csv"] <= peaks["bin"] + matrix.nbytes, (peaks, matrix.nbytes)
+        rows = read_csv(tmp_path / "d.csv")
+        assert [list(map(float, row[1:])) for row in rows[1:]] == matrix.tolist()
+
     def test_staged_counts_recorded_in_config(self, synth_files, tmp_path):
         source = str(synth_files / "source.txt")
         oom, sel, clustered = (tmp_path / name for name in ("oom.bin", "sel.bin", "cl.bin"))
@@ -856,6 +875,15 @@ class TestDeterminismAndPersistence:
         # JSON decodes Infinity, which int() cannot convert
         (read_descriptor_file,
          descriptor_file(**{**GOOD_DESC, "layout": [[float("inf"), 1]]}), "layout"),
+        # numbers that equal integers are not JSON integers
+        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "rows": 3.0}),
+         "rows field is not an integer"),
+        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "cols": 2.0}),
+         "cols field is not an integer"),
+        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "layout": [[True, 1]]}),
+         "layout field is not a pyramid layout"),
+        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "layout": [[1.5, 2]]}),
+         "layout field is not a pyramid layout"),
         (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "selection_sha256": 7}),
          "selection_sha256"),
         (read_descriptor_file,
@@ -886,7 +914,8 @@ class TestDeterminismAndPersistence:
             "desc-header-deep", "bundle-header-deep", "desc-arrays", "desc-array-dtype",
             "desc-cols", "desc-payload", "desc-no-metadata", "desc-ids-count",
             "desc-metadata-types", "desc-id-type", "desc-layout", "desc-layout-level",
-            "desc-layout-infinite", "desc-hash-type", "desc-hash-case",
+            "desc-layout-infinite", "desc-rows-float", "desc-cols-float",
+            "desc-layout-bool", "desc-layout-float", "desc-hash-type", "desc-hash-case",
             "bundle-payload-empty", "bundle-payload-bool",
             "bundle-payload-type",
             "bundle-array-index", "bundle-node-type", "bundle-tree-deep"])

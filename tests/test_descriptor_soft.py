@@ -21,6 +21,7 @@ from oomscene import (
     fit_codebook,
     fit_pca_cells,
     fit_pipeline,
+    kmeans,
     load_bundle,
     patch_cells,
     save_bundle,
@@ -29,7 +30,7 @@ from oomscene import (
     soft_assignments,
     vlad,
 )
-from oomscene import pipeline
+from oomscene import pipeline, topics
 from oomscene.ingest import HardDetection, SoftPatch
 from oomscene.pipeline import STAGES, run_stages
 from helpers import (
@@ -475,6 +476,17 @@ class TestFitCodebook:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             fit_codebook(np.zeros((4, 2)), 5, seed=0)
+
+    def test_sigma_is_the_mean_distance_to_the_assigned_center(self, monkeypatch):
+        # blocks of 10 rows; the three far samples each get a center of their own
+        monkeypatch.setattr(topics, "_BLOCK", 50)
+        X = np.vstack([np.random.default_rng(44).random((57, 5)), 1e3 * np.eye(5)[:3]])
+        model, labels = kmeans(X, 6, seed=0)
+        dists = np.sqrt(((X - model.centroids[labels]) ** 2).sum(axis=1))
+        assert np.count_nonzero(dists == 0.0) >= 3
+        cb = fit_codebook(X, 6, seed=0)
+        assert cb.sigma == float(dists.mean())
+        np.testing.assert_array_equal(cb.centers, model.centroids)
 
 
 class TestEncodeSoft:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,12 +321,32 @@ class TestColumns:
         path.write_text(HARD_TEXT.replace("#split train\n", ""), encoding="utf-8")
         assert parse_manifest(path).split_tag == "train_set"
 
+    # only `det` lines are converted in chunks; a `patch` line where it is read
     @pytest.mark.parametrize("chunk", [1, 5, 7])
-    @pytest.mark.parametrize("text", [HARD_TEXT, SOFT_TEXT], ids=["hard", "soft"])
+    @pytest.mark.parametrize("text", [HARD_TEXT], ids=["hard"])
     def test_chunked_conversion_parses_the_same(self, text, chunk, monkeypatch):
         whole = parse_manifest_text(text)
         monkeypatch.setattr(oomscene.ingest, "_CHUNK_TOKENS", chunk)
         assert_same_columns(parse_manifest_text(text), whole)
+
+    def test_soft_parse_holds_no_copy_of_the_scores_as_strings(self):
+        # about 400 patches of 200 scores: a float token as a string object takes
+        # several times the 8 bytes of its value
+        rng = np.random.default_rng(31)
+        text = to_text(random_soft_manifest(rng, 2, 200, 100, max_patches=7))
+        tracemalloc.start()
+        try:
+            lines = text.splitlines()
+            lines_bytes, _ = tracemalloc.get_traced_memory()
+            del lines
+            tracemalloc.reset_peak()
+            m = parse_manifest_text(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.scores.size >= 65536
+        assert peak - lines_bytes <= 3 * m.scores.nbytes, (peak, lines_bytes,
+                                                           m.scores.nbytes)
 
     @settings(max_examples=200, deadline=None)
     @given(record_manifests())
@@ -550,14 +571,17 @@ class TestFuzzedManifests:
         except PipelineError as earlier:
             assert _WHOLE_FILE.search(str(earlier)), str(earlier)
 
-    @pytest.mark.parametrize("text, old, new, match", [
-        (HARD_TEXT, "det lamp 0.1", "det lamp nan", "line 14: detection score"),
-        (SOFT_TEXT, "patch 1 0.3 0.2 0.4", "patch 1 0.3 x 0.4", "line 8: score 'x'"),
-        (SOFT_TEXT, "patch 0 0.6 0.6 0.6", "patch 0 0.6 0.6 inf", "line 11: patch scores"),
-    ], ids=["hard", "soft-number", "soft-finite"])
-    @pytest.mark.parametrize("chunk", [1, None], ids=["chunk-1", "chunk-default"])
-    def test_detection_fault_precedes_a_later_structural_one(self, text, old, new, match,
-                                                             chunk, monkeypatch):
+    # the chunk size bounds only the `det` lines' conversion
+    @pytest.mark.parametrize("chunk, text, old, new, match", [
+        (1, HARD_TEXT, "det lamp 0.1", "det lamp nan", "line 14: detection score"),
+        (None, HARD_TEXT, "det lamp 0.1", "det lamp nan", "line 14: detection score"),
+        (None, SOFT_TEXT, "patch 1 0.3 0.2 0.4", "patch 1 0.3 x 0.4", "line 8: score 'x'"),
+        (None, SOFT_TEXT, "patch 0 0.6 0.6 0.6", "patch 0 0.6 0.6 inf",
+         "line 11: patch scores"),
+    ], ids=["chunk-1-hard", "chunk-default-hard", "chunk-default-soft-number",
+            "chunk-default-soft-finite"])
+    def test_detection_fault_precedes_a_later_structural_one(self, chunk, text, old, new,
+                                                             match, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(oomscene.ingest, "_CHUNK_TOKENS", chunk)
         with pytest.raises(ParseError, match=f"^{match}"):
