@@ -34,7 +34,7 @@ from .occurrence import (
 from .topics import KMeansModel
 
 BUNDLE_MAGIC = b"OOMSCENE"
-BUNDLE_VERSION = 4
+BUNDLE_VERSION = 5
 DESC_MAGIC = b"OOMSDESC"
 DESC_VERSION = 2
 # the array dtypes a container holds, as numpy spells them
@@ -82,7 +82,8 @@ class PipelineConfig:
                             ("phi_aggregation", ("max", "mean"))):
             if getattr(self, name) not in known:
                 raise ValueError(f"{name} must be one of {known}, got {getattr(self, name)!r}")
-        for name in ("object_count", "pca_dim", "codebook_size", "topic_count"):
+        for name in ("object_count", "pca_dim", "codebook_size", "topic_count",
+                     "sgd_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -102,11 +103,7 @@ class PipelineConfig:
         return PyramidLayout(self.pyramid)
 
     def sgd_grid(self) -> list[SgdConfig]:
-        return [
-            SgdConfig(lam=lam, eta0=eta0, epochs=self.sgd_epochs, seed=self.seed)
-            for lam in self.sgd_lambdas
-            for eta0 in self.sgd_eta0s
-        ]
+        return [SgdConfig(lam, eta0) for lam in self.sgd_lambdas for eta0 in self.sgd_eta0s]
 
     def with_profile(self, profile: str) -> "PipelineConfig":
         try:
@@ -259,7 +256,8 @@ def _write_container(path, magic: bytes, version: int, header: dict, arrays) -> 
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack(">HI", version, len(text)) + text)
         for a in arrays:
-            fh.write(a.tobytes())
+            # from the array's own buffer: tobytes() would copy it whole
+            fh.write(memoryview(np.ascontiguousarray(a).reshape(-1)).cast("B"))
             fh.write(bytes(-a.nbytes % 8))
 
 

@@ -32,18 +32,12 @@ from .topics import KMeansModel, assign_topics_batch
 class SgdConfig:
     lam: float
     eta0: float
-    epochs: int
-    seed: int
 
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if not 0 < self.eta0 < np.inf:
             raise ValueError(f"eta0 must be finite and positive, got {self.eta0}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # A scale below this is folded into its coefficient row before the next update.
@@ -151,22 +145,21 @@ def _validation_masks(labels: np.ndarray, folds: int) -> list[np.ndarray]:
     return [v for v in masks if v.any() and not v.all()]
 
 
-def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
-                      salt: int = 0):
+def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int, *,
+                      epochs: int, seed: int, salt: int = 0):
     """Pick a grid entry by cross-validation and train its one-vs-rest classifiers.
 
-    Every grid entry must share one seed and epoch count.  K = X X^T is built
-    once.  One lockstep pass, seeded with ``_derive_seed(seed, salt)``,
-    trains the G·(F+1)·C problems of every (grid entry, training set, class),
-    the training sets being the F folds' complements and all samples.  A
-    fold's validation samples are scored from the coefficients and the Gram
-    columns ``K[:, val]``; the entry with the best mean validation accuracy
-    wins, ties to the earlier entry, and its all-sample problems are
-    returned.  Problems in a pass are independent: each trains as it would
-    alone.  A single-entry grid, or samples too few to hold out a fold, train
-    only ``grid[0]``'s C problems on all samples and take it.  Within a
-    training set, a class with no positives decides -1 everywhere and one
-    with no negatives +1, with zero weights.
+    K = X X^T is built once.  One lockstep pass of ``epochs`` epochs, seeded
+    with ``_derive_seed(seed, salt)``, trains the G·(F+1)·C problems of every
+    (grid entry, training set, class), the training sets being the F folds'
+    complements and all samples.  A fold's validation samples are scored from
+    the coefficients and the Gram columns ``K[:, val]``; the entry with the
+    best mean validation accuracy wins, ties to the earlier entry, and its
+    all-sample problems are returned.  Problems in a pass are independent:
+    each trains as it would alone.  A single-entry grid, or samples too few
+    to hold out a fold, train only ``grid[0]``'s C problems on all samples
+    and take it.  Within a training set, a class with no positives decides
+    -1 everywhere and one with no negatives +1, with zero weights.
     A binary SVM is a two-class call: label the positives 1, the negatives 0,
     and read row 1 (row 0 is its negation).
 
@@ -175,8 +168,10 @@ def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    if len({(cfg.seed, cfg.epochs) for cfg in grid}) > 1:
-        raise ValueError("grid entries must share one seed and one epoch count")
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     X = np.asarray(descriptors, dtype=float)
     n = len(X)
     y = _checked_labels(labels, n, n_classes)
@@ -202,8 +197,8 @@ def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
             np.broadcast_to(masks & trained[:, :, None], shape).reshape(P, n),
             np.repeat([cfg.lam for cfg in entries], trained.size),
             np.repeat([cfg.eta0 for cfg in entries], trained.size),
-            grid[0].epochs,
-            np.random.default_rng(_derive_seed(grid[0].seed, salt)),
+            epochs,
+            np.random.default_rng(_derive_seed(seed, salt)),
         )
         b = np.where(trained, b.reshape(shape[:-1]), np.where(has_pos, 1.0, -1.0))
         return A.reshape(shape), b
@@ -223,7 +218,7 @@ def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int,
 @dataclass(frozen=True, eq=False)
 class TopicEnsemble:
     """weights[c, d] and biases[c, d] score class c from topic d's training
-    samples; topic d had topic_sizes[d] of them and trained with configs[d]."""
+    samples; topic d had topic_sizes[d] of them and chose grid entry configs[d]."""
 
     weights: np.ndarray  # [C, D, dim]
     biases: np.ndarray   # [C, D]
@@ -253,11 +248,11 @@ class TopicEnsemble:
 
 
 def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
-                   grid, folds: int) -> TopicEnsemble:
+                   grid, folds: int, *, epochs: int, seed: int) -> TopicEnsemble:
     """Partition training samples by topic and train one-vs-rest per topic.
 
-    Each topic trains in one ``train_one_vs_rest`` call, which picks its
-    hyperparameters by cross-validation on the topic's samples; topics too
+    Topic d trains in one ``train_one_vs_rest`` call with ``salt=d``, which
+    picks its (lam, eta0) by cross-validation on the topic's samples; topics too
     small to validate take the first grid entry.  A class
     with no positives in a topic decides -1 everywhere there, one with no
     negatives +1, which keeps pooled sums well-defined on any partition.
@@ -283,8 +278,8 @@ def train_ensemble(descriptors, labels, n_classes: int, topics: KMeansModel,
     for d in range(topics.n_topics):
         mask = topic_of == d
         Xd = X if topic_sizes[d] == len(X) else X[mask]  # no copy for a topic of every sample
-        cfg, weights[:, d], biases[:, d] = train_one_vs_rest(Xd, y[mask], n_classes,
-                                                             grid, folds, salt=d)
+        cfg, weights[:, d], biases[:, d] = train_one_vs_rest(
+            Xd, y[mask], n_classes, grid, folds, epochs=epochs, seed=seed, salt=d)
         chosen.append(cfg)
     return TopicEnsemble(weights=weights, biases=biases,
                          topic_sizes=tuple(int(v) for v in topic_sizes),

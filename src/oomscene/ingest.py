@@ -26,6 +26,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -444,9 +445,10 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
     split: Optional[str] = None
     headers_seen = set()
     ids, labels, domains, img_lines = [], [], [], []
-    # the detection lines: line numbers; patch ids and score rows (soft); the
-    # seven tokens of each `det` line since the last check
-    det_lines, patch_ids, rows, tokens = [], [], [], []
+    # the detection lines: line numbers, as machine ints (a Python int per
+    # line would outweigh its parsed columns); patch ids and score rows
+    # (soft); the seven tokens of each `det` line since the last check
+    det_lines, patch_ids, rows, tokens = array("q"), [], [], []
     checked = []  # per check, the column arrays of its `det` lines
     in_record = False
     fault = None

@@ -163,7 +163,8 @@ def _topics(config, train, bundle, X):
 
 def _ensemble(config, train, bundle, X):
     ensemble = train_ensemble(X, train.labels, len(bundle.classes), bundle.topics,
-                              config.sgd_grid(), config.folds)
+                              config.sgd_grid(), config.folds,
+                              epochs=config.sgd_epochs, seed=config.seed)
     return (replace(bundle, ensemble=ensemble), X,
             {"classes": ensemble.n_classes, "topics": ensemble.n_topics})
 

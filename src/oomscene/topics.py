@@ -16,6 +16,11 @@ import numpy as np
 
 from .errors import DimensionError
 
+# Lloyd's loop stops after _MAX_ITER passes, or once a pass improves the
+# inertia by at most _TOL of the previous pass's
+_MAX_ITER = 300
+_TOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class KMeansModel:
@@ -117,27 +122,26 @@ def _plus_plus_init(X, xx, k, rng):
     return centers
 
 
-def fit_topics(descriptors, d: int, seed: int, max_iter: int = 300,
-               tol: float = 1e-6) -> KMeansModel:
+def fit_topics(descriptors, d: int, seed: int) -> KMeansModel:
     """Lloyd's k-means with distance-weighted seeding.
 
-    Stops at `max_iter` or once the relative inertia improvement drops below
-    `tol`.  Empty clusters are re-seeded from the point farthest from its
-    centroid.  The reported inertia is recomputed against the final centroids.
-    Descriptors that are not finite, or whose squared norms overflow, raise
-    a ValueError.
+    Stops at `_MAX_ITER` passes or once the relative inertia improvement
+    drops below `_TOL`.  Empty clusters are re-seeded from the point farthest
+    from its centroid.  The reported inertia is recomputed against the final
+    centroids.  Descriptors that are not finite, or whose squared norms
+    overflow, raise a ValueError.
     """
-    return kmeans(descriptors, d, seed, max_iter, tol)[0]
+    return kmeans(descriptors, d, seed)[0]
 
 
-def kmeans(descriptors, d: int, seed: int, max_iter: int = 300, tol: float = 1e-6):
+def kmeans(descriptors, d: int, seed: int):
     """``fit_topics``'s model and each descriptor's nearest final centroid
     (lowest index on ties), as ``assign_topics_batch`` gives it.
 
     A pass whose assignment repeats the previous pass's without an
     empty-cluster repair ends the loop: its update would recompute the
     current centroids, so the next pass would repeat it and stop on the
-    tolerance.  That pass is counted, up to `max_iter`, and this pass's
+    tolerance.  That pass is counted, up to `_MAX_ITER`, and this pass's
     distances are the final ones.
     """
     try:
@@ -151,8 +155,6 @@ def kmeans(descriptors, d: int, seed: int, max_iter: int = 300, tol: float = 1e-
         raise ValueError("need at least one topic")
     if d > n:
         raise ValueError(f"cannot fit {d} topics from {n} descriptors")
-    if not tol >= 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
     with np.errstate(over="ignore"):
         xx = _row_norms(X)
     if not np.all(np.isfinite(xx)):
@@ -163,7 +165,7 @@ def kmeans(descriptors, d: int, seed: int, max_iter: int = 300, tol: float = 1e-
 
     prev = prev_labels = d2 = None  # d2: distances to the current centers
     iterations = 0
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         d2 = _squared_distances(X, centers, xx)
         labels = d2.argmin(axis=1)
         mind2 = d2[np.arange(n), labels]
@@ -177,10 +179,10 @@ def kmeans(descriptors, d: int, seed: int, max_iter: int = 300, tol: float = 1e-
             d2 = None
         inertia = float(mind2.sum())
         iterations = it + 1
-        if prev is not None and prev - inertia <= tol * prev:
+        if prev is not None and prev - inertia <= _TOL * prev:
             break
         if not empty.size and np.array_equal(labels, prev_labels):
-            iterations = min(it + 2, max_iter)
+            iterations = min(it + 2, _MAX_ITER)
             break
         prev, prev_labels = inertia, labels
         for j in range(d):

@@ -99,13 +99,13 @@ def single_class_manifest(records, n_objects, n_classes=1, split_tag="train"):
                            tuple(records), split_tag, "hard")
 
 
-def binary_svm(positives, negatives, cfg):
+def binary_svm(positives, negatives, cfg, *, epochs, seed):
     """The binary SVM of positives against negatives, as the library trains it:
     class 1's row of a two-class ``train_one_vs_rest`` call with the
     positives labeled 1, the negatives 0 and the one-entry grid ``[cfg]``."""
     X = np.vstack([positives, negatives])
     y = np.repeat([1, 0], [len(positives), len(negatives)])
-    _, W, b = train_one_vs_rest(X, y, 2, [cfg], folds=2)
+    _, W, b = train_one_vs_rest(X, y, 2, [cfg], folds=2, epochs=epochs, seed=seed)
     return SimpleNamespace(weights=W[1], bias=b[1])
 
 
@@ -407,7 +407,7 @@ def oracle_sgd(X, y, lam, eta0, order):
     return w, b
 
 
-def oracle_two_pass_one_vs_rest(X, y, n_classes, grid, folds, salt=0):
+def oracle_two_pass_one_vs_rest(X, y, n_classes, grid, folds, epochs, seed, salt=0):
     """One-vs-rest training in two lockstep passes over the same permutations:
     the first trains every (grid entry, fold complement, class) problem and
     picks the entry with the best mean validation accuracy (ties to the
@@ -431,8 +431,8 @@ def oracle_two_pass_one_vs_rest(X, y, n_classes, grid, folds, salt=0):
             [m & p & q for (_, m, _), p, q in zip(problems, pos, neg)],
             [cfg.lam for cfg, _, _ in problems],
             [cfg.eta0 for cfg, _, _ in problems],
-            grid[0].epochs,
-            np.random.default_rng(_derive_seed(grid[0].seed, salt)),
+            epochs,
+            np.random.default_rng(_derive_seed(seed, salt)),
         )
         b = [bp if p and q else (1.0 if p else -1.0) for bp, p, q in zip(b, pos, neg)]
         shape = (len(entries), len(masks), n_classes)

@@ -95,14 +95,16 @@ def _run_harness_seed(seed):
     R_target = encode_rawscore_manifest(target, N_OBJECTS)
     y_train, y_target = source.labels, target_clean.labels
 
-    cfg = SgdConfig(lam=1e-5, eta0=0.5, epochs=20, seed=seed)
+    cfg = SgdConfig(lam=1e-5, eta0=0.5)
     ens_oom = train_ensemble(X_train, y_train, N_CLASSES,
-                             fit_topics(X_train, 1, seed), [cfg], folds=5)
+                             fit_topics(X_train, 1, seed), [cfg], folds=5,
+                             epochs=20, seed=seed)
     ens_raw = train_ensemble(R_train, y_train, N_CLASSES,
-                             fit_topics(R_train, 1, seed), [cfg], folds=5)
+                             fit_topics(R_train, 1, seed), [cfg], folds=5,
+                             epochs=20, seed=seed)
     topics = fit_topics(X_train, N_TOPICS, seed)
     ens_topics = train_ensemble(X_train, y_train, N_CLASSES, topics, [cfg],
-                                folds=5)
+                                folds=5, epochs=20, seed=seed)
     cluster_labels, _ = assign_topics_batch(topics, X_train)
 
     return {
@@ -279,8 +281,8 @@ def test_criterion_8_svm_optimizer_check():
     for trial in range(5):
         pos = rng.standard_normal((25, 2)) * 0.5 + 2.5
         neg = rng.standard_normal((25, 2)) * 0.5 - 2.5
-        cfg = SgdConfig(lam=1e-5, eta0=0.5, epochs=60, seed=trial)
-        clf = binary_svm(pos, neg, cfg)
+        cfg = SgdConfig(lam=1e-5, eta0=0.5)
+        clf = binary_svm(pos, neg, cfg, epochs=60, seed=trial)
         X = np.vstack([pos, neg])
         y = np.concatenate([np.ones(25), -np.ones(25)])
         assert np.all(y * (X @ clf.weights + clf.bias) >= 1.0)
@@ -289,8 +291,8 @@ def test_criterion_8_svm_optimizer_check():
     for trial in range(3):
         pos = rng.standard_normal((30, 2)) + 0.6
         neg = rng.standard_normal((30, 2)) - 0.6
-        cfg = SgdConfig(lam=0.01, eta0=0.5, epochs=120, seed=trial)
-        clf = binary_svm(pos, neg, cfg)
+        cfg = SgdConfig(lam=0.01, eta0=0.5)
+        clf = binary_svm(pos, neg, cfg, epochs=120, seed=trial)
         X = np.vstack([pos, neg])
         y = np.concatenate([np.ones(30), -np.ones(30)])
         obj = hinge_objective(clf.weights, clf.bias, X, y, cfg.lam)

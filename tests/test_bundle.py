@@ -7,6 +7,7 @@ bytes, or edits of its JSON header.
 
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from oomscene import (
     PcaTransform,
     PipelineConfig,
     PipelineError,
+    PyramidLayout,
     ThresholdGrid,
     TopicEnsemble,
     VladCodebook,
@@ -34,6 +36,7 @@ from oomscene.bundle import (
     BUNDLE_VERSION,
     _to_tree,
     _write_container,
+    write_descriptor_file,
 )
 
 from helpers import container, dense_basis, dense_patch_rows, fit_pca_dense, random_soft_manifest
@@ -362,14 +365,14 @@ def test_forged_pyramid_is_refused_before_encoding(workdir, trained):
         load_bundle(path)
 
 
-def test_version_3_bundle_is_refused_naming_both_versions(workdir, valid):
-    # version 3 stored the pyramid layout beside config.pyramid and an
-    # untyped dict of training records; version 4 keeps each fact once
-    assert BUNDLE_VERSION == 4
-    path = workdir / "v3.bundle"
-    path.write_bytes(valid[:8] + struct.pack(">H", 3) + valid[10:])
+def test_version_4_bundle_is_refused_naming_both_versions(workdir, valid):
+    # version 4 stored the SGD epochs and seed in every grid entry, beside
+    # config.sgd_epochs and config.seed; version 5 keeps each fact once
+    assert BUNDLE_VERSION == 5
+    path = workdir / "v4.bundle"
+    path.write_bytes(valid[:8] + struct.pack(">H", 4) + valid[10:])
     with pytest.raises(FormatError,
-                       match="version field holds 3, this reader reads model bundle version 4"):
+                       match="version field holds 4, this reader reads model bundle version 5"):
         load_bundle(path)
 
 
@@ -382,6 +385,8 @@ def test_each_fact_is_stored_once(valid):
     ensemble = tagged(header, {"TopicEnsemble"})[0]["TopicEnsemble"]
     assert ensemble["topic_sizes"] == [6, 6]
     assert [next(iter(c)) for c in ensemble["configs"]] == ["SgdConfig"] * 2
+    assert all(set(node["SgdConfig"]) == {"lam", "eta0"}
+               for node in tagged(header, {"SgdConfig"}))
 
 
 def test_pca_is_stored_as_its_factors(workdir, trained, valid):
@@ -393,3 +398,18 @@ def test_pca_is_stored_as_its_factors(workdir, trained, valid):
     assert not any(a.shape == dense_basis(pca).shape for a in arrays)
     loaded = load_bundle(workdir / "valid.bundle")
     assert dense_basis(loaded.pca).tobytes() == dense_basis(pca).tobytes()
+
+
+def test_container_writes_each_array_from_its_own_buffer(tmp_path):
+    # a copy made to write the matrix would hold it twice while encode writes
+    matrix = np.random.default_rng(8).random((160, 8192))
+    ids = [f"img{i}" for i in range(len(matrix))]
+    path = tmp_path / "d.bin"
+    tracemalloc.start()
+    try:
+        write_descriptor_file(path, matrix, ids, PyramidLayout(((1, 1),)), "0" * 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * matrix.nbytes, (peak, matrix.nbytes)
+    assert path.read_bytes()[-matrix.nbytes:] == matrix.tobytes()

@@ -46,12 +46,13 @@ def separable_2d(rng, n=30, margin=2.0):
     return pos, neg
 
 
-CFG = SgdConfig(lam=1e-4, eta0=0.5, epochs=40, seed=0)
+CFG = SgdConfig(lam=1e-4, eta0=0.5)
+SCHEDULE = dict(epochs=40, seed=0)  # the epochs and seed CFG trains with
 
 
 class TestTrainBinary:
     def test_two_point_problem(self):
-        clf = binary_svm([[1.0]], [[-1.0]], CFG)
+        clf = binary_svm([[1.0]], [[-1.0]], CFG, **SCHEDULE)
         assert clf.weights @ [1.0] + clf.bias > 0
         assert clf.weights @ [-1.0] + clf.bias < 0
 
@@ -59,8 +60,8 @@ class TestTrainBinary:
         X = np.ones((1, 3))
         pos = np.repeat(X, 3, axis=0)
         neg = np.repeat(X, 2, axis=0)
-        cfg = SgdConfig(lam=0.05, eta0=0.2, epochs=60, seed=0)
-        clf = binary_svm(pos, neg, cfg)
+        cfg = SgdConfig(lam=0.05, eta0=0.2)
+        clf = binary_svm(pos, neg, cfg, epochs=60, seed=0)
         data = np.vstack([pos, neg])
         y = np.array([1, 1, 1, -1, -1])
         # objective at w=0, b=0 is exactly 1; training must not do worse
@@ -69,8 +70,8 @@ class TestTrainBinary:
     def test_separable_reaches_zero_hinge_loss(self):
         rng = np.random.default_rng(60)
         pos, neg = separable_2d(rng)
-        cfg = SgdConfig(lam=1e-5, eta0=0.5, epochs=60, seed=1)
-        clf = binary_svm(pos, neg, cfg)
+        cfg = SgdConfig(lam=1e-5, eta0=0.5)
+        clf = binary_svm(pos, neg, cfg, epochs=60, seed=1)
         X = np.vstack([pos, neg])
         y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
         margins = y * (X @ clf.weights + clf.bias)
@@ -80,8 +81,8 @@ class TestTrainBinary:
         rng = np.random.default_rng(60)
         pos = rng.standard_normal((30, 2)) + np.array([0.7, 0.7])
         neg = rng.standard_normal((30, 2)) - np.array([0.7, 0.7])
-        cfg = SgdConfig(lam=0.01, eta0=0.5, epochs=100, seed=1)
-        clf = binary_svm(pos, neg, cfg)
+        cfg = SgdConfig(lam=0.01, eta0=0.5)
+        clf = binary_svm(pos, neg, cfg, epochs=100, seed=1)
         X = np.vstack([pos, neg])
         y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
         obj = hinge_objective(clf.weights, clf.bias, X, y, cfg.lam)
@@ -91,8 +92,8 @@ class TestTrainBinary:
     def test_deterministic(self):
         rng = np.random.default_rng(61)
         pos, neg = separable_2d(rng, n=10)
-        a = binary_svm(pos, neg, CFG)
-        b = binary_svm(pos, neg, CFG)
+        a = binary_svm(pos, neg, CFG, **SCHEDULE)
+        b = binary_svm(pos, neg, CFG, **SCHEDULE)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
@@ -100,7 +101,7 @@ class TestTrainBinary:
         # the two one-vs-rest problems see the same samples with swapped labels
         pos, neg = separable_2d(np.random.default_rng(63), n=10)
         _, W, b = train_one_vs_rest(np.vstack([pos, neg]), [1] * 10 + [0] * 10, 2,
-                                    [CFG], folds=2)
+                                    [CFG], folds=2, **SCHEDULE)
         assert np.array_equal(W[1], -W[0]) and b[1] == -b[0]
 
     def test_best_epoch_objective_not_above_initial(self):
@@ -111,32 +112,32 @@ class TestTrainBinary:
         y = np.concatenate([np.ones(20), -np.ones(20)])
         objs = []
         for epochs in range(1, 12):
-            cfg = SgdConfig(lam=1e-3, eta0=0.5, epochs=epochs, seed=4)
-            clf = binary_svm(pos, neg, cfg)
+            cfg = SgdConfig(lam=1e-3, eta0=0.5)
+            clf = binary_svm(pos, neg, cfg, epochs=epochs, seed=4)
             objs.append(hinge_objective(clf.weights, clf.bias, X, y, cfg.lam))
         assert all(np.isfinite(objs))
         assert min(objs) <= 1.0  # objective at the zero classifier
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SgdConfig(lam=0.0, eta0=1.0, epochs=1, seed=0)
+            SgdConfig(lam=0.0, eta0=1.0)
         with pytest.raises(ValueError):
-            SgdConfig(lam=1.0, eta0=-1.0, epochs=1, seed=0)
-        with pytest.raises(ValueError):
-            SgdConfig(lam=1.0, eta0=1.0, epochs=0, seed=0)
+            SgdConfig(lam=1.0, eta0=-1.0)
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            train_one_vs_rest(np.zeros((2, 1)), [0, 1], 2, [CFG], 2, epochs=0, seed=0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_config_rejects_non_finite(self, bad):
         # an infinite lambda or step size trains NaN weights
         with pytest.raises(ValueError, match="lam"):
-            SgdConfig(lam=bad, eta0=1.0, epochs=1, seed=0)
+            SgdConfig(lam=bad, eta0=1.0)
         with pytest.raises(ValueError, match="eta0"):
-            SgdConfig(lam=1.0, eta0=bad, epochs=1, seed=0)
+            SgdConfig(lam=1.0, eta0=bad)
 
     def test_config_rejects_negative_seed(self):
         # _derive_seed's abs would train seed 1's classifiers
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-            SgdConfig(lam=1.0, eta0=1.0, epochs=1, seed=-1)
+            train_one_vs_rest(np.zeros((2, 1)), [0, 1], 2, [CFG], 2, epochs=1, seed=-1)
 
 
 # (lam, eta0) per problem; eta0 * lam >= 1 makes the first decay factor <= 0
@@ -220,8 +221,9 @@ class TestSgdLockstep:
         assert peak < 1 << 20  # the Gram matrix alone would take 8 * n^2 bytes
 
 
-def chosen_entry(X, y, n_classes, grid, folds, salt=0):
-    return train_one_vs_rest(X, y, n_classes, grid, folds, salt=salt)[0]
+def chosen_entry(X, y, n_classes, grid, folds, *, epochs, seed, salt=0):
+    return train_one_vs_rest(X, y, n_classes, grid, folds, epochs=epochs, seed=seed,
+                             salt=salt)[0]
 
 
 class TestCrossValidate:
@@ -235,48 +237,36 @@ class TestCrossValidate:
 
     def test_single_entry_short_circuit(self):
         cfg = CFG
-        assert chosen_entry(np.zeros((2, 1)), [0, 1], 2, [cfg], 5) is cfg
+        assert chosen_entry(np.zeros((2, 1)), [0, 1], 2, [cfg], 5, **SCHEDULE) is cfg
         # nothing to choose: the fold count is not checked
-        assert chosen_entry(np.zeros((2, 1)), [0, 1], 2, [cfg], 1) is cfg
+        assert chosen_entry(np.zeros((2, 1)), [0, 1], 2, [cfg], 1, **SCHEDULE) is cfg
         with pytest.raises(ValueError, match="2 folds"):
-            chosen_entry(np.zeros((2, 1)), [0, 1], 2, [cfg, cfg], 1)
+            chosen_entry(np.zeros((2, 1)), [0, 1], 2, [cfg, cfg], 1, **SCHEDULE)
 
     def test_dominant_config_wins(self):
         rng = np.random.default_rng(63)
         X, y = self._labeled_blobs(rng)
-        good = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
-        bad = SgdConfig(lam=1e6, eta0=0.5, epochs=20, seed=0)  # crushes weights
-        assert chosen_entry(X, y, 2, [bad, good], 5) is good
+        good = SgdConfig(lam=1e-4, eta0=0.5)
+        bad = SgdConfig(lam=1e6, eta0=0.5)  # crushes weights
+        assert chosen_entry(X, y, 2, [bad, good], 5, epochs=20, seed=0) is good
 
     def test_tie_keeps_first(self):
         rng = np.random.default_rng(64)
         X, y = self._labeled_blobs(rng)
-        a = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
-        b = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
-        assert chosen_entry(X, y, 2, [a, b], 5) is a
+        a = SgdConfig(lam=1e-4, eta0=0.5)
+        b = SgdConfig(lam=1e-4, eta0=0.5)
+        assert chosen_entry(X, y, 2, [a, b], 5, epochs=20, seed=0) is a
 
     def test_underfitting_lambda_rejected(self):
         rng = np.random.default_rng(65)
         # planted thin margin: huge lambda cannot push |w| high enough
         X, y = self._labeled_blobs(rng, n_per=30)
         grid = [
-            SgdConfig(lam=10.0, eta0=0.5, epochs=25, seed=1),
-            SgdConfig(lam=1e-4, eta0=0.5, epochs=25, seed=1),
+            SgdConfig(lam=10.0, eta0=0.5),
+            SgdConfig(lam=1e-4, eta0=0.5),
         ]
-        chosen = chosen_entry(X, y, 2, grid, 5)
+        chosen = chosen_entry(X, y, 2, grid, 5, epochs=25, seed=1)
         assert chosen.lam == 1e-4
-
-    @pytest.mark.parametrize("other", [
-        SgdConfig(lam=1e-3, eta0=0.5, epochs=20, seed=1),
-        SgdConfig(lam=1e-3, eta0=0.5, epochs=25, seed=0),
-    ], ids=["seed", "epochs"])
-    def test_mixed_grid_refused(self, other):
-        # the cross-validation pass draws one permutation stream, so a grid
-        # shares one seed and one epoch count
-        X, y = self._labeled_blobs(np.random.default_rng(66))
-        first = SgdConfig(lam=1e-4, eta0=0.5, epochs=20, seed=0)
-        with pytest.raises(ValueError, match="one seed and one epoch count"):
-            train_one_vs_rest(X, y, 2, [first, other], 5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -299,12 +289,13 @@ class TestCrossValidate:
         rng = np.random.default_rng(data_seed)
         y = rng.integers(0, n_classes, n)
         X = rng.standard_normal((n_classes, dim))[y] + rng.standard_normal((n, dim))
-        grid = [SgdConfig(lam=lam, eta0=eta0, epochs=epochs, seed=seed)
-                for lam, eta0 in steps]
-        chosen, W, b = train_one_vs_rest(X, y, n_classes, grid, folds, salt=salt)
-        assert chosen is oracle_cross_validate(X, y, n_classes, grid, folds, salt)
+        grid = [SgdConfig(lam=lam, eta0=eta0) for lam, eta0 in steps]
+        chosen, W, b = train_one_vs_rest(X, y, n_classes, grid, folds, epochs=epochs,
+                                         seed=seed, salt=salt)
+        assert chosen is oracle_cross_validate(X, y, n_classes, grid, folds, epochs,
+                                               seed, salt)
         W_oracle, b_oracle = oracle_one_vs_rest(X, y, n_classes, chosen,
-                                                np.ones(n, dtype=bool), salt)
+                                                np.ones(n, dtype=bool), epochs, seed, salt)
         for c in range(n_classes):
             assert_close_to_oracle(W[c], b[c], W_oracle[c], b_oracle[c])
 
@@ -329,13 +320,14 @@ class TestCrossValidate:
         n_classes = len(class_sizes)
         y = rng.permutation(np.repeat(np.arange(n_classes), class_sizes))
         X = rng.standard_normal((n_classes, dim))[y] + rng.standard_normal((len(y), dim))
-        grid = [SgdConfig(lam=lam, eta0=eta0, epochs=epochs, seed=seed)
-                for lam, eta0 in steps]
-        chosen, W, b = train_one_vs_rest(X, y, n_classes, grid, folds, salt=salt)
+        grid = [SgdConfig(lam=lam, eta0=eta0) for lam, eta0 in steps]
+        chosen, W, b = train_one_vs_rest(X, y, n_classes, grid, folds, epochs=epochs,
+                                         seed=seed, salt=salt)
         chosen_ref, W_ref, b_ref = oracle_two_pass_one_vs_rest(X, y, n_classes, grid,
-                                                               folds, salt)
+                                                               folds, epochs, seed, salt)
         assert chosen is chosen_ref
-        assert chosen is oracle_cross_validate(X, y, n_classes, grid, folds, salt)
+        assert chosen is oracle_cross_validate(X, y, n_classes, grid, folds, epochs,
+                                               seed, salt)
         # tolerances, not bits: gemv may round a row differently for another
         # number of problems under another BLAS
         np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12)
@@ -343,13 +335,13 @@ class TestCrossValidate:
 
     def test_no_usable_fold_keeps_first(self):
         # one sample per class: the only nonempty fold holds every sample
-        a = SgdConfig(lam=1e-4, eta0=0.5, epochs=5, seed=0)
-        b = SgdConfig(lam=1e-3, eta0=0.5, epochs=5, seed=0)
-        assert chosen_entry(np.eye(2), [0, 1], 2, [a, b], 5) is a
+        a = SgdConfig(lam=1e-4, eta0=0.5)
+        b = SgdConfig(lam=1e-3, eta0=0.5)
+        assert chosen_entry(np.eye(2), [0, 1], 2, [a, b], 5, epochs=5, seed=0) is a
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
-            train_one_vs_rest(np.zeros((2, 1)), [0, 1], 2, [], 5)
+            train_one_vs_rest(np.zeros((2, 1)), [0, 1], 2, [], 5, **SCHEDULE)
 
     def test_fold_count_past_the_largest_class_adds_no_mask(self):
         # folds has no upper bound: a mask per requested fold would take
@@ -367,12 +359,12 @@ class TestCrossValidate:
         assert peak < 100_000
 
 
-def oracle_one_vs_rest(X, y, n_classes, cfg, train, salt):
+def oracle_one_vs_rest(X, y, n_classes, cfg, train, epochs, seed, salt):
     """One scalar SGD run per class on the samples where ``train`` holds,
-    over the permutations of ``default_rng(_derive_seed(cfg.seed, salt))``;
+    over ``epochs`` permutations of ``default_rng(_derive_seed(seed, salt))``;
     a class without positives or negatives there is the constant -1 or +1."""
-    perm_rng = np.random.default_rng(_derive_seed(cfg.seed, salt))
-    order = np.concatenate([perm_rng.permutation(len(y)) for _ in range(cfg.epochs)])
+    perm_rng = np.random.default_rng(_derive_seed(seed, salt))
+    order = np.concatenate([perm_rng.permutation(len(y)) for _ in range(epochs)])
     W, b = np.zeros((n_classes, X.shape[1])), np.empty(n_classes)
     for c in range(n_classes):
         pos, neg = (train & (y == c)).any(), (train & (y != c)).any()
@@ -384,7 +376,7 @@ def oracle_one_vs_rest(X, y, n_classes, cfg, train, salt):
     return W, b
 
 
-def oracle_cross_validate(X, y, n_classes, grid, folds, salt):
+def oracle_cross_validate(X, y, n_classes, grid, folds, epochs, seed, salt):
     """The cross-validation choice by brute force: ``oracle_one_vs_rest`` per
     (grid entry, fold), validation scores ``X[val] @ w + b``, the first best
     entry."""
@@ -400,7 +392,7 @@ def oracle_cross_validate(X, y, n_classes, grid, folds, salt):
     for cfg in grid:
         fold_accs = []
         for val in vals:
-            W, b = oracle_one_vs_rest(X, y, n_classes, cfg, ~val, salt)
+            W, b = oracle_one_vs_rest(X, y, n_classes, cfg, ~val, epochs, seed, salt)
             scores = X[val] @ W.T + b
             fold_accs.append((scores.argmax(axis=1) == y[val]).mean())
         accs.append(np.mean(fold_accs))
@@ -422,11 +414,11 @@ class TestTrainEnsemble:
         rng = np.random.default_rng(66)
         X, y = make_blob_problem(rng)
         topics = fit_topics(X, 1, seed=0)
-        ens = train_ensemble(X, y, 3, topics, [CFG], folds=5)
+        ens = train_ensemble(X, y, 3, topics, [CFG], folds=5, **SCHEDULE)
         # topic 0's one-vs-rest pass: one shared permutation per epoch
-        perm_rng = np.random.default_rng(_derive_seed(CFG.seed, 0))
+        perm_rng = np.random.default_rng(_derive_seed(SCHEDULE["seed"], 0))
         order = np.concatenate([perm_rng.permutation(len(X))
-                                for _ in range(CFG.epochs)])
+                                for _ in range(SCHEDULE["epochs"])])
         for c in range(3):
             w, b = oracle_sgd(X, np.where(y == c, 1.0, -1.0), CFG.lam, CFG.eta0,
                               order)
@@ -438,7 +430,7 @@ class TestTrainEnsemble:
         X = np.vstack([np.full((5, 2), 10.0), np.full((5, 2), -10.0)])
         y = np.array([0] * 5 + [1] * 5)
         topics = fit_topics(X, 2, seed=0)
-        ens = train_ensemble(X, y, 2, topics, [CFG], folds=5)
+        ens = train_ensemble(X, y, 2, topics, [CFG], folds=5, **SCHEDULE)
         d0 = int(assign_topics_batch(topics, np.full((1, 2), 10.0))[0][0])  # class-0 topic
         d1 = 1 - d0
         assert not ens.weights.any()
@@ -463,8 +455,9 @@ class TestTrainEnsemble:
         X = np.vstack(X)
         y = np.array(y)
         topics = fit_topics(X, 2, seed=3)
-        ens2 = train_ensemble(X, y, 2, topics, [CFG], folds=5)
-        ens1 = train_ensemble(X, y, 2, fit_topics(X, 1, seed=3), [CFG], folds=5)
+        ens2 = train_ensemble(X, y, 2, topics, [CFG], folds=5, **SCHEDULE)
+        ens1 = train_ensemble(X, y, 2, fit_topics(X, 1, seed=3), [CFG], folds=5,
+                              **SCHEDULE)
         acc2 = (predict_batch(ens2, X)[0] == y).mean()
         acc1 = (predict_batch(ens1, X)[0] == y).mean()
         assert acc2 >= acc1
@@ -473,7 +466,7 @@ class TestTrainEnsemble:
         rng = np.random.default_rng(68)
         X, y = make_blob_problem(rng)
         topics = fit_topics(X, 2, seed=0)
-        ens = train_ensemble(X, y, 3, topics, [CFG], folds=5)
+        ens = train_ensemble(X, y, 3, topics, [CFG], folds=5, **SCHEDULE)
         assert sum(ens.topic_sizes) == len(X)
         assert ens.configs == (CFG, CFG)
 
@@ -483,7 +476,7 @@ class TestTrainEnsemble:
         rng = np.random.default_rng(72)
         X, y = make_blob_problem(rng, n_per=20)
         topics = fit_topics(X, 3, seed=0)
-        grid = [SgdConfig(lam=lam, eta0=eta0, epochs=3, seed=0)
+        grid = [SgdConfig(lam=lam, eta0=eta0)
                 for lam in (1e-5, 1e-4, 1e-3) for eta0 in (0.1, 1.0)]
         grams, problems = [], []
 
@@ -497,12 +490,13 @@ class TestTrainEnsemble:
 
         monkeypatch.setattr(ensemble_module, "_gram", gram)
         monkeypatch.setattr(ensemble_module, "_sgd_lockstep", lockstep)
-        ens = train_ensemble(X, y, 3, topics, grid, folds=5)
+        ens = train_ensemble(X, y, 3, topics, grid, folds=5, epochs=3, seed=0)
         assert grams == list(ens.topic_sizes)
         assert problems == [6 * 6 * 3] * 3
         # one sample per class holds out no usable fold: grid[0]'s classes only
         problems.clear()
-        assert train_one_vs_rest(np.eye(3), [0, 1, 2], 3, grid, 5)[0] is grid[0]
+        assert train_one_vs_rest(np.eye(3), [0, 1, 2], 3, grid, 5, epochs=3,
+                                 seed=0)[0] is grid[0]
         assert problems == [3]
 
     def test_oversized_topic_refused_before_any_training(self, monkeypatch):
@@ -517,14 +511,15 @@ class TestTrainEnsemble:
         monkeypatch.setattr(ensemble_module, "_sgd_lockstep",
                             lambda *args: calls.append(args))
         with pytest.raises(ModelError, match=f"topic {big} has 20 training samples"):
-            train_ensemble(X, y, 2, topics, [CFG, CFG], folds=2)
+            train_ensemble(X, y, 2, topics, [CFG, CFG], folds=2, **SCHEDULE)
         assert calls == []
 
 
 def train_through(entry, X, y, n_classes):
     if entry == "one_vs_rest":
-        return train_one_vs_rest(X, y, n_classes, [CFG, CFG], folds=2)
-    return train_ensemble(X, y, n_classes, fit_topics(X, 2, seed=0), [CFG, CFG], folds=2)
+        return train_one_vs_rest(X, y, n_classes, [CFG, CFG], folds=2, **SCHEDULE)
+    return train_ensemble(X, y, n_classes, fit_topics(X, 2, seed=0), [CFG, CFG], folds=2,
+                          **SCHEDULE)
 
 
 class TestLabelChecks:
@@ -578,7 +573,7 @@ class TestPredict:
     def test_single_topic_pooling_agrees(self):
         rng = np.random.default_rng(69)
         X, y = make_blob_problem(rng)
-        ens = train_ensemble(X, y, 3, fit_topics(X, 1, seed=0), [CFG], folds=5)
+        ens = train_ensemble(X, y, 3, fit_topics(X, 1, seed=0), [CFG], folds=5, **SCHEDULE)
         probes = rng.standard_normal((30, X.shape[1]))
         np.testing.assert_array_equal(predict_batch(ens, probes)[0],
                                       predict_batch(ens, probes, pooling="max")[0])
@@ -586,7 +581,7 @@ class TestPredict:
     def test_matches_bruteforce_accumulation(self):
         rng = np.random.default_rng(70)
         X, y = make_blob_problem(rng)
-        ens = train_ensemble(X, y, 3, fit_topics(X, 2, seed=1), [CFG], folds=5)
+        ens = train_ensemble(X, y, 3, fit_topics(X, 2, seed=1), [CFG], folds=5, **SCHEDULE)
         for x in rng.standard_normal((20, X.shape[1])):
             label, scores = predict_one(ens, x)
             manual = np.array([
@@ -618,7 +613,7 @@ class TestPredict:
         X, y = make_blob_problem(rng)
         t1 = fit_topics(X, 2, seed=5)
         t2 = fit_topics(X, 2, seed=5)
-        e1 = train_ensemble(X, y, 3, t1, [CFG], folds=5)
-        e2 = train_ensemble(X, y, 3, t2, [CFG], folds=5)
+        e1 = train_ensemble(X, y, 3, t1, [CFG], folds=5, **SCHEDULE)
+        e2 = train_ensemble(X, y, 3, t2, [CFG], folds=5, **SCHEDULE)
         np.testing.assert_array_equal(e1.weights, e2.weights)
         np.testing.assert_array_equal(e1.biases, e2.biases)

@@ -348,6 +348,32 @@ class TestColumns:
         assert peak - lines_bytes <= 3 * m.scores.nbytes, (peak, lines_bytes,
                                                            m.scores.nbytes)
 
+    def test_hard_parse_holds_about_two_copies_of_the_columns(self):
+        # the chunks' arrays and their concatenation; a Python int per `det`
+        # line for its line number (about 36 bytes) would add most of a third
+        # copy of the line's 48 bytes of columns
+        rng = np.random.default_rng(32)
+        names = rng.choice(["chair", "table", "lamp"], 104_000)
+        values = rng.random((len(names), 3)) * 0.5
+        dets = [f"det {o} {s:.4f} {x:.4f} {y:.4f} {x + 0.5:.4f} {y + 0.5:.4f}"
+                for o, (s, x, y) in zip(names, values)]
+        text = HARD_TEXT.split("\n\n")[0] + "".join(
+            f"\n\nimg i{i} shop\n" + "\n".join(dets[i:i + 52])
+            for i in range(0, len(dets), 52))
+        tracemalloc.start()
+        try:
+            lines = text.splitlines()
+            lines_bytes, _ = tracemalloc.get_traced_memory()
+            del lines
+            tracemalloc.reset_peak()
+            m = parse_manifest_text(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = m.object_index.nbytes + m.score.nbytes + m.box.nbytes
+        assert len(m.score) >= 100_000
+        assert peak - lines_bytes <= 2.3 * columns, (peak, lines_bytes, columns)
+
     @settings(max_examples=200, deadline=None)
     @given(record_manifests())
     def test_parse_serialize_parse_round_trips(self, m):

@@ -62,11 +62,13 @@ class TestFitTopics:
         assert a.inertia == b.inertia
         assert a.iterations_run == b.iterations_run
 
-    def test_inertia_non_increasing_over_iterations(self):
+    def test_inertia_non_increasing_over_iterations(self, monkeypatch):
         rng = np.random.default_rng(6)
         X = rng.random((60, 4))
-        inertias = [fit_topics(X, 5, seed=2, max_iter=k).inertia
-                    for k in range(1, 12)]
+        inertias = []
+        for k in range(1, 12):
+            monkeypatch.setattr(topics, "_MAX_ITER", k)
+            inertias.append(fit_topics(X, 5, seed=2).inertia)
         assert all(a >= b - 1e-12 for a, b in zip(inertias, inertias[1:]))
 
     def test_inertia_recomputable(self):
@@ -168,7 +170,9 @@ class TestDirectFormOracle:
         # a loop that stops on a repeated assignment counts the pass it skips
         # only up to the cap
         X, k, seed = problem
-        model = fit_topics(X, k, seed, max_iter=max_iter)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topics, "_MAX_ITER", max_iter)
+            model = fit_topics(X, k, seed)
         centroids, inertia, iterations = oracle_fit_topics(X, k, seed, max_iter=max_iter)
         assert model.centroids.tobytes() == centroids.tobytes()
         assert model.inertia == inertia
@@ -202,10 +206,6 @@ class TestDirectFormOracle:
         assert model.iterations_run == iterations >= 2
         assert model.inertia == inertia
         assert len(calls) == iterations - 1
-
-    def test_negative_tolerance_is_refused(self):
-        with pytest.raises(ValueError, match="tol"):
-            fit_topics(np.zeros((4, 2)), 2, seed=0, tol=-1e-6)
 
     # blocks of one wide row, and blocks of many narrow rows
     @pytest.mark.parametrize("shape", [(7, 200000), (5000, 50)])
