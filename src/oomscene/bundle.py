@@ -113,45 +113,39 @@ class PipelineConfig:
         return replace(self, object_count=count)
 
 
-_TUPLE_INT_PAIR_FIELDS = {"pyramid"}
-_TUPLE_FLOAT_FIELDS = {"sgd_lambdas", "sgd_eta0s"}
-
-
-def _parse_config_value(name: str, text: str, target_type):
+def _parse_config_value(text: str, hint):
+    """A config value's text read as the type its field declares: a
+    ``tuple[X, ...]`` is comma-separated, a ``tuple[int, int]`` is ``RxC``."""
     text = text.strip()
-    try:
-        if name in _TUPLE_INT_PAIR_FIELDS:
-            levels = []
-            for part in text.split(","):
-                r, _, c = part.strip().partition("x")
-                levels.append((int(r), int(c)))
-            return tuple(levels)
-        if name in _TUPLE_FLOAT_FIELDS:
-            return tuple(float(p) for p in text.split(","))
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-    except ValueError as exc:
-        raise ValueError(f"config key {name!r}: bad value {text!r} ({exc})") from None
-    return text
+    if get_origin(hint) is not tuple:
+        return hint(text)
+    args = get_args(hint)
+    if args[1:] == (Ellipsis,):
+        return tuple(_parse_config_value(part, args[0]) for part in text.split(","))
+    parts = text.split("x")
+    if len(parts) != len(args):
+        raise ValueError(f"{text!r} is not {len(args)} values joined by 'x'")
+    return tuple(map(_parse_config_value, parts, args))
 
 
 def config_from_pairs(pairs) -> PipelineConfig:
     """The default config with 'key=value' strings applied; a later pair of a
     key overrides an earlier one, and the result is checked as a whole."""
-    known = {f.name for f in fields(PipelineConfig)}
-    defaults = PipelineConfig()
+    hints = _BUNDLE_TYPES["PipelineConfig"][1]
     updates = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         key = key.strip()
         if not sep:
             raise ValueError(f"config entry {pair!r} is not key=value")
-        if key not in known:
+        if key not in hints:
             raise ValueError(f"unknown config key {key!r}")
-        updates[key] = _parse_config_value(key, value, type(getattr(defaults, key)))
-    return replace(defaults, **updates)
+        try:
+            updates[key] = _parse_config_value(value, hints[key])
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: bad value {value.strip()!r} "
+                             f"({exc})") from None
+    return PipelineConfig(**updates)
 
 
 def config_file_pairs(path) -> list[str]:

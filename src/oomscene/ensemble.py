@@ -116,7 +116,7 @@ def _sgd_lockstep(K, Y, active, lam, eta0, epochs: int, rng):
 
 
 def _derive_seed(base_seed: int, *parts: int) -> int:
-    ss = np.random.SeedSequence([abs(int(base_seed))] + [abs(int(p)) for p in parts])
+    ss = np.random.SeedSequence([int(base_seed)] + [int(p) for p in parts])
     return int(ss.generate_state(1, np.uint32)[0])
 
 
@@ -172,6 +172,8 @@ def train_one_vs_rest(descriptors, labels, n_classes: int, grid, folds: int, *,
         raise ValueError("epochs must be at least 1")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if salt < 0:
+        raise ValueError(f"salt must be non-negative, got {salt}")
     X = np.asarray(descriptors, dtype=float)
     n = len(X)
     y = _checked_labels(labels, n, n_classes)

@@ -578,8 +578,6 @@ def parse_manifest_text(text: str, mode: Optional[str] = None,
                         map(np.concatenate, zip(*checked))))
     if mode is not None and mode != file_mode:
         raise FormatError(f"manifest is {file_mode}-mode, expected {mode}")
-    if not ids:
-        raise FormatError("empty manifest")
     return DatasetManifest.from_arrays(
         vocab, classes, split if split is not None else split_tag, file_mode, ids, labels,
         domains, np.searchsorted(img_lines, det_lines) - 1, **dets)

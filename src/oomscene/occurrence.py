@@ -170,14 +170,16 @@ def build_occurrence_model(train: DatasetManifest, grid: ThresholdGrid) -> Occur
     """Count object occurrences ("at least once per image") over the grid.
 
     Soft manifests participate through each object's best patch score, which
-    stands in for the image-level detection confidence.  Every record must
-    be labeled.
+    stands in for the image-level detection confidence.  The manifest must
+    have at least 2 classes, and every record must be labeled.
     """
+    n_obj, n_cls = len(train.vocabulary), len(train.classes)
+    if n_cls < 2:
+        raise ModelError(f"training needs at least 2 scene classes, got {n_cls}")
     labels = train.labels
     if np.any(labels < 0):
         bad = [train.image_ids[i] for i in np.flatnonzero(labels < 0)]
         raise ModelError(f"training manifest has unlabeled records: {bad[:3]}...")
-    n_obj, n_cls = len(train.vocabulary), len(train.classes)
     thetas = grid.values
     best = max_scores(train)  # [n_records, n_obj]
     probs = np.zeros((n_obj, n_cls, thetas.size))

@@ -193,12 +193,14 @@ def apply_shift(manifest: DatasetManifest, shift: DomainShift,
     Shifted scores are stored raw (no clamping); encoders clamp into their
     own threshold bandwidth.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     keep = np.ones(manifest.image.size, dtype=bool)
     if shift.dropout > 0:
         # one draw per detection from each record's own substream
         bounds = manifest.bounds.tolist()
         for ri, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-            rng = np.random.default_rng([abs(int(seed)), 424243, ri])
+            rng = np.random.default_rng([int(seed), 424243, ri])
             keep[start:stop] = rng.random(stop - start) >= shift.dropout
     if manifest.mode == HARD:
         dets = dict(object_index=manifest.object_index[keep],

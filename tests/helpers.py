@@ -275,11 +275,11 @@ def oracle_rawscore(record, n_objects, layout):
 
 def oracle_apply_shift(manifest, shift, seed):
     """Record-by-record domain shift: per record, a generator seeded with
-    (|seed|, 424243, record index) draws once per detection, which is dropped
+    (seed, 424243, record index) draws once per detection, which is dropped
     below the dropout rate; kept scores become scale * score + offset."""
     records = []
     for ri, rec in enumerate(manifest.records):
-        rng = np.random.default_rng([abs(int(seed)), 424243, ri])
+        rng = np.random.default_rng([int(seed), 424243, ri])
         dets = []
         for det in rec.detections:
             if shift.dropout > 0 and rng.random() < shift.dropout:

@@ -24,6 +24,7 @@ from oomscene.bundle import (
     DEFAULT_TOPIC_COUNT,
     PROFILES,
     PipelineConfig,
+    config_file_pairs,
     config_from_pairs,
     read_descriptor_file,
 )
@@ -233,9 +234,38 @@ class TestConfig:
         assert "--profile" in captured.err and "object_count" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_every_field_round_trips_through_a_config_file(self, tmp_path):
+        # each value written as its key's type reads it: lists comma-separated,
+        # pyramid levels as RxC
+        cfg = PipelineConfig(mode="soft", theta_min=0.25, theta_max=0.75,
+                             delta_theta=0.125, prior="empirical", fallback="last-valid",
+                             object_count=7, phi_aggregation="mean",
+                             pyramid=((1, 1), (2, 3)), pca_dim=20, codebook_size=8,
+                             topic_count=2, sgd_lambdas=(0.25, 1e-6), sgd_eta0s=(0.5,),
+                             sgd_epochs=3, folds=4, seed=11)
+        default = PipelineConfig()
+
+        def text(value):
+            if isinstance(value, tuple):
+                return ",".join("x".join(map(str, v)) if isinstance(v, tuple) else repr(v)
+                                for v in value)
+            return str(value)
+
+        lines = []
+        for field in dataclasses.fields(cfg):
+            value = getattr(cfg, field.name)
+            assert value != getattr(default, field.name), field.name
+            lines.append(f"{field.name} = {text(value)}\n")
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(lines))
+        assert config_from_pairs(config_file_pairs(path)) == cfg
+
     @pytest.mark.parametrize("pair, key", [("object_count=abc", "object_count"),
                                            ("pyramid=1x1,2y2", "pyramid"),
-                                           ("sgd_lambdas=0.1,x", "sgd_lambdas")])
+                                           ("pyramid=1x1x1", "pyramid"),
+                                           ("pyramid=2", "pyramid"),
+                                           ("sgd_lambdas=0.1,x", "sgd_lambdas"),
+                                           ("sgd_eta0s=1,", "sgd_eta0s")])
     def test_bad_value_names_key(self, pair, key, synth_files, tmp_path, capsys):
         with pytest.raises(ValueError, match=key):
             config_from_pairs([pair])
@@ -654,6 +684,23 @@ class TestStagedCommands:
             captured = capsys.readouterr()
             assert "[train]" not in captured.out
             assert captured.err == "error: scene class 'class02' has no labeled images\n"
+
+    def test_one_class_training_manifest_refused(self, tmp_path, capsys):
+        # train used to print its posterior line before failing in the
+        # selection stage, and build-oom wrote a bundle no later stage takes
+        data = tmp_path / "one"
+        assert main(["synth", "--classes", "1", "--objects", "10", "--topics", "2",
+                     "--images-per-class", "20", "--out-dir", str(data)]) == 0
+        capsys.readouterr()
+        for command in ("train", "build-oom"):
+            out = tmp_path / f"{command}.bin"
+            rc = main([command, "--train", str(data / "source.txt"), "--out", str(out),
+                       "--set", "object_count=5", "--set", "topic_count=2"])
+            assert rc == 1
+            assert not out.exists()
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: training needs at least 2 scene classes, got 1\n"
 
     def test_non_utf8_manifest_names_the_line(self, trained_bundle, synth_files,
                                               tmp_path, capsys):

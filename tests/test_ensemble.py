@@ -139,6 +139,12 @@ class TestTrainBinary:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             train_one_vs_rest(np.zeros((2, 1)), [0, 1], 2, [CFG], 2, epochs=1, seed=-1)
 
+    def test_negative_salt_refused(self):
+        # abs() used to give salt -1 topic 1's permutations
+        with pytest.raises(ValueError, match="salt must be non-negative, got -1"):
+            train_one_vs_rest(np.zeros((2, 1)), [0, 1], 2, [CFG], 2, epochs=1, seed=0,
+                              salt=-1)
+
 
 # (lam, eta0) per problem; eta0 * lam >= 1 makes the first decay factor <= 0
 STEP_PARAMS = st.one_of(

@@ -107,6 +107,14 @@ class TestOccurrenceModel:
         with pytest.raises(ModelError, match="cls2"):
             build_occurrence_model(bad, ThresholdGrid())
 
+    def test_one_class_refused_before_counting(self):
+        # discriminability needs two classes, but used to fail only after the
+        # occurrence and posterior models were built
+        recs = [hard_record([HardDetection(0, 0.5, BOX)], f"a{i}", 0) for i in range(3)]
+        m = DatasetManifest(make_vocab(2), make_classes(1), tuple(recs), "train", "hard")
+        with pytest.raises(ModelError, match="at least 2 scene classes, got 1"):
+            build_occurrence_model(m, ThresholdGrid())
+
     def test_soft_manifest_uses_best_patch_score(self):
         rng = np.random.default_rng(8)
         m = random_soft_manifest(rng, 2, 3, 8)

@@ -132,8 +132,14 @@ class TestApplyShift:
     def test_matches_record_by_record_reference(self, mode, shift):
         make = random_hard_manifest if mode == "hard" else random_soft_manifest
         m = make(np.random.default_rng(21), 2, 4, 10, split_tag="test")
-        assert to_text(apply_shift(m, shift, seed=-5)) == \
-            to_text(oracle_apply_shift(m, shift, seed=-5))
+        assert to_text(apply_shift(m, shift, seed=5)) == \
+            to_text(oracle_apply_shift(m, shift, seed=5))
+
+    def test_negative_seed_refused(self):
+        # abs() used to draw seed 5's dropout for seed -5
+        m = random_hard_manifest(np.random.default_rng(21), 2, 4, 10, split_tag="test")
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            apply_shift(m, DomainShift(0.0, 1.0, 0.5), seed=-1)
 
     def test_dropout_deterministic(self):
         source, _ = generate(small_spec(seed=12))
