@@ -48,6 +48,9 @@ PROFILES = {
 DEFAULT_TOPIC_COUNT = 5
 DEFAULT_PCA_DIM = 500
 DEFAULT_FOLDS = 5
+# training time grows linearly in the epoch count: 333 times the default of
+# 30 keeps a mistyped count from running without end
+_MAX_SGD_EPOCHS = 10_000
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("theta_min", "theta_max", "delta_theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "pyramid",
                            tuple((int(r), int(c)) for r, c in self.pyramid))
         object.__setattr__(self, "sgd_lambdas", tuple(float(v) for v in self.sgd_lambdas))
@@ -86,13 +92,18 @@ class PipelineConfig:
                      "sgd_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.sgd_epochs > _MAX_SGD_EPOCHS:
+            raise ValueError(f"sgd_epochs must be at most {_MAX_SGD_EPOCHS}, "
+                             f"got {self.sgd_epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.sgd_lambdas or not self.sgd_eta0s:
             raise ValueError("sgd_lambdas and sgd_eta0s each need at least one value")
-        self.threshold_grid()  # the grid's and the layout's own checks
-        self.pyramid_layout()
-        if len(self.sgd_grid()) > 1 and self.folds < 2:
+        # the grid's, the layout's and the SGD entries' own checks
+        _naming_keys(self.threshold_grid, "theta_min", "theta_max", "delta_theta")
+        _naming_keys(self.pyramid_layout, "pyramid")
+        grid = _naming_keys(self.sgd_grid, "sgd_lambdas", "sgd_eta0s")
+        if len(grid) > 1 and self.folds < 2:
             raise ValueError(f"folds must be at least 2 to choose among grid entries, "
                              f"got {self.folds}")
 
@@ -111,6 +122,16 @@ class PipelineConfig:
         except KeyError:
             raise ValueError(f"unknown profile {profile!r}") from None
         return replace(self, object_count=count)
+
+
+def _naming_keys(build, *keys):
+    """build(), a ValueError it raises re-raised naming the config keys
+    that build's values come from, as the parse step names its key."""
+    try:
+        return build()
+    except ValueError as exc:
+        named = ", ".join(map(repr, keys))
+        raise ValueError(f"config key{'s' if len(keys) > 1 else ''} {named}: {exc}") from None
 
 
 def _parse_config_value(text: str, hint):

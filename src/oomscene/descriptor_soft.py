@@ -196,21 +196,15 @@ def fit_pca_cells(tables, cells, out_dim: int) -> PcaTransform:
     del Y
     eigvals, eigvecs = np.linalg.eigh(cov)
     top = eigvecs[:, np.argsort(-eigvals, kind="stable")[:out_dim]]
-    # the dropped directions that fill columns m.. are appended to their
-    # blocks' bases; each gets a mixing row with a single 1
-    bases, filler, col = [], [], top.shape[1]
-    for q, z in zip(kept, dropped):
-        take = min(z.shape[1], out_dim - col)
-        bases.append(np.hstack([q, z[:, :take]]))
-        filler.append(col + np.arange(take))
-        col += take
-    mixing = np.zeros((sum(q.shape[1] for q in bases), out_dim))
-    row = k_row = 0
-    for q, cols in zip(kept, filler):
-        width = q.shape[1]
-        mixing[row:row + width, :top.shape[1]] = top[k_row:k_row + width]
-        mixing[row + width + np.arange(cols.size), cols] = 1.0
-        row, k_row = row + width + cols.size, k_row + width
+    # the dropped directions fill columns m.. in block order, each appended
+    # to its block's basis with a single 1 in its mixing row
+    m = top.shape[1]
+    takes = np.diff(np.minimum(_edges(z.shape[1] for z in dropped), out_dim - m))
+    bases = [np.hstack([q, z[:, :take]]) for q, z, take in zip(kept, dropped, takes)]
+    is_kept = np.concatenate([np.arange(b.shape[1]) < q.shape[1] for q, b in zip(kept, bases)])
+    mixing = np.zeros((is_kept.size, out_dim))
+    mixing[is_kept, :m] = top
+    mixing[~is_kept, m:] = np.eye(out_dim - m)
     flip = mixing[np.abs(mixing).argmax(axis=0), np.arange(out_dim)] < 0
     mixing[:, flip] = -mixing[:, flip]
     return PcaTransform(mean=mean, bases=tuple(bases), mixing=mixing)

@@ -137,11 +137,13 @@ def _validation_masks(labels: np.ndarray, folds: int) -> list[np.ndarray]:
     that is empty or holds every sample is dropped."""
     fold_of = np.zeros(len(labels), dtype=int)
     classes, sizes = np.unique(labels, return_counts=True)
+    # no sample falls in a fold at or past the largest class's size, so a
+    # larger count, even one beyond numpy's integers, deals the same folds
+    folds = min(folds, int(sizes.max(initial=0)))
     for c in classes:
         idx = np.flatnonzero(labels == c)
         fold_of[idx] = np.arange(idx.size) % folds
-    # no sample falls in a fold at or past the largest class's size
-    masks = [fold_of == f for f in range(min(folds, sizes.max(initial=0)))]
+    masks = [fold_of == f for f in range(folds)]
     return [v for v in masks if v.any() and not v.all()]
 
 

@@ -216,15 +216,10 @@ def build_posterior_model(oom: OccurrenceModel, prior: ClassPrior,
     if fallback == FALLBACK_PRIOR:
         post = np.where(mask[:, None, :], w[None, :, None], post)
     elif fallback == FALLBACK_LAST_VALID:
-        for o in range(oom.n_objects):
-            last = None
-            for t in range(len(oom.grid)):
-                if not mask[o, t]:
-                    last = post[o, :, t]
-                elif last is not None:
-                    post[o, :, t] = last
-                else:
-                    post[o, :, t] = w
+        o, t = np.nonzero(mask)
+        # the last valid threshold below each flagged cell, -1 where none is
+        last = np.maximum.accumulate(np.where(mask, -1, np.arange(mask.shape[1])), axis=1)[o, t]
+        post[o, :, t] = np.where(last[:, None] >= 0, post[o, :, last], w)
     else:
         raise ValueError(f"unknown fallback rule {fallback!r}")
     return PosteriorModel(

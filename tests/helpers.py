@@ -4,6 +4,7 @@ import json
 import math
 import struct
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from oomscene import (
     patch_cells,
     train_one_vs_rest,
 )
+from oomscene import descriptor_soft
 from oomscene.bundle import BUNDLE_MAGIC, BUNDLE_VERSION, DESC_MAGIC, DESC_VERSION
 from oomscene.ensemble import _derive_seed, _gram, _sgd_lockstep, _validation_masks
 
@@ -211,6 +213,23 @@ def oracle_posterior_cell(occ_probs, weights, o, t):
     return np.array([v / denom for v in num])
 
 
+def oracle_last_valid(posteriors, mask, weights):
+    """The 'last-valid' fallback as a per-(object, threshold) scan of
+    [objects, classes, thresholds] posteriors: a flagged cell takes the last
+    unflagged column at a lower threshold, or the prior if there is none."""
+    post = np.array(posteriors, dtype=float)
+    for o in range(post.shape[0]):
+        last = None
+        for t in range(post.shape[2]):
+            if not mask[o, t]:
+                last = post[o, :, t]
+            elif last is not None:
+                post[o, :, t] = last
+            else:
+                post[o, :, t] = weights
+    return post
+
+
 def oracle_discriminability(column):
     """Sort-and-scan evaluation of the largest consecutive posterior gap."""
     ranked = sorted(column, reverse=True)
@@ -316,6 +335,61 @@ def fit_pca_per_object(samples, out_dim):
     X = np.asarray(samples, dtype=float)
     cells = np.broadcast_to(np.arange(len(X))[:, None], X.shape[:2])
     return fit_pca_cells(list(X.transpose(1, 0, 2)), cells, out_dim)
+
+
+def oracle_filler(kept, dropped, top, out_dim):
+    """(bases, mixing) of ``fit_pca_cells`` from each block's kept and dropped
+    directions and the top eigenvectors [m, <= out_dim], by two loops of
+    index bookkeeping: the dropped directions fill columns m.. in block
+    order, appended to their blocks' bases with a single 1 in their mixing
+    rows, and each column's largest-magnitude entry is made positive."""
+    bases, filler, col = [], [], top.shape[1]
+    for q, z in zip(kept, dropped):
+        take = min(z.shape[1], out_dim - col)
+        bases.append(np.hstack([q, z[:, :take]]))
+        filler.append(col + np.arange(take))
+        col += take
+    mixing = np.zeros((sum(q.shape[1] for q in bases), out_dim))
+    row = k_row = 0
+    for q, cols in zip(kept, filler):
+        width = q.shape[1]
+        mixing[row:row + width, :top.shape[1]] = top[k_row:k_row + width]
+        mixing[row + width + np.arange(cols.size), cols] = 1.0
+        row, k_row = row + width + cols.size, k_row + width
+    flip = mixing[np.abs(mixing).argmax(axis=0), np.arange(out_dim)] < 0
+    mixing[:, flip] = -mixing[:, flip]
+    return bases, mixing
+
+
+def fit_pca_cells_and_oracle_filler(tables, cells, out_dim):
+    """(pca, bases, mixing): ``fit_pca_cells(tables, cells, out_dim)``, and
+    the bases and mixing ``oracle_filler`` builds from the fit's own block
+    SVDs, kept directions and covariance eigh, recorded as it runs."""
+    svd, eigh, coordinates = np.linalg.svd, np.linalg.eigh, descriptor_soft._coordinates
+    vts, eighs, kept = [], [], []
+
+    def record_svd(a, *args, **kwargs):
+        result = svd(a, *args, **kwargs)
+        if kwargs.get("compute_uv", True):
+            vts.append(result[2])
+        return result
+
+    def record_eigh(a, *args, **kwargs):
+        eighs.append(eigh(a, *args, **kwargs))
+        return eighs[-1]
+
+    def record_coordinates(tables, cells, mean, bases):
+        kept.extend(bases)
+        return coordinates(tables, cells, mean, bases)
+
+    with mock.patch.object(np.linalg, "svd", record_svd), \
+            mock.patch.object(np.linalg, "eigh", record_eigh), \
+            mock.patch.object(descriptor_soft, "_coordinates", record_coordinates):
+        pca = fit_pca_cells(tables, cells, out_dim)
+    (eigvals, eigvecs), = eighs
+    top = eigvecs[:, np.argsort(-eigvals, kind="stable")[:out_dim]]
+    dropped = [vt[q.shape[1]:].T for vt, q in zip(vts, kept, strict=True)]
+    return (pca, *oracle_filler(kept, dropped, top, out_dim))
 
 
 def _own_cell_tables(X, edges):

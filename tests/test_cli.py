@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from oomscene.bundle import (
     DEFAULT_TOPIC_COUNT,
     PROFILES,
     PipelineConfig,
+    _BUNDLE_TYPES,
     config_file_pairs,
     config_from_pairs,
     read_descriptor_file,
@@ -286,6 +288,44 @@ class TestConfig:
         assert rc == 1
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1e-9",
+                                       "99999999999999999999", "abc", "1,", "1x1x1"])
+    @pytest.mark.parametrize("key", list(_BUNDLE_TYPES["PipelineConfig"][1]))
+    def test_bad_value_trains_or_is_refused_naming_its_key(self, key, value, synth_files,
+                                                           tmp_path, capsys):
+        # every key the config declares, so a key added later is covered:
+        # each value trains, or is refused on one line naming the key, and
+        # none escapes main or runs on (a huge folds, a huge sgd_epochs)
+        start = time.perf_counter()
+        rc = main(["train", "--train", str(synth_files / "source.txt"),
+                   "--out", str(tmp_path / "m.bundle"), *SMALL,
+                   "--set", "sgd_lambdas=1e-4,1e-3", "--set", f"{key}={value}"])
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err == ""
+        else:
+            assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+            assert key in err
+
+    def test_huge_folds_train_as_the_largest_class_size(self, synth_files, tmp_path):
+        # every count at or above the largest class deals the same folds
+        source, target = synth_files / "source.txt", synth_files / "target.txt"
+        largest = int(np.bincount(parse_manifest(source).labels).max())
+        bundles, predictions = [], []
+        for folds in (str(largest), "99999999999999999999"):
+            out = tmp_path / f"folds{folds}.bundle"
+            assert main(["train", "--train", str(source), "--out", str(out), *SMALL,
+                         "--set", "sgd_lambdas=1e-4,1e-3", "--set", f"folds={folds}"]) == 0
+            assert main(["predict", "--bundle", str(out), "--manifest", str(target),
+                         "--out", str(tmp_path / f"{folds}.csv")]) == 0
+            bundles.append(load_bundle(out).ensemble)
+            predictions.append((tmp_path / f"{folds}.csv").read_bytes())
+        a, b = bundles
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.biases.tobytes() == b.biases.tobytes()
+        assert predictions[0] == predictions[1]
 
 
 class TestSynthCommand:

@@ -39,6 +39,7 @@ from helpers import (
     dense_project,
     dense_reconstruct,
     dense_rows,
+    fit_pca_cells_and_oracle_filler,
     fit_pca_dense,
     fit_pca_per_object,
     hard_record,
@@ -372,6 +373,22 @@ class TestCellCoordinates:
         pca = fit_pca_dense(dense_rows(tables, cells), 20)
         with pytest.raises(ValueError, match="tables must be 3, one per PCA block"):
             pca.project_cells(tables, cells)
+
+    def test_filler_columns_match_the_two_loop_oracle(self):
+        # random tables whose blocks' total rank is below out_dim
+        rng = np.random.default_rng(68)
+        for _ in range(30):
+            objects, classes, points = rng.integers(2, 7, size=3)
+            tables = rng.dirichlet(np.ones(classes), size=(objects, points))
+            used = rng.integers(1, points + 1, size=objects)  # cells each block's samples use
+            cells = rng.integers(points, size=(int(rng.integers(40, 120)), objects)) % used
+            rank_bound = np.minimum(classes - 1, used - 1).sum()
+            out_dim = int(rng.integers(rank_bound + 1, objects * classes + 1))
+            pca, bases, mixing = fit_pca_cells_and_oracle_filler(tables, cells, out_dim)
+            assert [q.shape for q in pca.bases] == [q.shape for q in bases]
+            assert all(q.tobytes() == want.tobytes() for q, want in zip(pca.bases, bases))
+            assert pca.mixing.shape == mixing.shape
+            assert pca.mixing.tobytes() == mixing.tobytes()
 
     @pytest.mark.parametrize("out_dim", [10, 17, 24])
     def test_fit_matches_the_dense_covariance_eigh(self, out_dim):

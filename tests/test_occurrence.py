@@ -23,6 +23,7 @@ from helpers import (
     make_vocab,
     oracle_discriminability,
     oracle_grid_index,
+    oracle_last_valid,
     oracle_occurrence,
     oracle_posterior_cell,
     random_hard_manifest,
@@ -224,6 +225,24 @@ class TestPosteriorModel:
         post = build_posterior_model(OccurrenceModel(grid, probs), prior,
                                      fallback="last-valid")
         np.testing.assert_array_equal(post.posteriors[0, :, 0], [0.6, 0.4])
+
+    def test_last_valid_matches_the_scan_oracle(self):
+        # flagged cells anywhere on the threshold axis, not only a suffix,
+        # and one object flagged at every threshold
+        rng = np.random.default_rng(16)
+        grid = ThresholdGrid(0.0, 1.0, 0.05)
+        for _ in range(20):
+            probs = rng.random((30, 4, len(grid))) * (rng.random((30, 1, len(grid))) > 0.4)
+            probs[rng.integers(30)] = 0.0
+            oom = OccurrenceModel(grid, probs)
+            prior = ClassPrior(rng.dirichlet(np.ones(4)))
+            by_prior = build_posterior_model(oom, prior)
+            post = build_posterior_model(oom, prior, fallback="last-valid")
+            mask = post.fallback_mask
+            assert (mask[:, :-1] & ~mask[:, 1:]).any()
+            np.testing.assert_array_equal(mask, by_prior.fallback_mask)
+            want = oracle_last_valid(by_prior.posteriors, mask, prior.weights)
+            assert post.posteriors.tobytes() == want.tobytes()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(15)
