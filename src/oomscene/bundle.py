@@ -51,6 +51,10 @@ DEFAULT_FOLDS = 5
 # training time grows linearly in the epoch count: 333 times the default of
 # 30 keeps a mistyped count from running without end
 _MAX_SGD_EPOCHS = 10_000
+# a topic's lockstep SGD pass trains grid entries x (folds + 1) x classes
+# problems and holds about 50 bytes per problem and sample, so the grid is
+# bounded too: 64 entries is ten times the default of 6
+_MAX_SGD_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,9 @@ class PipelineConfig:
         return PyramidLayout(self.pyramid)
 
     def sgd_grid(self) -> list[SgdConfig]:
+        size = len(self.sgd_lambdas) * len(self.sgd_eta0s)
+        if size > _MAX_SGD_GRID:
+            raise ValueError(f"the grid has {size} entries, more than {_MAX_SGD_GRID}")
         return [SgdConfig(lam, eta0) for lam in self.sgd_lambdas for eta0 in self.sgd_eta0s]
 
     def with_profile(self, profile: str) -> "PipelineConfig":

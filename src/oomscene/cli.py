@@ -122,7 +122,7 @@ def cmd_synth(args) -> int:
                         dropout=args.dropout)
     spec = planted_spec(args.classes, args.objects, args.topics,
                         args.images_per_class, shift=shift, seed=args.seed)
-    source, target = generate(spec)
+    source, target = generate(spec, patches=args.patches)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(source, out / "source.txt")
@@ -309,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=float, default=0.15)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--patches", type=int, default=0,
+                   help="soft patches per image; 0 draws hard detections")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)

@@ -1,11 +1,14 @@
 """Synthetic multi-domain manifests with planted structure.
 
-The generator draws hard-detection manifests whose images carry a hidden
-topic.  Detection probabilities depend on (topic, class, object); detection
-scores come from clipped Gaussians.  The target domain re-draws images from
-the same model and then applies a score shift (scale/offset, unclamped) plus
-detection dropout.  Hidden topics are encoded in the image ids so oracle
-checks can recover them.
+The generator draws hard- or soft-detection manifests whose images carry a
+hidden topic.  Detection probabilities depend on (topic, class, object);
+detection scores come from clipped Gaussians.  A hard image holds 1 to 3
+boxed detections of each detected object; a soft image holds a fixed number
+of patches, where a detected object lights 1 to 3 of them and every other
+score is a uniform noise floor in [0, NOISE_FLOOR).  The target domain
+re-draws images from the same model and then applies a score shift
+(scale/offset, unclamped, noise floor included) plus detection dropout.
+Hidden topics are encoded in the image ids so oracle checks can recover them.
 
 Also home to the raw-score baseline encoder, the un-quantized counterpart of
 the posterior descriptor, and a small adjusted-Rand helper for cluster
@@ -14,6 +17,7 @@ recovery checks.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -23,12 +27,14 @@ from .errors import VariantError
 from .descriptor_hard import PyramidLayout, pyramid_regions
 from .ingest import (
     HARD,
+    SOFT,
     DatasetManifest,
     ObjectVocabulary,
     SceneClassSet,
 )
 
 _TOPIC_RE = re.compile(r"_t(\d+)_")
+NOISE_FLOOR = 0.1  # soft scores of undetected (patch, object) pairs
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,9 @@ class DomainShift:
     dropout: float = 0.0
 
     def __post_init__(self):
+        for name in ("score_offset", "score_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.score_scale > 0:
             raise ValueError("score_scale must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -158,7 +167,19 @@ def _random_box(rng) -> tuple[float, float, float, float]:
     return (x0, y0, min(1.0, x0 + w), min(1.0, y0 + h))
 
 
-def _draw_manifest(spec: SynthSpec, domain_tag: str, domain_code: int,
+def _soft_scores(rng, prob, mean, spread, patches: int) -> np.ndarray:
+    """[patches, objects] scores: a detected object lights 1 to 3 patches
+    with its clipped Gaussian score; every other score is the noise floor."""
+    shape = (patches, prob.size)
+    present = rng.random(prob.size) < prob
+    hits = np.minimum(rng.integers(1, 4, prob.size), patches)
+    rank = rng.random(shape).argsort(axis=0).argsort(axis=0)
+    signal = np.clip(rng.normal(mean, spread, shape), 0.0, 1.0)
+    floor = rng.uniform(0.0, NOISE_FLOOR, shape)
+    return np.where(present & (rank < hits), signal, floor)
+
+
+def _draw_manifest(spec: SynthSpec, patches: int, domain_tag: str, domain_code: int,
                    split_tag: str) -> DatasetManifest:
     model = spec.score_model
     ids, labels, image, obj, score, box = [], [], [], [], [], []
@@ -167,23 +188,33 @@ def _draw_manifest(spec: SynthSpec, domain_tag: str, domain_code: int,
             # per-image substream: generation order never matters
             rng = np.random.default_rng([spec.seed, domain_code, c, i])
             topic = int(rng.integers(spec.n_topics_true))
-            for o in range(spec.n_objects):
-                if rng.random() < model.detect_prob[topic, c, o]:
-                    for _ in range(int(rng.integers(1, 4))):
-                        image.append(len(ids))
-                        obj.append(o)
-                        # clipped to [0, 1] as np.clip would, without its call cost
-                        score.append(min(max(float(rng.normal(
-                            model.score_mean[topic, c, o],
-                            model.score_spread[topic, c, o])), 0.0), 1.0))
-                        box.append(_random_box(rng))
+            prob, mean, spread = (model.detect_prob[topic, c], model.score_mean[topic, c],
+                                  model.score_spread[topic, c])
+            if patches:
+                score.append(_soft_scores(rng, prob, mean, spread, patches))
+            else:
+                for o in range(spec.n_objects):
+                    if rng.random() < prob[o]:
+                        for _ in range(int(rng.integers(1, 4))):
+                            image.append(len(ids))
+                            obj.append(o)
+                            # clipped to [0, 1] as np.clip would, without its call cost
+                            score.append(min(max(float(rng.normal(mean[o], spread[o])),
+                                                 0.0), 1.0))
+                            box.append(_random_box(rng))
             ids.append(f"{domain_tag}_c{c:02d}_t{topic}_{i:04d}")
             labels.append(c)
+    if patches:
+        image = np.repeat(np.arange(len(ids)), patches)
+        dets = dict(patch_id=np.tile(np.arange(patches), len(ids)),
+                    scores=np.concatenate(score))
+    else:
+        dets = dict(object_index=obj, score=score, box=box)
     return DatasetManifest.from_arrays(
         ObjectVocabulary(tuple(f"obj{i:03d}" for i in range(spec.n_objects))),
         SceneClassSet(tuple(f"class{i:02d}" for i in range(spec.n_classes))),
-        split_tag, HARD, ids, labels, [domain_tag] * len(ids), image,
-        object_index=obj, score=score, box=box)
+        split_tag, SOFT if patches else HARD, ids, labels, [domain_tag] * len(ids),
+        image, **dets)
 
 
 def apply_shift(manifest: DatasetManifest, shift: DomainShift,
@@ -191,7 +222,10 @@ def apply_shift(manifest: DatasetManifest, shift: DomainShift,
     """Transform every detection score and drop detections at the dropout rate.
 
     Shifted scores are stored raw (no clamping); encoders clamp into their
-    own threshold bandwidth.
+    own threshold bandwidth.  A shift whose scores overflow is refused.
+    Dropout draws are keyed by record index, so unlike the generator's
+    per-image draws they change when records are added before a record.  A
+    soft record can lose every patch; encoding refuses such an empty bag.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -202,27 +236,37 @@ def apply_shift(manifest: DatasetManifest, shift: DomainShift,
         for ri, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
             rng = np.random.default_rng([int(seed), 424243, ri])
             keep[start:stop] = rng.random(stop - start) >= shift.dropout
-    if manifest.mode == HARD:
-        dets = dict(object_index=manifest.object_index[keep],
-                    score=shift.score_scale * manifest.score[keep] + shift.score_offset,
+    hard = manifest.mode == HARD
+    with np.errstate(over="ignore"):
+        shifted = (shift.score_scale * (manifest.score if hard else manifest.scores)[keep]
+                   + shift.score_offset)
+    if not np.isfinite(shifted).all():
+        raise ValueError(f"score_scale {shift.score_scale} and score_offset "
+                         f"{shift.score_offset} overflow the shifted scores")
+    if hard:
+        dets = dict(object_index=manifest.object_index[keep], score=shifted,
                     box=manifest.box[keep])
     else:
-        dets = dict(patch_id=manifest.patch_id[keep],
-                    scores=shift.score_scale * manifest.scores[keep] + shift.score_offset)
+        dets = dict(patch_id=manifest.patch_id[keep], scores=shifted)
     return DatasetManifest.from_arrays(
         manifest.vocabulary, manifest.classes, manifest.split_tag, manifest.mode,
         manifest.image_ids, manifest.labels, manifest.domain_tags, manifest.image[keep],
         **dets)
 
 
-def generate(spec: SynthSpec) -> tuple[DatasetManifest, DatasetManifest]:
+def generate(spec: SynthSpec, patches: int = 0) -> tuple[DatasetManifest, DatasetManifest]:
     """Draw (source, target) manifests; the target applies the spec's shift.
 
-    Deterministic per seed.  With an identity shift the target is a fresh
-    same-distribution draw, i.e. a held-out source-domain test set.
+    ``patches`` 0 draws hard manifests; ``patches`` >= 1 draws soft ones
+    with that many patches per image.  Deterministic per seed.  Each image
+    has its own substream, so the first k images of a class are the same
+    whatever ``images_per_class``.  With an identity shift the target is a
+    fresh same-distribution draw, i.e. a held-out source-domain test set.
     """
-    source = _draw_manifest(spec, "source", 0, "train")
-    target = _draw_manifest(spec, "target", 1, "test")
+    if patches < 0:
+        raise ValueError(f"patches must be non-negative, got {patches}")
+    source = _draw_manifest(spec, patches, "source", 0, "train")
+    target = _draw_manifest(spec, patches, "target", 1, "test")
     return source, apply_shift(target, spec.shift, seed=spec.seed)
 
 

@@ -33,13 +33,7 @@ from oomscene.bundle import (
 from oomscene import pipeline
 from oomscene import cli
 from oomscene.cli import main
-from oomscene.ingest import (
-    SOFT,
-    DatasetManifest,
-    ImageRecord,
-    SoftPatch,
-    parse_manifest,
-)
+from oomscene.ingest import DatasetManifest, parse_manifest
 
 from helpers import container
 
@@ -59,11 +53,13 @@ SMALL = ["--set", "object_count=8", "--set", "topic_count=2",
          "--set", "sgd_epochs=8", "--set", "seed=3"]
 
 
+SYNTH_SPEC = planted_spec(3, 12, 2, 12, shift=DomainShift(0.1, 1.0, 0.0), seed=3)
+
+
 @pytest.fixture(scope="module")
 def synth_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("synth")
-    spec = planted_spec(3, 12, 2, 12, shift=DomainShift(0.1, 1.0, 0.0), seed=3)
-    source, target = generate(spec)
+    source, target = generate(SYNTH_SPEC)
     write_manifest(source, root / "source.txt")
     write_manifest(target, root / "target.txt")
     return root
@@ -78,35 +74,13 @@ def trained_bundle(synth_files, tmp_path_factory):
     return out
 
 
-def to_soft(manifest, tag):
-    """Soft twin of a hard manifest: each detection becomes a noisy patch."""
-    n_obj = len(manifest.vocabulary)
-    records = []
-    for ri, rec in enumerate(manifest.records):
-        rng_r = np.random.default_rng([7, ri])
-        patches = [
-            SoftPatch(k, np.clip(
-                rng_r.normal(0.2, 0.05, n_obj)
-                + np.bincount([d.object_index], weights=[d.score],
-                              minlength=n_obj),
-                0.0, 1.5))
-            for k, d in enumerate(rec.detections[:6])
-        ]
-        if not patches:
-            patches = [SoftPatch(0, rng_r.uniform(0, 0.3, n_obj))]
-        records.append(ImageRecord(rec.image_id, rec.scene_class,
-                                   tuple(patches), SOFT))
-    return DatasetManifest(manifest.vocabulary, manifest.classes,
-                           tuple(records), tag, SOFT)
-
-
 @pytest.fixture(scope="module")
 def soft_files(synth_files):
-    """(source path, target path): the soft twins of the synth manifests."""
-    src, tgt = synth_files / "soft_source.txt", synth_files / "soft_target.txt"
-    write_manifest(to_soft(parse_manifest(synth_files / "source.txt"), "train"), src)
-    write_manifest(to_soft(parse_manifest(synth_files / "target.txt"), "test"), tgt)
-    return src, tgt
+    """(source path, target path): soft manifests of the synth files' spec."""
+    paths = synth_files / "soft_source.txt", synth_files / "soft_target.txt"
+    for manifest, path in zip(generate(SYNTH_SPEC, patches=4), paths):
+        write_manifest(manifest, path)
+    return paths
 
 
 @pytest.fixture(scope="module", params=["hard", "soft"])
@@ -179,6 +153,8 @@ class TestConfig:
         ("seed", -1, "seed"),
         ("delta_theta", 0.0, "delta_theta"),
         ("pyramid", ((0, 1),), "pyramid level"),
+        ("sgd_lambdas", (1e-4,) * 33, "config keys 'sgd_lambdas', 'sgd_eta0s': the grid "
+                                      "has 66 entries, more than 64"),
     ])
     def test_bad_field_refused_when_built(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -290,7 +266,9 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1e-9",
-                                       "99999999999999999999", "abc", "1,", "1x1x1"])
+                                       "99999999999999999999", "abc", "1,", "1x1x1",
+                                       pytest.param(",".join(["0.5"] * 65),
+                                                    id="65-item-list")])
     @pytest.mark.parametrize("key", list(_BUNDLE_TYPES["PipelineConfig"][1]))
     def test_bad_value_trains_or_is_refused_naming_its_key(self, key, value, synth_files,
                                                            tmp_path, capsys):
@@ -340,6 +318,62 @@ class TestSynthCommand:
         rows = read_csv(out / "source_topics.csv")
         assert rows[0] == ["image_id", "hidden_topic"]
         assert len(rows) == 1 + 18
+
+    def test_patches_draw_the_library_soft_manifests(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["synth", "--classes", "3", "--objects", "12", "--topics", "2",
+                     "--images-per-class", "6", "--offset", "0.1", "--seed", "1",
+                     "--patches", "3", "--out-dir", str(out)]) == 0
+        spec = planted_spec(3, 12, 2, 6, shift=DomainShift(score_offset=0.1), seed=1)
+        for manifest, name in zip(generate(spec, patches=3), ("source", "target")):
+            assert manifest.mode == "soft"
+            assert (out / f"{name}.txt").read_text() == to_text(manifest)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("patches", ["0", "3"])
+    @pytest.mark.parametrize("shift, named", [
+        (["--offset", "nan"], ["score_offset"]),
+        (["--scale", "inf"], ["score_scale"]),
+        (["--offset", "1e308", "--scale", "1e308"], ["score_scale", "score_offset"]),
+    ], ids=["nan-offset", "inf-scale", "overflow"])
+    def test_non_finite_or_overflowing_shift_refused_naming_its_field(
+            self, tmp_path, capsys, patches, shift, named):
+        rc = main(["synth", "--classes", "2", "--objects", "6", "--topics", "2",
+                   "--images-per-class", "3", "--patches", patches, *shift,
+                   "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in named)
+        assert not (tmp_path / "data" / "source.txt").exists()
+
+    def test_negative_patches_refused(self, tmp_path, capsys):
+        assert main(["synth", "--patches", "-1", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: patches must be non-negative, got -1\n"
+
+    def test_soft_target_record_emptied_by_dropout_refused_by_eval(self, tmp_path,
+                                                                   capsys):
+        # dropout draws per patch, so a record can lose every patch: its
+        # descriptor would be an empty bag, which encoding refuses by name
+        out = tmp_path / "data"
+        assert main(["synth", "--classes", "2", "--objects", "6", "--topics", "2",
+                     "--images-per-class", "8", "--patches", "2", "--dropout", "0.6",
+                     "--seed", "2", "--out-dir", str(out)]) == 0
+        target = parse_manifest(out / "target.txt")
+        empty = [rid for rid, a, b in zip(target.image_ids, target.bounds[:-1],
+                                          target.bounds[1:]) if a == b]
+        assert empty
+        bundle = tmp_path / "m.bin"
+        assert main(["train", "--train", str(out / "source.txt"), "--out", str(bundle),
+                     "--set", "mode=soft", "--set", "object_count=4",
+                     "--set", "pca_dim=4", "--set", "codebook_size=2",
+                     "--set", "topic_count=1", "--set", "sgd_lambdas=1e-4",
+                     "--set", "sgd_eta0s=0.5", "--set", "sgd_epochs=3"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--bundle", str(bundle), "--test", str(out / "target.txt"),
+                     "--out-prefix", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == (f"error: empty bag: record {empty[0]!r} "
+                                           f"has no patches\n")
 
 
 class TestTrainEvalPredict:
@@ -651,10 +685,10 @@ class TestStagedCommands:
                 f"got {count}") in capsys.readouterr().err
         assert not clustered.exists()
 
-    def test_soft_select_objects_refused_naming_train(self, synth_files, tmp_path,
+    def test_soft_select_objects_refused_naming_train(self, soft_files, tmp_path,
                                                       capsys):
-        source, oom, sel = (tmp_path / name for name in ("soft.txt", "oom.bin", "sel.bin"))
-        write_manifest(to_soft(parse_manifest(synth_files / "source.txt"), "train"), source)
+        source, _ = soft_files
+        oom, sel = tmp_path / "oom.bin", tmp_path / "sel.bin"
         assert main(["build-oom", "--train", str(source), "--out", str(oom),
                      "--set", "mode=soft"]) == 0
         assert main(["inspect", "--bundle", str(oom), "--object", "obj003",
@@ -850,13 +884,12 @@ class TestAblate:
 
 class TestSoftPipeline:
     def train(self, tmp_path):
-        """Train a soft bundle on manifests derived from a hard one (detections
-        become patches); returns the bundle path and the target manifest path."""
-        spec = planted_spec(3, 10, 2, 10, seed=6)
-        source, target = generate(spec)
+        """Train a soft bundle on planted soft manifests of 6 patches per
+        image; returns the bundle path and the target manifest path."""
+        source, target = generate(planted_spec(3, 10, 2, 10, seed=6), patches=6)
         src_path, tgt_path = tmp_path / "soft_src.txt", tmp_path / "soft_tgt.txt"
-        write_manifest(to_soft(source, "train"), src_path)
-        write_manifest(to_soft(target, "test"), tgt_path)
+        write_manifest(source, src_path)
+        write_manifest(target, tgt_path)
         out = tmp_path / "soft.bin"
         rc = main(["train", "--train", str(src_path), "--out", str(out),
                    "--set", "mode=soft", "--set", "object_count=6",
@@ -881,7 +914,7 @@ class TestSoftPipeline:
         assert train_log(capsys.readouterr().out) == [
             "[train] occurrence and posterior models: <t>s (10 objects x 3 classes)",
             "[train] object selection: <t>s (kept 6)",
-            "[train] pca: <t>s (170 patches, dim 18 -> 10)",
+            "[train] pca: <t>s (180 patches, dim 18 -> 10)",
             "[train] codebook: <t>s (4 words)",
             "[train] encoding: <t>s (30 descriptors of dim 40)",
             "[train] topic clustering: <t>s (2 topics)",

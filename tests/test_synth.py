@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from oomscene import (
     ClassPrior,
+    DatasetManifest,
     DomainShift,
     HardDetection,
     PyramidLayout,
@@ -24,7 +27,7 @@ from oomscene import (
     select_objects,
     to_text,
 )
-from oomscene.ingest import ImageRecord, SoftPatch
+from oomscene.ingest import SOFT, ImageRecord, SoftPatch
 from oomscene.synth import _random_box
 from helpers import (
     hard_record,
@@ -37,8 +40,11 @@ from helpers import (
 )
 
 
-def small_spec(seed=0, shift=DomainShift()):
-    return planted_spec(3, 12, 2, 20, shift=shift, seed=seed)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def small_spec(seed=0, shift=DomainShift(), images_per_class=20):
+    return planted_spec(3, 12, 2, images_per_class, shift=shift, seed=seed)
 
 
 class TestGenerate:
@@ -78,6 +84,46 @@ class TestGenerate:
             DomainShift(score_scale=0.0)
         with pytest.raises(ValueError):
             DomainShift(dropout=1.0)
+        with pytest.raises(ValueError, match="score_offset must be finite, got nan"):
+            DomainShift(score_offset=float("nan"))
+        with pytest.raises(ValueError, match="score_scale must be finite, got inf"):
+            DomainShift(score_scale=float("inf"))
+
+    @pytest.mark.parametrize("patches", [0, 3])
+    def test_first_images_of_a_class_do_not_depend_on_images_per_class(self, patches):
+        # per-image substreams: a draw at k images per class is the first k
+        # images per class of a larger draw (dropout aside: it is keyed by
+        # record index)
+        shift = DomainShift(score_offset=0.2, score_scale=1.1)
+        small = generate(small_spec(seed=4, shift=shift, images_per_class=3), patches)
+        large = generate(small_spec(seed=4, shift=shift, images_per_class=7), patches)
+        for a, b in zip(small, large):
+            first = tuple(b.records[c * 7 + i] for c in range(3) for i in range(3))
+            assert to_text(a) == to_text(DatasetManifest(b.vocabulary, b.classes, first,
+                                                         b.split_tag, b.mode))
+
+    @pytest.mark.parametrize("spec, patches", [
+        *[(planted_spec(18, 200, 3, 56, shift=DomainShift(score_offset=0.15), seed=s), 8)
+          for s in (1, 2, 3)],
+        (planted_spec(18, 30, 3, 24, shift=DomainShift(score_offset=0.15), seed=3), 4),
+        (planted_spec(4, 12, 2, 6, shift=DomainShift(-0.1, 1.3, 0.4), seed=9), 3),
+    ], ids=["soft-paper-1", "soft-paper-2", "soft-paper-3", "soft-paper-tiny", "dropout"])
+    def test_soft_draw_matches_the_benchmark_generator(self, monkeypatch, spec, patches):
+        # soft-paper's set-up spec and the smoke test's tiny one: swapping
+        # the benchmark's record-at-a-time generator for this one keeps its
+        # inputs byte-identical
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from soft_synth import generate_soft
+        ours, theirs = generate(spec, patches), generate_soft(spec, patches)
+        assert ours[0].mode == SOFT
+        for a, b in zip(ours, theirs):
+            assert to_text(a) == to_text(b)
+
+    def test_soft_draw_shifts_every_target_score(self):
+        source, target = generate(small_spec(seed=6, shift=DomainShift(0.15)), patches=4)
+        assert np.all(np.diff(source.bounds) == 4)
+        assert 0.0 <= source.scores.min() and source.scores.max() <= 1.0
+        assert target.scores.min() >= 0.15
 
     def test_labels_and_domains(self):
         source, target = generate(small_spec(seed=10))
