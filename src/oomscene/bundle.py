@@ -1,8 +1,8 @@
 """Pipeline configuration and single-file model bundles.
 
-A bundle keeps every artifact frozen at training time (occurrence/posterior
-tensors, object selection, optional PCA/codebook, topic model, ensemble, and
-the config snapshot) so evaluation on a new domain never re-fits anything.
+A bundle keeps every artifact frozen at training time (occurrence tensor,
+class prior, object selection, optional PCA/codebook, topic model, ensemble,
+and the config snapshot) so evaluation on a new domain never re-fits anything.
 Bundle and descriptor files share one container (README, "Bundle format"):
 magic, version, header length, a JSON header listing the arrays' dtypes and
 shapes, then the raw arrays, each 8-byte aligned.
@@ -15,6 +15,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -30,15 +31,16 @@ from .occurrence import (
     OccurrenceModel,
     PosteriorModel,
     ThresholdGrid,
+    build_posterior_model,
 )
 from .topics import KMeansModel
 
 BUNDLE_MAGIC = b"OOMSCENE"
-BUNDLE_VERSION = 5
+BUNDLE_VERSION = 6
 DESC_MAGIC = b"OOMSDESC"
 DESC_VERSION = 2
-# the array dtypes a container holds, as numpy spells them
-_DTYPES = {"<f8": np.dtype("<f8"), "|b1": np.dtype("|b1")}
+# the one array dtype a container holds: little-endian float64
+_DTYPE = np.dtype("<f8")
 
 # published operating points: discriminant object counts per detection mode
 PROFILES = {
@@ -194,31 +196,35 @@ class ModelBundle:
     vocabulary: ObjectVocabulary
     classes: SceneClassSet
     occurrence: OccurrenceModel
-    posterior: PosteriorModel
+    prior: ClassPrior
     selection: Optional[DiscriminantSelection] = None
     pca: Optional[PcaTransform] = None
     codebook: Optional[VladCodebook] = None
     topics: Optional[KMeansModel] = None
     ensemble: Optional[TopicEnsemble] = None
 
+    @cached_property
+    def posterior(self) -> PosteriorModel:
+        """Derived on first use from the stored facts, never stored itself."""
+        return build_posterior_model(self.occurrence, self.prior, self.config.fallback)
+
     def validate(self) -> None:
-        """Check that the components' shapes agree with each other."""
+        """Check that the components' shapes agree with each other and
+        that the config describes the fitted components."""
         n_obj, n_cls = len(self.vocabulary), len(self.classes)
-        post = self.posterior
+        grid = self.occurrence.grid
         # a tensor counted on one grid and looked up on another predicts wrongly
-        if not self.occurrence.grid == post.grid == self.config.threshold_grid():
-            raise CompatibilityError("occurrence, posterior and config threshold "
-                                     "grids differ")
-        if self.occurrence.probs.shape[:2] != (n_obj, n_cls):
-            raise CompatibilityError("occurrence tensor does not match the vocabulary")
-        if post.posteriors.shape != self.occurrence.probs.shape:
-            raise CompatibilityError("posterior tensor does not match the occurrence model")
-        if post.posteriors.shape[2:] != (len(post.grid),):
-            raise CompatibilityError("posterior tensor does not match its threshold grid")
-        if post.fallback_mask.shape != (n_obj, len(post.grid)):
-            raise CompatibilityError("fallback mask does not match the posterior tensor")
-        if post.prior.weights.size != n_cls:
+        if grid != self.config.threshold_grid():
+            raise CompatibilityError("occurrence and config threshold grids differ")
+        if self.occurrence.probs.shape != (n_obj, n_cls, len(grid)):
+            raise CompatibilityError("occurrence tensor is not objects x classes x "
+                                     "threshold grid points")
+        if self.prior.weights.size != n_cls:
             raise CompatibilityError("class prior does not match the classes")
+        if (self.config.prior == "uniform" and self.prior.weights.tobytes()
+                != ClassPrior.uniform(n_cls).weights.tobytes()):
+            raise CompatibilityError("config key 'prior' is 'uniform', but the class "
+                                     "prior is not")
         if self.selection is not None:
             selected = self.selection.selected
             if any(not 0 <= o < n_obj for o in selected):
@@ -256,6 +262,19 @@ class ModelBundle:
                 )
             if self.topics is not None and self.topics.centroids.shape[1:] != (ens.dim,):
                 raise CompatibilityError("topic model and ensemble dimensions differ")
+            entries = self.config.sgd_grid()
+            if any(c not in entries for c in ens.configs):
+                raise CompatibilityError("config keys 'sgd_lambdas', 'sgd_eta0s': an "
+                                         "ensemble topic's SGD entry is not in the grid")
+        fitted = [("object_count", self.selection, len, "objects selected"),
+                  ("pca_dim", self.pca, lambda m: m.out_dim, "PCA output dims"),
+                  ("codebook_size", self.codebook, lambda m: m.size, "codebook words"),
+                  ("topic_count", self.topics, lambda m: m.n_topics, "topic centroids"),
+                  ("topic_count", self.ensemble, lambda m: m.n_topics, "ensemble topics")]
+        for key, model, count, what in fitted:
+            if model is not None and count(model) != getattr(self.config, key):
+                raise CompatibilityError(f"config key {key!r} is {getattr(self.config, key)}, "
+                                         f"but the bundle has {count(model)} {what}")
 
     def descriptor_dim(self) -> int:
         if self.config.mode == SOFT and (self.pca is None or self.codebook is None):
@@ -272,6 +291,9 @@ class ModelBundle:
 
 def _write_container(path, magic: bytes, version: int, header: dict, arrays) -> None:
     """Write header and arrays in the container layout (module docstring)."""
+    for a in arrays:  # before the file is opened: the reader would refuse it
+        if a.dtype != _DTYPE:
+            raise TypeError(f"a container holds {_DTYPE.str} arrays only, not {a.dtype.str}")
     specs = [{"dtype": a.dtype.str, "shape": list(a.shape)} for a in arrays]
     text = json.dumps({**header, "arrays": specs}, separators=(",", ":")).encode("utf-8")
     text += b" " * (-(len(magic) + 6 + len(text)) % 8)
@@ -321,21 +343,18 @@ def _read_container(path, magic: bytes, version: int, kind: str):
     for i, spec in enumerate(specs):
         dtype = spec.get("dtype") if isinstance(spec, dict) else None
         shape = spec.get("shape") if isinstance(spec, dict) else None
-        if (not isinstance(dtype, str) or dtype not in _DTYPES
-                or not isinstance(shape, list)
+        if (dtype != _DTYPE.str or not isinstance(shape, list)
                 or not all(type(n) is int and n >= 0 for n in shape)):
             raise FormatError(f"{path}: header field 'arrays[{i}]' is not a "
-                              f"{' or '.join(_DTYPES)} dtype with a shape")
-        nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
-        spans.append((end, nbytes, _DTYPES[dtype], shape))
+                              f"{_DTYPE.str} dtype with a shape")
+        nbytes = math.prod(shape) * _DTYPE.itemsize
+        spans.append((end, nbytes, shape))
         end += nbytes + (-nbytes % 8)
     if end != len(buf):
         raise FormatError(f"{path}: payload field has {len(buf) - off} bytes, "
                           f"the header's arrays need {end - off}")
-    arrays = [buf[start : start + n].view(dt).reshape(shape) for start, n, dt, shape in spans]
-    if any(a.dtype.kind == "b" and a.view(np.uint8).max(initial=0) > 1 for a in arrays):
-        raise FormatError(f"{path}: payload field holds a bool other than 0 or 1")
-    return header, arrays
+    return header, [buf[start : start + n].view(_DTYPE).reshape(shape)
+                    for start, n, shape in spans]
 
 
 # ------------------------------------------------------------ bundle tree
@@ -415,7 +434,7 @@ def _from_tree(node, arrays, where: str):
 _BUNDLE_TYPES = {
     cls.__name__: (cls, {f.name: get_type_hints(cls)[f.name] for f in fields(cls)})
     for cls in (ModelBundle, PipelineConfig, ObjectVocabulary, SceneClassSet,
-                OccurrenceModel, PosteriorModel, ThresholdGrid, ClassPrior,
+                OccurrenceModel, ThresholdGrid, ClassPrior,
                 DiscriminantSelection, PcaTransform, VladCodebook,
                 KMeansModel, TopicEnsemble, SgdConfig)
 }
@@ -470,7 +489,7 @@ def read_descriptor_file(path):
     for name, n in zip(("rows", "cols"), shape):
         if type(n) is not int:  # bools and floats are JSON non-integers here
             raise FormatError(f"{path}: {name} field is not an integer")
-    if len(arrays) != 1 or arrays[0].dtype.kind != "f" or arrays[0].shape != shape:
+    if len(arrays) != 1 or arrays[0].shape != shape:
         raise FormatError(f"{path}: arrays field does not hold one float64 matrix "
                           f"of rows x cols")
     ids = header.get("image_ids")

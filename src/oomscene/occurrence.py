@@ -117,6 +117,9 @@ class OccurrenceModel:
 
     def __post_init__(self):
         _require_finite(self.probs, "occurrence probabilities")
+        # fractions of images: outside [0, 1] the Bayes inversion is not finite
+        if np.any(self.probs < 0) or np.any(self.probs > 1):
+            raise ValueError("occurrence probabilities must lie in [0, 1]")
 
     @property
     def n_objects(self) -> int:
@@ -137,11 +140,7 @@ class PosteriorModel:
 
     grid: ThresholdGrid
     posteriors: np.ndarray
-    prior: ClassPrior
     fallback_mask: np.ndarray
-
-    def __post_init__(self):
-        _require_finite(self.posteriors, "posteriors")
 
     @property
     def n_objects(self) -> int:
@@ -211,21 +210,19 @@ def build_posterior_model(oom: OccurrenceModel, prior: ClassPrior,
     num = oom.probs * w[None, :, None]
     denom = num.sum(axis=1)                   # [n_obj, n_theta]
     mask = denom == 0.0
-    safe = np.where(mask, 1.0, denom)
-    post = num / safe[:, None, :]
+    post = num / np.where(mask, 1.0, denom)[:, None, :]
+    o, t = np.nonzero(mask)
+    # the valid threshold each flagged cell copies its column from, -1 for the prior
     if fallback == FALLBACK_PRIOR:
-        post = np.where(mask[:, None, :], w[None, :, None], post)
+        last = np.full(o.size, -1)
     elif fallback == FALLBACK_LAST_VALID:
-        o, t = np.nonzero(mask)
-        # the last valid threshold below each flagged cell, -1 where none is
         last = np.maximum.accumulate(np.where(mask, -1, np.arange(mask.shape[1])), axis=1)[o, t]
-        post[o, :, t] = np.where(last[:, None] >= 0, post[o, :, last], w)
     else:
         raise ValueError(f"unknown fallback rule {fallback!r}")
+    post[o, :, t] = np.where(last[:, None] >= 0, post[o, :, last], w)
     return PosteriorModel(
         grid=oom.grid,
         posteriors=post,
-        prior=prior,
         fallback_mask=mask,
     )
 

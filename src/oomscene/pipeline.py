@@ -1,7 +1,7 @@
 """The training and evaluation pipeline as library calls.
 
-Training is one chain of stages, ``STAGES``: the occurrence and posterior
-models, the object selection, the encoder (in soft mode the PCA and codebook,
+Training is one chain of stages, ``STAGES``: the occurrence model and class
+prior, the object selection, the encoder (in soft mode the PCA and codebook,
 then the training descriptors), the topics and the ensemble.  ``run_stages``
 folds a run of them over a bundle and the training descriptors, and
 ``fit_pipeline`` runs them all.  ``encode_with_bundle`` encodes a manifest
@@ -31,7 +31,6 @@ from .ingest import HARD, SOFT, DatasetManifest
 from .occurrence import (
     ClassPrior,
     build_occurrence_model,
-    build_posterior_model,
     select_objects,
 )
 from .topics import fit_topics
@@ -117,9 +116,8 @@ def _posterior(config, train, bundle, X):
     occurrence = build_occurrence_model(train, config.threshold_grid())
     prior = (ClassPrior.empirical(train) if config.prior == "empirical"
              else ClassPrior.uniform(len(train.classes)))
-    posterior = build_posterior_model(occurrence, prior, config.fallback)
     bundle = ModelBundle(config=config, vocabulary=train.vocabulary, classes=train.classes,
-                         occurrence=occurrence, posterior=posterior)
+                         occurrence=occurrence, prior=prior)
     return bundle, X, {"objects": occurrence.n_objects, "classes": occurrence.n_classes,
                        "thresholds": len(occurrence.grid)}
 

@@ -35,6 +35,20 @@ from .ingest import (
 
 _TOPIC_RE = re.compile(r"_t(\d+)_")
 NOISE_FLOOR = 0.1  # soft scores of undetected (patch, object) pairs
+# the most values a spec's score tensors or a manifest's draws may hold: the
+# draw loops over every image in Python and keeps every score.  2^24 is ten
+# times the benchmark's largest draw (18 x 56 images x 200 objects x 8
+# patches, about 1.6 M scores), and 128 MiB of float64
+_MAX_DRAWS = 1 << 24
+
+
+def _check_draws(what: str, **factors: int) -> None:
+    """Refuse, before anything is allocated, factors whose product is above
+    ``_MAX_DRAWS``, naming each factor."""
+    total = math.prod(factors.values())
+    if total > _MAX_DRAWS:
+        named = " x ".join(f"{name} {n}" for name, n in factors.items())
+        raise ValueError(f"{named} is {total} {what}, more than {_MAX_DRAWS}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,9 @@ def planted_spec(n_classes: int, n_objects: int, n_topics: int,
                  context_score_spread: float = 0.2) -> SynthSpec:
     """Spec with three kinds of planted objects.
 
+    A spec whose score tensors (topics x classes x objects) exceed
+    ``_MAX_DRAWS`` is refused before they are allocated.
+
     Topic markers fire in all classes of their topic so clustering can
     recover the hidden partition (and so a single pooled classifier carries
     noisy weights a per-topic one avoids).  Class objects carry the scene
@@ -119,6 +136,7 @@ def planted_spec(n_classes: int, n_objects: int, n_topics: int,
     offset re-weights their raw values against the high-scoring objects,
     while threshold-grid lookups stay on stable posterior columns.
     """
+    _check_draws("spec scores", n_topics=n_topics, n_classes=n_classes, n_objects=n_objects)
     if n_objects < n_topics + n_classes:
         raise ValueError("need at least n_topics + n_classes objects to plant structure")
     per_topic = max(1, int(0.6 * n_objects) // n_topics)
@@ -258,13 +276,18 @@ def generate(spec: SynthSpec, patches: int = 0) -> tuple[DatasetManifest, Datase
     """Draw (source, target) manifests; the target applies the spec's shift.
 
     ``patches`` 0 draws hard manifests; ``patches`` >= 1 draws soft ones
-    with that many patches per image.  Deterministic per seed.  Each image
+    with that many patches per image; a manifest of more than ``_MAX_DRAWS``
+    draws (images x objects, times ``patches`` in soft mode) is refused
+    before anything is drawn.  Deterministic per seed.  Each image
     has its own substream, so the first k images of a class are the same
     whatever ``images_per_class``.  With an identity shift the target is a
     fresh same-distribution draw, i.e. a held-out source-domain test set.
     """
     if patches < 0:
         raise ValueError(f"patches must be non-negative, got {patches}")
+    _check_draws("draws per manifest", n_classes=spec.n_classes,
+                 images_per_class=spec.images_per_class, n_objects=spec.n_objects,
+                 **({"patches": patches} if patches else {}))
     source = _draw_manifest(spec, patches, "source", 0, "train")
     target = _draw_manifest(spec, patches, "target", 1, "test")
     return source, apply_shift(target, spec.shift, seed=spec.seed)

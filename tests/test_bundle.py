@@ -1,8 +1,8 @@
 """Malformed bundle files end in a PipelineError and never run code.
 
-Every case starts from one small valid soft-mode bundle (PCA, codebook, bool
-fallback mask and ensemble all present) and damages it: truncation, flipped
-bytes, or edits of its JSON header.
+Every case starts from one small valid soft-mode bundle (PCA, codebook,
+topics and ensemble all present) and damages it: truncation, flipped bytes,
+or edits of its JSON header.
 """
 
 import json
@@ -26,6 +26,7 @@ from oomscene import (
     ThresholdGrid,
     TopicEnsemble,
     VladCodebook,
+    build_posterior_model,
     fit_pipeline,
     load_bundle,
     save_bundle,
@@ -214,21 +215,37 @@ def test_bad_dtype(workdir, valid, data):
     header, payload = split(valid)
     spec = data.draw(st.sampled_from(header["arrays"]))
     spec["dtype"] = data.draw(st.sampled_from(
-        ["<f4", ">f8", "<i8", "|u1", "|O", "<c16", "", 8, None, ["<f8"]]))
+        ["<f4", ">f8", "<i8", "|u1", "|b1", "|O", "<c16", "", 8, None, ["<f8"]]))
     with pytest.raises(PipelineError, match=r"arrays\["):
         load(workdir, join(header, payload))
 
 
 @pytest.mark.parametrize("forge, field", [
-    (lambda b: replace(b, posterior=replace(b.posterior, grid=ThresholdGrid(0.0, 1.0, 0.1))),
+    (lambda b: replace(b, occurrence=replace(b.occurrence, grid=ThresholdGrid(0.0, 1.0, 0.1))),
      "threshold grid"),
     # as many points as the config's grid, at other thresholds
-    (lambda b: replace(b, posterior=replace(b.posterior, grid=ThresholdGrid(0.5, 1.5, 0.05))),
+    (lambda b: replace(b, occurrence=replace(b.occurrence,
+                                             grid=ThresholdGrid(0.5, 1.5, 0.05))),
      "threshold grids differ"),
-    (lambda b: replace(b, posterior=replace(
-        b.posterior, fallback_mask=b.posterior.fallback_mask[:, :-1])), "fallback mask"),
-    (lambda b: replace(b, posterior=replace(b.posterior, prior=ClassPrior.uniform(2))),
-     "class prior"),
+    (lambda b: replace(b, occurrence=replace(b.occurrence, probs=b.occurrence.probs[:, :, 1:])),
+     "occurrence tensor is not objects x classes x threshold grid points"),
+    (lambda b: replace(b, prior=ClassPrior.uniform(2)), "class prior"),
+    # one ulp off uniform: a posterior the config's prior would not give
+    (lambda b: replace(b, prior=ClassPrior(np.nextafter(np.full(3, 1 / 3), [0, 1, 1 / 3])),
+                       config=replace(b.config, prior="uniform")),
+     "config key 'prior' is 'uniform', but the class prior is not"),
+    (lambda b: replace(b, config=replace(b.config, object_count=2)),
+     "config key 'object_count' is 2, but the bundle has 3 objects selected"),
+    (lambda b: replace(b, config=replace(b.config, topic_count=3)),
+     "config key 'topic_count' is 3, but the bundle has 2 topic centroids"),
+    (lambda b: replace(b, topics=None, config=replace(b.config, topic_count=1)),
+     "config key 'topic_count' is 1, but the bundle has 2 ensemble topics"),
+    (lambda b: replace(b, config=replace(b.config, pca_dim=3)),
+     "config key 'pca_dim' is 3, but the bundle has 2 PCA output dims"),
+    (lambda b: replace(b, config=replace(b.config, codebook_size=3)),
+     "config key 'codebook_size' is 3, but the bundle has 2 codebook words"),
+    (lambda b: replace(b, config=replace(b.config, sgd_lambdas=(1e-4,))),
+     "config keys 'sgd_lambdas', 'sgd_eta0s': an ensemble topic's SGD entry is not"),
     (lambda b: replace(b, selection=replace(
         b.selection, selected=(-1,) + b.selection.selected[1:])), "selection"),
     # a repeated object would leave its first slot's rows zero
@@ -253,8 +270,10 @@ def test_bad_dtype(workdir, valid, data):
     (lambda b: replace(b, ensemble=replace(b.ensemble, weights=b.ensemble.weights[:2],
                                            biases=b.ensemble.biases[:2])),
      "ensemble classes"),
-], ids=["grid", "grid-values", "fallback-mask", "prior", "selection", "selection-repeat",
-        "pca-mean", "pca-input", "pca-dense-block", "codebook", "biases", "classes"])
+], ids=["grid", "grid-values", "occurrence-shape", "prior", "prior-not-uniform",
+        "object-count", "topic-count", "topic-count-ensemble", "pca-dim", "codebook-size",
+        "sgd-grid", "selection", "selection-repeat", "pca-mean", "pca-input",
+        "pca-dense-block", "codebook", "biases", "classes"])
 def test_forged_shapes_name_the_component(workdir, trained, forge, field):
     path = workdir / "forged.bundle"
     with pytest.raises(CompatibilityError, match=field):
@@ -272,17 +291,15 @@ def test_forged_shapes_name_the_component(workdir, trained, forge, field):
     (lambda b: b.topics.centroids, "bundle.topics: KMeansModel", "topic centroids"),
     (lambda b: b.ensemble.weights, "bundle.ensemble: TopicEnsemble", "ensemble weights"),
     (lambda b: b.ensemble.biases, "bundle.ensemble: TopicEnsemble", "ensemble biases"),
-    (lambda b: b.posterior.posteriors, "bundle.posterior: PosteriorModel", "posteriors"),
     (lambda b: b.occurrence.probs, "bundle.occurrence: OccurrenceModel",
      "occurrence probabilities"),
-    (lambda b: b.posterior.prior.weights, "bundle.posterior.prior: ClassPrior",
-     "prior weights"),
+    (lambda b: b.prior.weights, "bundle.prior: ClassPrior", "prior weights"),
     (lambda b: b.selection.scores, "bundle.selection: DiscriminantSelection",
      "discriminability scores"),
-], ids=["pca-basis", "centroids", "ensemble-weights", "ensemble-biases", "posteriors", "occurrence", "prior",
+], ids=["pca-basis", "centroids", "ensemble-weights", "ensemble-biases", "occurrence", "prior",
         "selection-scores"])
 def test_forged_nan_in_an_array_is_refused(workdir, trained, array, node, message):
-    # a NaN basis entry, weight or posterior would make scores NaN and argmax
+    # a NaN basis entry, weight or occurrence would make scores NaN and argmax
     # pick the first NaN class; a NaN centroid would send every descriptor to
     # topic 0; a NaN prior weight passes the sign and sum checks
     arrays = []
@@ -295,6 +312,50 @@ def test_forged_nan_in_an_array_is_refused(workdir, trained, array, node, messag
     with pytest.raises(FormatError, match=f"{node} rejects its fields "
                                           f"\\({message} must be finite\\)"):
         load_bundle(path)
+
+
+@pytest.mark.parametrize("value", [-1e-300, 1.0000000000000002, 2.0])
+def test_forged_occurrence_outside_the_unit_interval_is_refused(workdir, trained, value):
+    # a fraction of images outside [0, 1] would make the derived posterior
+    # non-finite or negative
+    arrays = []
+    tree = _to_tree(trained, arrays)
+    index = next(i for i, a in enumerate(arrays) if a is trained.occurrence.probs)
+    arrays[index] = arrays[index].copy()
+    arrays[index].flat[0] = value
+    path = workdir / "forged.bundle"
+    _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, {"bundle": tree}, arrays)
+    with pytest.raises(FormatError, match=r"bundle.occurrence: OccurrenceModel rejects its "
+                                          r"fields \(occurrence probabilities must lie in "
+                                          r"\[0, 1\]\)"):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("fallback", ["prior", "last-valid"])
+def test_posterior_is_derived_from_the_occurrence_prior_and_fallback(workdir, trained,
+                                                                     fallback):
+    # object 0 is never seen above the fifth threshold: its flagged cells
+    # hold the prior or the fifth threshold's column, as config.fallback says
+    probs = trained.occurrence.probs.copy()
+    probs[0, :, 5:] = 0.0
+    bundle = replace(trained, occurrence=replace(trained.occurrence, probs=probs),
+                     config=replace(trained.config, fallback=fallback))
+    path = workdir / "derived.bundle"
+    save_bundle(bundle, path)
+    loaded = load_bundle(path)
+    want = build_posterior_model(bundle.occurrence, bundle.prior, fallback)
+    assert want.fallback_mask[0, 5:].all()
+    fill = bundle.prior.weights if fallback == "prior" else want.posteriors[0, :, 4]
+    assert want.posteriors[0, :, -1].tobytes() == fill.tobytes()
+    for got in (bundle.posterior, loaded.posterior):
+        assert got.grid == bundle.config.threshold_grid()
+        assert got.posteriors.tobytes() == want.posteriors.tobytes()
+        assert got.fallback_mask.tobytes() == want.fallback_mask.tobytes()
+    assert loaded.posterior is loaded.posterior  # derived once per bundle
+    # a replaced bundle derives its own
+    other = "prior" if fallback == "last-valid" else "last-valid"
+    swapped = replace(loaded, config=replace(loaded.config, fallback=other))
+    assert swapped.posterior.posteriors.tobytes() != want.posteriors.tobytes()
 
 
 def unchecked(cls, **values):
@@ -365,21 +426,24 @@ def test_forged_pyramid_is_refused_before_encoding(workdir, trained):
         load_bundle(path)
 
 
-def test_version_4_bundle_is_refused_naming_both_versions(workdir, valid):
-    # version 4 stored the SGD epochs and seed in every grid entry, beside
-    # config.sgd_epochs and config.seed; version 5 keeps each fact once
-    assert BUNDLE_VERSION == 5
-    path = workdir / "v4.bundle"
-    path.write_bytes(valid[:8] + struct.pack(">H", 4) + valid[10:])
+def test_version_5_bundle_is_refused_naming_both_versions(workdir, valid):
+    # version 5 stored the posterior model, its fallback mask and a copy of
+    # the threshold grid beside the occurrence model they are derived from
+    assert BUNDLE_VERSION == 6
+    path = workdir / "v5.bundle"
+    path.write_bytes(valid[:8] + struct.pack(">H", 5) + valid[10:])
     with pytest.raises(FormatError,
-                       match="version field holds 4, this reader reads model bundle version 5"):
+                       match="version field holds 5, this reader reads model bundle version 6"):
         load_bundle(path)
 
 
 def test_each_fact_is_stored_once(valid):
     header, _ = split(valid)
     keys = {key for node, key in slots(header["bundle"]) if isinstance(key, str)}
-    assert not keys & {"dict", "layout", "fallback_rule", "aggregation"}
+    assert not keys & {"dict", "layout", "fallback_rule", "aggregation", "PosteriorModel",
+                       "posterior", "posteriors", "fallback_mask"}
+    assert {spec["dtype"] for spec in header["arrays"]} == {"<f8"}
+    assert len(tagged(header, {"ThresholdGrid"})) == 1
     topics = tagged(header, {"KMeansModel"})[0]["KMeansModel"]
     assert set(topics) == {"centroids", "inertia", "iterations_run"}
     ensemble = tagged(header, {"TopicEnsemble"})[0]["TopicEnsemble"]
@@ -387,6 +451,15 @@ def test_each_fact_is_stored_once(valid):
     assert [next(iter(c)) for c in ensemble["configs"]] == ["SgdConfig"] * 2
     assert all(set(node["SgdConfig"]) == {"lam", "eta0"}
                for node in tagged(header, {"SgdConfig"}))
+
+
+def test_array_of_another_dtype_is_not_written(workdir, trained):
+    # the reader refuses every dtype but <f8, so the writer does too
+    probs = trained.occurrence.probs.astype(np.float32)
+    path = workdir / "float32.bundle"
+    with pytest.raises(TypeError, match="a container holds <f8 arrays only, not <f4"):
+        save_bundle(replace(trained, occurrence=replace(trained.occurrence, probs=probs)), path)
+    assert not path.exists()
 
 
 def test_pca_is_stored_as_its_factors(workdir, trained, valid):

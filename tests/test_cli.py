@@ -15,6 +15,7 @@ from oomscene import (
     generate,
     load_bundle,
     planted_spec,
+    save_bundle,
     to_text,
     write_manifest,
 )
@@ -347,6 +348,25 @@ class TestSynthCommand:
         assert all(name in err for name in named)
         assert not (tmp_path / "data" / "source.txt").exists()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--patches", "100000000000000", "patches"),
+        ("--objects", "100000000000000", "n_objects"),
+        ("--images-per-class", "100000000000000", "images_per_class"),
+        ("--topics", "100000000000", "n_topics"),
+    ], ids=["patches", "objects", "images-per-class", "topics"])
+    def test_draw_too_large_to_make_refused_naming_its_parameter(self, tmp_path, capsys,
+                                                                  flag, value, named):
+        # refused before any array is allocated, so the values can be huge
+        args = {"--classes": "2", "--objects": "4", "--topics": "1",
+                "--images-per-class": "1", "--patches": "0", flag: value}
+        rc = main(["synth", *(part for item in args.items() for part in item),
+                   "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{named} {value}" in err and err.endswith("more than 16777216\n")
+        assert not (tmp_path / "data").exists()
+
     def test_negative_patches_refused(self, tmp_path, capsys):
         assert main(["synth", "--patches", "-1", "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: patches must be non-negative, got -1\n"
@@ -641,6 +661,30 @@ class TestStagedCommands:
         assert load_bundle(sel).config.object_count == 5
         config = load_bundle(clustered).config
         assert (config.object_count, config.topic_count) == (5, 2)
+
+    @pytest.mark.parametrize("rules", [[], ["--set", "prior=empirical",
+                                            "--set", "fallback=last-valid"]],
+                             ids=["uniform-prior", "empirical-last-valid"])
+    def test_every_command_writes_a_bundle_that_loads(self, mode_files, tmp_path, rules):
+        # validate refuses a config that contradicts the fitted components:
+        # each command records the counts it fitted with, so none is refused
+        source, _, mode_args = mode_files
+        soft = bool(mode_args)
+        train, oom, sel, cl = (tmp_path / f"{n}.bin" for n in ("train", "oom", "sel", "cl"))
+        config = SMALL + mode_args + rules
+        assert main(["train", "--train", str(source), "--out", str(train)] + config) == 0
+        assert main(["build-oom", "--train", str(source), "--out", str(oom)] + config) == 0
+        written = [train, oom, cl]
+        if not soft:  # select-objects refuses a soft bundle; cluster reclusters it
+            assert main(["select-objects", "--bundle", str(oom), "--count", "5",
+                         "--out", str(sel)]) == 0
+            written.append(sel)
+        assert main(["cluster", "--bundle", str(train if soft else sel),
+                     "--manifest", str(source), "--topics", "3", "--out", str(cl)]) == 0
+        for path in written:
+            again = tmp_path / "again.bin"
+            save_bundle(load_bundle(path), again)
+            assert again.read_bytes() == path.read_bytes()
 
     def test_staged_commands_rebuild_train_stages(self, synth_files, tmp_path):
         source = str(synth_files / "source.txt")
@@ -1012,11 +1056,12 @@ class TestDeterminismAndPersistence:
          container(b"OOMSCENE", {"bundle": {"array": 0},
                                   "arrays": [{"dtype": "<f8", "shape": [1]}]}),
          "payload"),
+        # float64 is the only dtype: a bool is refused before its byte is read
         (load_bundle,
          container(b"OOMSCENE", {"bundle": {"array": 0},
                                   "arrays": [{"dtype": "|b1", "shape": [1]}]},
                    b"\x02" + bytes(7)),
-         "payload field holds a bool"),
+         r"header field 'arrays\[0\]' is not a <f8 dtype"),
         (load_bundle, container(b"OOMSCENE", {"bundle": [1, 2], "arrays": []}),
          "bundle field"),
         (load_bundle, container(b"OOMSCENE", {"bundle": {"array": 0}, "arrays": []}),

@@ -101,6 +101,13 @@ class TestOccurrenceModel:
         oom = build_occurrence_model(m, ThresholdGrid(0.0, 1.0, 0.2))
         assert np.all((oom.probs >= 0) & (oom.probs <= 1))
 
+    @pytest.mark.parametrize("value", [-1e-300, 1.0000000000000002])
+    def test_probabilities_outside_the_unit_interval_refused(self, value):
+        probs = np.zeros((2, 2, 3))
+        probs[1, 0, 2] = value
+        with pytest.raises(ValueError, match=r"occurrence probabilities must lie in \[0, 1\]"):
+            OccurrenceModel(ThresholdGrid(0.0, 1.0, 0.5), probs)
+
     def test_empty_class_raises_with_name(self):
         m = small_manifest()
         bad = DatasetManifest(m.vocabulary, make_classes(3),
@@ -243,6 +250,21 @@ class TestPosteriorModel:
             np.testing.assert_array_equal(mask, by_prior.fallback_mask)
             want = oracle_last_valid(by_prior.posteriors, mask, prior.weights)
             assert post.posteriors.tobytes() == want.tobytes()
+
+    def test_prior_fallback_matches_the_whole_tensor_form(self):
+        # flagged cells take the prior column, as a where over every cell gives it
+        rng = np.random.default_rng(17)
+        grid = ThresholdGrid(0.0, 1.0, 0.05)
+        probs = rng.random((30, 4, len(grid))) * (rng.random((30, 1, len(grid))) > 0.4)
+        prior = ClassPrior(rng.dirichlet(np.ones(4)))
+        post = build_posterior_model(OccurrenceModel(grid, probs), prior)
+        num = probs * prior.weights[None, :, None]
+        denom = num.sum(axis=1)
+        mask = denom == 0.0
+        want = np.where(mask[:, None, :], prior.weights[None, :, None],
+                        num / np.where(mask, 1.0, denom)[:, None, :])
+        assert mask.any() and (~mask).any()
+        assert post.posteriors.tobytes() == want.tobytes()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(15)

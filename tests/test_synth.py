@@ -28,7 +28,7 @@ from oomscene import (
     to_text,
 )
 from oomscene.ingest import SOFT, ImageRecord, SoftPatch
-from oomscene.synth import _random_box
+from oomscene.synth import _MAX_DRAWS, _check_draws, _random_box
 from helpers import (
     hard_record,
     one_record_manifest,
@@ -41,6 +41,16 @@ from helpers import (
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def text_fields(manifest):
+    """Everything ``to_text`` serializes of a soft manifest: equal fields give
+    equal texts, since repr gives distinct floats distinct text, without
+    formatting a float of the manifest."""
+    arrays = (manifest.labels, manifest.image, manifest.patch_id, manifest.scores)
+    return (manifest.vocabulary.names, manifest.classes.names, manifest.mode,
+            manifest.split_tag, manifest.image_ids, manifest.domain_tags,
+            *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
 
 
 def small_spec(seed=0, shift=DomainShift(), images_per_class=20):
@@ -102,13 +112,15 @@ class TestGenerate:
             assert to_text(a) == to_text(DatasetManifest(b.vocabulary, b.classes, first,
                                                          b.split_tag, b.mode))
 
-    @pytest.mark.parametrize("spec, patches", [
-        *[(planted_spec(18, 200, 3, 56, shift=DomainShift(score_offset=0.15), seed=s), 8)
-          for s in (1, 2, 3)],
-        (planted_spec(18, 30, 3, 24, shift=DomainShift(score_offset=0.15), seed=3), 4),
-        (planted_spec(4, 12, 2, 6, shift=DomainShift(-0.1, 1.3, 0.4), seed=9), 3),
+    @pytest.mark.parametrize("spec, patches, serialized", [
+        *[(planted_spec(18, 200, 3, 56, shift=DomainShift(score_offset=0.15), seed=s), 8,
+           text_fields) for s in (1, 2, 3)],
+        (planted_spec(18, 30, 3, 24, shift=DomainShift(score_offset=0.15), seed=3), 4,
+         to_text),
+        (planted_spec(4, 12, 2, 6, shift=DomainShift(-0.1, 1.3, 0.4), seed=9), 3, to_text),
     ], ids=["soft-paper-1", "soft-paper-2", "soft-paper-3", "soft-paper-tiny", "dropout"])
-    def test_soft_draw_matches_the_benchmark_generator(self, monkeypatch, spec, patches):
+    def test_soft_draw_matches_the_benchmark_generator(self, monkeypatch, spec, patches,
+                                                       serialized):
         # soft-paper's set-up spec and the smoke test's tiny one: swapping
         # the benchmark's record-at-a-time generator for this one keeps its
         # inputs byte-identical
@@ -117,7 +129,18 @@ class TestGenerate:
         ours, theirs = generate(spec, patches), generate_soft(spec, patches)
         assert ours[0].mode == SOFT
         for a, b in zip(ours, theirs):
-            assert to_text(a) == to_text(b)
+            assert serialized(a) == serialized(b)
+
+    def test_draw_bound_admits_its_limit(self):
+        _check_draws("draws", n=_MAX_DRAWS)
+        with pytest.raises(ValueError, match=f"n 3 x m {_MAX_DRAWS // 3 + 1} is "
+                                             f"{3 * (_MAX_DRAWS // 3 + 1)} draws, more than"):
+            _check_draws("draws", n=3, m=_MAX_DRAWS // 3 + 1)
+        # soft-paper's set-up draw is about a tenth of the bound
+        spec = planted_spec(18, 200, 3, 56)
+        assert 10 * 18 * 56 * 200 * 8 < _MAX_DRAWS
+        with pytest.raises(ValueError, match="patches 1000 is 201600000 draws per manifest"):
+            generate(spec, patches=1000)
 
     def test_soft_draw_shifts_every_target_score(self):
         source, target = generate(small_spec(seed=6, shift=DomainShift(0.15)), patches=4)
