@@ -4,8 +4,9 @@ A bundle keeps every artifact frozen at training time (occurrence tensor,
 class prior, object selection, optional PCA/codebook, topic model, ensemble,
 and the config snapshot) so evaluation on a new domain never re-fits anything.
 Bundle and descriptor files share one container (README, "Bundle format"):
-magic, version, header length, a JSON header listing the arrays' dtypes and
-shapes, then the raw arrays, each 8-byte aligned.
+magic, version, header length, a JSON header holding one typed node (a
+``ModelBundle`` or a ``DescriptorFile``) and the arrays' dtypes and shapes,
+then the raw arrays, each 8-byte aligned.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .topics import KMeansModel
 BUNDLE_MAGIC = b"OOMSCENE"
 BUNDLE_VERSION = 6
 DESC_MAGIC = b"OOMSDESC"
-DESC_VERSION = 2
+DESC_VERSION = 3
 # the one array dtype a container holds: little-endian float64
 _DTYPE = np.dtype("<f8")
 
@@ -287,6 +288,29 @@ class ModelBundle:
                                  self.config.pyramid_layout())
 
 
+@dataclass(frozen=True, eq=False)
+class DescriptorFile:
+    """Descriptors of a manifest's images, one row per image id, with the
+    pyramid layout and the SHA-256 of the selected objects' names."""
+
+    matrix: np.ndarray
+    image_ids: tuple[str, ...]
+    layout: tuple[tuple[int, int], ...]
+    selection_sha256: str
+
+    def __post_init__(self):
+        if self.matrix.ndim != 2 or len(self.image_ids) != len(self.matrix):
+            raise ValueError(f"image_ids holds {len(self.image_ids)} ids, not one per "
+                             f"row of a 2-D matrix of shape {self.matrix.shape}")
+        try:
+            PyramidLayout(self.layout)
+        except ValueError as exc:
+            raise ValueError(f"layout is not a pyramid layout ({exc})") from None
+        if not (len(self.selection_sha256) == 64
+                and set(self.selection_sha256) <= set("0123456789abcdef")):
+            raise ValueError("selection_sha256 is not 64 lower-case hex characters")
+
+
 # ------------------------------------------------------------- container
 
 def _write_container(path, magic: bytes, version: int, header: dict, arrays) -> None:
@@ -313,8 +337,9 @@ def _unpack(fmt: str, data, off: int, path, field: str):
     return struct.unpack_from(fmt, data, off)[0], off + size
 
 
-def _read_container(path, magic: bytes, version: int, kind: str):
-    """Returns (header without "arrays", arrays).
+def _read_container(path, magic: bytes, version: int, kind: str, key: str, cls):
+    """The ``cls`` node that the header holds under ``key``, rebuilt by
+    ``_from_tree``.
 
     The file is read once; the arrays are views of that buffer.  Every size
     is checked against the file length before any view is made.
@@ -353,8 +378,15 @@ def _read_container(path, magic: bytes, version: int, kind: str):
     if end != len(buf):
         raise FormatError(f"{path}: payload field has {len(buf) - off} bytes, "
                           f"the header's arrays need {end - off}")
-    return header, [buf[start : start + n].view(_DTYPE).reshape(shape)
-                    for start, n, shape in spans]
+    arrays = [buf[start : start + n].view(_DTYPE).reshape(shape) for start, n, shape in spans]
+    try:
+        node = _from_tree(header.get(key), arrays, f"{path}: {key}")
+    except RecursionError:
+        raise FormatError(f"{path}: {key} field nests too deeply") from None
+    if not isinstance(node, cls):
+        raise FormatError(f"{path}: {key} field holds a {type(node).__name__}, "
+                          f"not a {kind}")
+    return node
 
 
 # ------------------------------------------------------------ bundle tree
@@ -430,13 +462,13 @@ def _from_tree(node, arrays, where: str):
         raise FormatError(f"{where}: {tag} rejects its fields ({exc})") from None
 
 
-# the classes a bundle is built from, with their fields' declared types
+# the classes a bundle or descriptor file is built from, with their fields' types
 _BUNDLE_TYPES = {
     cls.__name__: (cls, {f.name: get_type_hints(cls)[f.name] for f in fields(cls)})
     for cls in (ModelBundle, PipelineConfig, ObjectVocabulary, SceneClassSet,
                 OccurrenceModel, ThresholdGrid, ClassPrior,
                 DiscriminantSelection, PcaTransform, VladCodebook,
-                KMeansModel, TopicEnsemble, SgdConfig)
+                KMeansModel, TopicEnsemble, SgdConfig, DescriptorFile)
 }
 
 
@@ -448,14 +480,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
-    header, arrays = _read_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle")
-    try:
-        bundle = _from_tree(header.get("bundle"), arrays, f"{path}: bundle")
-    except RecursionError:
-        raise FormatError(f"{path}: bundle field nests too deeply") from None
-    if not isinstance(bundle, ModelBundle):
-        raise FormatError(f"{path}: bundle field holds a {type(bundle).__name__}, "
-                          f"not a model bundle")
+    bundle = _read_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle", "bundle",
+                             ModelBundle)
     bundle.validate()
     return bundle
 
@@ -467,47 +493,16 @@ def selection_hash(vocabulary: ObjectVocabulary, selection: DiscriminantSelectio
 
 def write_descriptor_file(path, matrix: np.ndarray, image_ids, layout: PyramidLayout,
                           sel_hash: str) -> None:
-    """Descriptor matrix as the container's one float64 array; the header
-    carries rows, cols, pyramid layout, selection hash and image ids."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    header = {
-        "rows": int(matrix.shape[0]),
-        "cols": int(matrix.shape[1]),
-        "layout": [list(level) for level in layout.levels],
-        "selection_sha256": sel_hash,
-        "image_ids": list(image_ids),
-    }
-    _write_container(path, DESC_MAGIC, DESC_VERSION, header, [matrix])
+    """The matrix, its image ids, layout and selection hash as one
+    ``DescriptorFile`` node, built before the file is opened: a wrong id
+    count, layout or hash raises and writes nothing."""
+    node = DescriptorFile(np.asarray(matrix, dtype=np.float64), tuple(image_ids),
+                          layout.levels, sel_hash)
+    arrays = []
+    tree = _to_tree(node, arrays)
+    _write_container(path, DESC_MAGIC, DESC_VERSION, {"descriptor": tree}, arrays)
 
 
-def read_descriptor_file(path):
-    """Returns (matrix, header dict).  The header's image_ids must be one
-    string per row, its layout a pyramid layout and its selection_sha256 a
-    lower-case hex SHA-256 digest."""
-    header, arrays = _read_container(path, DESC_MAGIC, DESC_VERSION, "descriptor file")
-    shape = (header.get("rows"), header.get("cols"))
-    for name, n in zip(("rows", "cols"), shape):
-        if type(n) is not int:  # bools and floats are JSON non-integers here
-            raise FormatError(f"{path}: {name} field is not an integer")
-    if len(arrays) != 1 or arrays[0].shape != shape:
-        raise FormatError(f"{path}: arrays field does not hold one float64 matrix "
-                          f"of rows x cols")
-    ids = header.get("image_ids")
-    if not (isinstance(ids, list) and len(ids) == len(arrays[0])
-            and all(isinstance(i, str) for i in ids)):
-        raise FormatError(f"{path}: image_ids field is not a list of {len(arrays[0])} "
-                          f"strings, one per row")
-    try:
-        layout = header.get("layout")
-        # PyramidLayout would convert a bool or a float with int()
-        if not all(type(n) is int for level in layout for n in level):
-            raise TypeError("an entry is not an integer")
-        PyramidLayout(layout)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: layout field is not a pyramid layout ({exc})") from None
-    digest = header.get("selection_sha256")
-    if not (isinstance(digest, str) and len(digest) == 64
-            and set(digest) <= set("0123456789abcdef")):
-        raise FormatError(f"{path}: selection_sha256 field is not 64 lower-case "
-                          f"hex characters")
-    return arrays[0], header
+def read_descriptor_file(path) -> DescriptorFile:
+    return _read_container(path, DESC_MAGIC, DESC_VERSION, "descriptor file", "descriptor",
+                           DescriptorFile)

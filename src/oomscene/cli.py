@@ -76,20 +76,12 @@ def _write_predictions(path, manifest, pred, scores):
 
 def _write_metrics(path, manifest, pred, y_true):
     n_cls = len(manifest.classes)
-    labeled = y_true >= 0
-    rows = []
-    if labeled.any():
-        acc = per_class_accuracy(y_true, pred, n_cls)
-        support = confusion_matrix(y_true, pred, n_cls).sum(axis=1)
-        for c, name in enumerate(manifest.classes.names):
-            value = "n/a" if np.isnan(acc[c]) else _fmt(acc[c])
-            rows.append([name, value, int(support[c])])
-        mean = class_mean_accuracy(y_true, pred, n_cls)
-        rows.append(["CLASS_MEAN", _fmt(mean), int(labeled.sum())])
-    else:
-        for name in manifest.classes.names:
-            rows.append([name, "n/a", 0])
-        rows.append(["CLASS_MEAN", "n/a", 0])
+    acc = per_class_accuracy(y_true, pred, n_cls)
+    support = confusion_matrix(y_true, pred, n_cls).sum(axis=1)
+    rows = [[name, acc[c], int(support[c])] for c, name in enumerate(manifest.classes.names)]
+    rows.append(["CLASS_MEAN", class_mean_accuracy(y_true, pred, n_cls), int(support.sum())])
+    for row in rows:  # an accuracy is NaN where no image is labeled
+        row[1] = "n/a" if np.isnan(row[1]) else _fmt(row[1])
     _write_csv(path, ["class", "accuracy", "support"], rows)
     return rows
 

@@ -35,6 +35,18 @@ from .ingest import (
 
 _TOPIC_RE = re.compile(r"_t(\d+)_")
 NOISE_FLOOR = 0.1  # soft scores of undetected (patch, object) pairs
+# planted_spec's score model: detection probabilities, then the centres
+# and spreads of the clipped Gaussian scores
+MARKER_PROB = 0.92  # a topic marker, in every class of its topic
+CLASS_HI = 0.7  # a class object in its own class
+CLASS_LO = 0.35  # a class object in the next class
+CONTEXT_BASE = 0.15  # a context object: CONTEXT_BASE + CONTEXT_SPAN times
+CONTEXT_SPAN = 0.5  # a class grade in [0, 1]
+NOISE_PROB = 0.04  # every other (topic, class, object)
+SCORE_CENTER = 0.95  # every object but context objects
+SCORE_SPREAD = 0.15
+CONTEXT_SCORE_CENTER = 0.45  # context objects
+CONTEXT_SCORE_SPREAD = 0.2
 # the most values a spec's score tensors or a manifest's draws may hold: the
 # draw loops over every image in Python and keeps every score.  2^24 is ten
 # times the benchmark's largest draw (18 x 56 images x 200 objects x 8
@@ -82,8 +94,9 @@ class ScoreModel:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.detect_prob.shape == self.score_mean.shape == self.score_spread.shape):
             raise ValueError("score model tensors must share one (topics, classes, objects) shape")
-        if self.detect_prob.ndim != 3:
-            raise ValueError("score model tensors must be 3-D (topics, classes, objects)")
+        if self.detect_prob.ndim != 3 or 0 in self.detect_prob.shape:
+            raise ValueError(f"score model tensors must be 3-D (topics, classes, objects) "
+                             f"with at least one of each, got shape {self.detect_prob.shape}")
         if np.any(self.detect_prob < 0) or np.any(self.detect_prob > 1):
             raise ValueError("detection probabilities must lie in [0, 1]")
         if np.any(self.score_spread <= 0):
@@ -92,41 +105,39 @@ class ScoreModel:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_classes: int
-    n_objects: int
-    n_topics_true: int
     images_per_class: int
     score_model: ScoreModel
     shift: DomainShift
     seed: int
 
     def __post_init__(self):
-        if self.n_classes < 1 or self.n_objects < 1:
-            raise ValueError("spec needs at least one class and one object")
-        if self.n_topics_true < 1 or self.images_per_class < 1:
-            raise ValueError("spec needs at least one topic and one image per class")
+        if self.images_per_class < 1:
+            raise ValueError(f"images_per_class must be at least 1, "
+                             f"got {self.images_per_class}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        want = (self.n_topics_true, self.n_classes, self.n_objects)
-        if self.score_model.detect_prob.shape != want:
-            raise ValueError(
-                f"score model shape {self.score_model.detect_prob.shape} "
-                f"does not match spec {want}"
-            )
+
+    @property
+    def n_topics_true(self) -> int:
+        return self.score_model.detect_prob.shape[0]
+
+    @property
+    def n_classes(self) -> int:
+        return self.score_model.detect_prob.shape[1]
+
+    @property
+    def n_objects(self) -> int:
+        return self.score_model.detect_prob.shape[2]
 
 
 def planted_spec(n_classes: int, n_objects: int, n_topics: int,
                  images_per_class: int, shift: DomainShift = DomainShift(),
-                 seed: int = 0, marker_prob: float = 0.92,
-                 class_hi: float = 0.7, class_lo: float = 0.35,
-                 context_base: float = 0.15, context_span: float = 0.5,
-                 noise_prob: float = 0.04, score_center: float = 0.95,
-                 score_spread: float = 0.15, context_score_center: float = 0.45,
-                 context_score_spread: float = 0.2) -> SynthSpec:
-    """Spec with three kinds of planted objects.
+                 seed: int = 0) -> SynthSpec:
+    """Spec with three kinds of planted objects, scored by the module's
+    score-model constants.
 
-    A spec whose score tensors (topics x classes x objects) exceed
-    ``_MAX_DRAWS`` is refused before they are allocated.
+    A count below 1, or score tensors (topics x classes x objects) above
+    ``_MAX_DRAWS``, is refused before anything is allocated.
 
     Topic markers fire in all classes of their topic so clustering can
     recover the hidden partition (and so a single pooled classifier carries
@@ -136,6 +147,10 @@ def planted_spec(n_classes: int, n_objects: int, n_topics: int,
     offset re-weights their raw values against the high-scoring objects,
     while threshold-grid lookups stay on stable posterior columns.
     """
+    for name, n in (("n_classes", n_classes), ("n_objects", n_objects),
+                    ("n_topics", n_topics), ("images_per_class", images_per_class)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     _check_draws("spec scores", n_topics=n_topics, n_classes=n_classes, n_objects=n_objects)
     if n_objects < n_topics + n_classes:
         raise ValueError("need at least n_topics + n_classes objects to plant structure")
@@ -146,32 +161,25 @@ def planted_spec(n_classes: int, n_objects: int, n_topics: int,
     n_context = max(0, min(6, n_objects - n_markers - n_classes))
     n_class_obj = n_objects - n_markers - n_context
 
-    prob = np.full((n_topics, n_classes, n_objects), noise_prob)
-    mean = np.full_like(prob, score_center)
-    spread = np.full_like(prob, score_spread)
+    prob = np.full((n_topics, n_classes, n_objects), NOISE_PROB)
+    mean = np.full_like(prob, SCORE_CENTER)
+    spread = np.full_like(prob, SCORE_SPREAD)
     for t in range(n_topics):
-        prob[t, :, t * per_topic : (t + 1) * per_topic] = marker_prob
+        prob[t, :, t * per_topic : (t + 1) * per_topic] = MARKER_PROB
     for k in range(n_class_obj):
         o = n_markers + k
-        prob[:, k % n_classes, o] = class_hi
-        prob[:, (k + 1) % n_classes, o] = class_lo
+        prob[:, k % n_classes, o] = CLASS_HI
+        prob[:, (k + 1) % n_classes, o] = CLASS_LO
     for j in range(n_context):
         o = n_markers + n_class_obj + j
         for c in range(n_classes):
             grade = ((c + j) % n_classes) / max(n_classes - 1, 1)
-            prob[:, c, o] = context_base + context_span * grade
-        mean[:, :, o] = context_score_center
-        spread[:, :, o] = context_score_spread
+            prob[:, c, o] = CONTEXT_BASE + CONTEXT_SPAN * grade
+        mean[:, :, o] = CONTEXT_SCORE_CENTER
+        spread[:, :, o] = CONTEXT_SCORE_SPREAD
 
-    return SynthSpec(
-        n_classes=n_classes,
-        n_objects=n_objects,
-        n_topics_true=n_topics,
-        images_per_class=images_per_class,
-        score_model=ScoreModel(prob, mean, spread),
-        shift=shift,
-        seed=seed,
-    )
+    return SynthSpec(images_per_class=images_per_class,
+                     score_model=ScoreModel(prob, mean, spread), shift=shift, seed=seed)
 
 
 def _random_box(rng) -> tuple[float, float, float, float]:
@@ -200,18 +208,19 @@ def _soft_scores(rng, prob, mean, spread, patches: int) -> np.ndarray:
 def _draw_manifest(spec: SynthSpec, patches: int, domain_tag: str, domain_code: int,
                    split_tag: str) -> DatasetManifest:
     model = spec.score_model
+    n_topics, n_classes, n_objects = model.detect_prob.shape
     ids, labels, image, obj, score, box = [], [], [], [], [], []
-    for c in range(spec.n_classes):
+    for c in range(n_classes):
         for i in range(spec.images_per_class):
             # per-image substream: generation order never matters
             rng = np.random.default_rng([spec.seed, domain_code, c, i])
-            topic = int(rng.integers(spec.n_topics_true))
+            topic = int(rng.integers(n_topics))
             prob, mean, spread = (model.detect_prob[topic, c], model.score_mean[topic, c],
                                   model.score_spread[topic, c])
             if patches:
                 score.append(_soft_scores(rng, prob, mean, spread, patches))
             else:
-                for o in range(spec.n_objects):
+                for o in range(n_objects):
                     if rng.random() < prob[o]:
                         for _ in range(int(rng.integers(1, 4))):
                             image.append(len(ids))
@@ -229,8 +238,8 @@ def _draw_manifest(spec: SynthSpec, patches: int, domain_tag: str, domain_code: 
     else:
         dets = dict(object_index=obj, score=score, box=box)
     return DatasetManifest.from_arrays(
-        ObjectVocabulary(tuple(f"obj{i:03d}" for i in range(spec.n_objects))),
-        SceneClassSet(tuple(f"class{i:02d}" for i in range(spec.n_classes))),
+        ObjectVocabulary(tuple(f"obj{i:03d}" for i in range(n_objects))),
+        SceneClassSet(tuple(f"class{i:02d}" for i in range(n_classes))),
         split_tag, SOFT if patches else HARD, ids, labels, [domain_tag] * len(ids),
         image, **dets)
 

@@ -35,8 +35,10 @@ from oomscene.bundle import (
     _BUNDLE_TYPES,
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
+    DescriptorFile,
     _to_tree,
     _write_container,
+    read_descriptor_file,
     write_descriptor_file,
 )
 
@@ -486,3 +488,43 @@ def test_container_writes_each_array_from_its_own_buffer(tmp_path):
         tracemalloc.stop()
     assert peak < 0.1 * matrix.nbytes, (peak, matrix.nbytes)
     assert path.read_bytes()[-matrix.nbytes:] == matrix.tobytes()
+
+
+def test_descriptor_file_is_one_node(tmp_path):
+    matrix = np.random.default_rng(9).random((3, 16))
+    path = tmp_path / "d.bin"
+    write_descriptor_file(path, matrix, ["a", "b", "c"], PyramidLayout(((1, 1), (2, 2))),
+                          "0123456789abcdef" * 4)
+    header, _ = split(path.read_bytes())
+    assert header == {"descriptor": {"DescriptorFile": {
+        "matrix": {"array": 0}, "image_ids": ["a", "b", "c"], "layout": [[1, 1], [2, 2]],
+        "selection_sha256": "0123456789abcdef" * 4}},
+        "arrays": [{"dtype": "<f8", "shape": [3, 16]}]}
+    desc = read_descriptor_file(path)
+    assert isinstance(desc, DescriptorFile)
+    assert desc.matrix.tobytes() == matrix.tobytes()
+    assert (desc.image_ids, desc.layout) == (("a", "b", "c"), ((1, 1), (2, 2)))
+
+
+def forged_layout():
+    layout = PyramidLayout()
+    object.__setattr__(layout, "levels", ((0, 1),))  # past PyramidLayout's own check
+    return layout
+
+
+@pytest.mark.parametrize("ids, layout, digest, message", [
+    (["a"], PyramidLayout(), "0" * 64,
+     r"image_ids holds 1 ids, not one per row of a 2-D matrix of shape \(3, 2\)"),
+    (["a", "b", "c"], PyramidLayout(), "xyz",
+     "selection_sha256 is not 64 lower-case hex characters"),
+    (["a", "b", "c"], PyramidLayout(), "A" * 64,
+     "selection_sha256 is not 64 lower-case hex characters"),
+    (["a", "b", "c"], forged_layout(), "0" * 64,
+     "layout is not a pyramid layout .every pyramid level needs rows >= 1"),
+], ids=["ids-count", "digest", "digest-case", "layout"])
+def test_descriptor_file_the_reader_refuses_is_not_written(tmp_path, ids, layout, digest,
+                                                           message):
+    path = tmp_path / "d.bin"
+    with pytest.raises(ValueError, match=message):
+        write_descriptor_file(path, np.zeros((3, 2)), ids, layout, digest)
+    assert not path.exists()

@@ -33,6 +33,7 @@ from oomscene.bundle import (
 )
 from oomscene import pipeline
 from oomscene import cli
+from oomscene import synth
 from oomscene.cli import main
 from oomscene.ingest import DatasetManifest, parse_manifest
 
@@ -40,8 +41,9 @@ from helpers import container
 
 
 def descriptor_file(**fields):
-    """A descriptor file of a zero 3 x 2 matrix whose header holds ``fields``."""
-    header = {"rows": 3, "cols": 2, **fields,
+    """A descriptor file of a zero 3 x 2 matrix whose DescriptorFile node
+    holds ``fields`` beside the matrix."""
+    header = {"descriptor": {"DescriptorFile": {"matrix": {"array": 0}, **fields}},
               "arrays": [{"dtype": "<f8", "shape": [3, 2]}]}
     return container(b"OOMSDESC", header, bytes(48))
 
@@ -367,6 +369,18 @@ class TestSynthCommand:
         assert f"{named} {value}" in err and err.endswith("more than 16777216\n")
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag, named", [
+        ("--classes", "n_classes"), ("--objects", "n_objects"), ("--topics", "n_topics"),
+        ("--images-per-class", "images_per_class"),
+    ], ids=["classes", "objects", "topics", "images-per-class"])
+    def test_count_below_one_refused_naming_its_parameter(self, tmp_path, capsys, flag,
+                                                          named, value):
+        rc = main(["synth", flag, value, "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {named} must be at least 1, got {value}\n"
+        assert not (tmp_path / "data").exists()
+
     def test_negative_patches_refused(self, tmp_path, capsys):
         assert main(["synth", "--patches", "-1", "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: patches must be non-negative, got -1\n"
@@ -426,8 +440,15 @@ class TestTrainEvalPredict:
         assert float(metrics[-1][1]) >= 1.0 / 3.0
 
     def test_separable_data_single_topic_self_eval_is_perfect(self, tmp_path):
-        spec = planted_spec(3, 12, 2, 12, seed=9, class_hi=1.0, class_lo=0.0,
-                            noise_prob=0.0, context_base=0.0, context_span=0.0)
+        # the default spec, but a class object always fires in its own class
+        # and never elsewhere, and nothing fires as noise or context
+        spec = planted_spec(3, 12, 2, 12, seed=9)
+        model = spec.score_model
+        prob = np.select([model.detect_prob == synth.MARKER_PROB,
+                          model.detect_prob == synth.CLASS_HI],
+                         [synth.MARKER_PROB, 1.0], 0.0)
+        spec = dataclasses.replace(spec, score_model=dataclasses.replace(model,
+                                                                         detect_prob=prob))
         source, _ = generate(spec)
         path = tmp_path / "sep.txt"
         write_manifest(source, path)
@@ -606,10 +627,11 @@ class TestStagedCommands:
                    "--manifest", str(synth_files / "source.txt"),
                    "--out", str(desc_path)])
         assert rc == 0
-        matrix, header = read_descriptor_file(desc_path)
+        desc = read_descriptor_file(desc_path)
+        matrix = desc.matrix
         assert matrix.shape == (36, 8 * 8 * 3)
-        assert header["rows"] == 36
-        assert len(header["selection_sha256"]) == 64
+        assert len(desc.image_ids) == 36
+        assert len(desc.selection_sha256) == 64
 
         desc_csv = tmp_path / "desc.csv"
         rc = main(["encode", "--bundle", str(sel_path),
@@ -645,7 +667,7 @@ class TestStagedCommands:
                 _, peaks[fmt] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        matrix, _ = read_descriptor_file(tmp_path / "d.bin")
+        matrix = read_descriptor_file(tmp_path / "d.bin").matrix
         assert peaks["csv"] <= peaks["bin"] + matrix.nbytes, (peaks, matrix.nbytes)
         rows = read_csv(tmp_path / "d.csv")
         assert [list(map(float, row[1:])) for row in rows[1:]] == matrix.tolist()
@@ -1006,12 +1028,12 @@ class TestDeterminismAndPersistence:
         (load_bundle, b"OOMSCENE", "version"),
         # a version-1 bundle whose pickle would call divmod(1, 0): never unpickled
         (load_bundle, b"OOMSCENE\x00\x01cbuiltins\ndivmod\n(I1\nI0\ntR.", "version"),
-        (read_descriptor_file, b"OOMSDESC\x00\x02\x00\x00", "header length"),
-        (read_descriptor_file, b"OOMSDESC\x00\x02\x00\x00\x00\x10{}", "header"),
-        (read_descriptor_file, b"OOMSDESC\x00\x02\x00\x00\x00\x05{rows", "header"),
-        (read_descriptor_file, b"OOMSDESC\x00\x02\x00\x00\x00\x02[]", "header"),
+        (read_descriptor_file, b"OOMSDESC\x00\x03\x00\x00", "header length"),
+        (read_descriptor_file, b"OOMSDESC\x00\x03\x00\x00\x00\x10{}", "header"),
+        (read_descriptor_file, b"OOMSDESC\x00\x03\x00\x00\x00\x05{rows", "header"),
+        (read_descriptor_file, b"OOMSDESC\x00\x03\x00\x00\x00\x02[]", "header"),
         (read_descriptor_file,
-         b"OOMSDESC\x00\x02" + struct.pack(">I", 200000) + b"[" * 200000, "header"),
+         b"OOMSDESC\x00\x03" + struct.pack(">I", 200000) + b"[" * 200000, "header"),
         (load_bundle, b"OOMSCENE" + struct.pack(">HI", BUNDLE_VERSION, 200000)
          + b"[" * 200000, "header"),
         (read_descriptor_file, container(b"OOMSDESC", {"rows": 1}), "arrays"),
@@ -1019,16 +1041,12 @@ class TestDeterminismAndPersistence:
          container(b"OOMSDESC", {"arrays": [{"dtype": "<i8", "shape": [1]}]}),
          r"arrays\[0\]"),
         (read_descriptor_file,
-         container(b"OOMSDESC", {"rows": 1, "arrays": [{"dtype": "<f8", "shape": [1, 2]}]},
-                   bytes(16)),
-         "cols"),
-        (read_descriptor_file,
          container(b"OOMSDESC", {"rows": 1, "cols": 2,
                                  "arrays": [{"dtype": "<f8", "shape": [1, 2]}]}, bytes(8)),
          "payload"),
         (read_descriptor_file, descriptor_file(), "image_ids"),
         (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "image_ids": ["a"]}),
-         "image_ids field is not a list of 3 strings"),
+         r"image_ids holds 1 ids, not one per row of a 2-D matrix of shape \(3, 2\)"),
         (read_descriptor_file,
          descriptor_file(image_ids=5, layout="x", selection_sha256=7), "image_ids"),
         (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "image_ids": ["a", "b", 3]}),
@@ -1036,18 +1054,14 @@ class TestDeterminismAndPersistence:
         (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "layout": "x"}), "layout"),
         (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "layout": [[0, 1]]}),
          "layout"),
-        # JSON decodes Infinity, which int() cannot convert
+        # JSON decodes Infinity, a float and not an integer
         (read_descriptor_file,
          descriptor_file(**{**GOOD_DESC, "layout": [[float("inf"), 1]]}), "layout"),
-        # numbers that equal integers are not JSON integers
-        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "rows": 3.0}),
-         "rows field is not an integer"),
-        (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "cols": 2.0}),
-         "cols field is not an integer"),
+        # a bool or a float is not a JSON integer
         (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "layout": [[True, 1]]}),
-         "layout field is not a pyramid layout"),
+         r"descriptor.layout does not hold a tuple\[tuple\[int, int\], ...\]"),
         (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "layout": [[1.5, 2]]}),
-         "layout field is not a pyramid layout"),
+         r"descriptor.layout does not hold a tuple\[tuple\[int, int\], ...\]"),
         (read_descriptor_file, descriptor_file(**{**GOOD_DESC, "selection_sha256": 7}),
          "selection_sha256"),
         (read_descriptor_file,
@@ -1074,16 +1088,34 @@ class TestDeterminismAndPersistence:
          container(b"OOMSCENE", {"bundle": json.loads("[" * 600 + "]" * 600),
                                  "arrays": []}),
          "bundle field nests too deeply"),
+        # version 2 kept rows and cols beside the array's own shape
+        (read_descriptor_file,
+         b"OOMSDESC\x00\x02" + descriptor_file(**GOOD_DESC)[10:],
+         "version field holds 2, this reader reads descriptor file version 3"),
+        (read_descriptor_file,
+         container(b"OOMSDESC", {"descriptor": {"DescriptorFile": {
+             "matrix": {"array": 0}, **GOOD_DESC}},
+             "arrays": [{"dtype": "<f8", "shape": [6]}]}, bytes(48)),
+         r"image_ids holds 3 ids, not one per row of a 2-D matrix of shape \(6,\)"),
+        (read_descriptor_file,
+         container(b"OOMSDESC", {"descriptor": {"SgdConfig": {"lam": 1.0, "eta0": 1.0}},
+                                 "arrays": []}),
+         "descriptor field holds a SgdConfig, not a descriptor file"),
+        (read_descriptor_file,
+         container(b"OOMSDESC", {"descriptor": json.loads("[" * 600 + "]" * 600),
+                                 "arrays": []}),
+         "descriptor field nests too deeply"),
     ], ids=["bundle-magic", "bundle-version", "bundle-payload-raises",
             "desc-header-length", "desc-header", "desc-header-json", "desc-header-object",
             "desc-header-deep", "bundle-header-deep", "desc-arrays", "desc-array-dtype",
-            "desc-cols", "desc-payload", "desc-no-metadata", "desc-ids-count",
+            "desc-payload", "desc-no-metadata", "desc-ids-count",
             "desc-metadata-types", "desc-id-type", "desc-layout", "desc-layout-level",
-            "desc-layout-infinite", "desc-rows-float", "desc-cols-float",
+            "desc-layout-infinite",
             "desc-layout-bool", "desc-layout-float", "desc-hash-type", "desc-hash-case",
             "bundle-payload-empty", "bundle-payload-bool",
             "bundle-payload-type",
-            "bundle-array-index", "bundle-node-type", "bundle-tree-deep"])
+            "bundle-array-index", "bundle-node-type", "bundle-tree-deep",
+            "desc-version-2", "desc-matrix-1d", "desc-node-type", "desc-tree-deep"])
     def test_bad_magic_rejected(self, tmp_path, read, data, field):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(data)

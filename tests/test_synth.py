@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from oomscene import (
     DomainShift,
     HardDetection,
     PyramidLayout,
+    ScoreModel,
     ThresholdGrid,
     VariantError,
     adjusted_rand_index,
@@ -88,6 +90,19 @@ class TestGenerate:
             planted_spec(0, 10, 2, 5)
         with pytest.raises(ValueError):
             planted_spec(3, 4, 2, 5)  # too few objects for the structure
+        # enough objects to plant structure: the count itself is refused
+        with pytest.raises(ValueError, match="n_classes must be at least 1, got 0"):
+            planted_spec(0, 40, 3, 5)
+        with pytest.raises(ValueError, match="n_topics must be at least 1, got 0"):
+            planted_spec(6, 40, 0, 5)
+
+    def test_spec_counts_are_the_score_model_shape(self):
+        spec = planted_spec(3, 12, 2, 5)
+        assert (spec.n_topics_true, spec.n_classes, spec.n_objects) == (2, 3, 12)
+        with pytest.raises(ValueError, match=r"at least one of each, got shape \(2, 0, 12\)"):
+            ScoreModel(*(np.ones((2, 0, 12)),) * 3)
+        with pytest.raises(ValueError, match="images_per_class must be at least 1, got 0"):
+            dataclasses.replace(spec, images_per_class=0)
 
     def test_shift_validation(self):
         with pytest.raises(ValueError):
